@@ -11,7 +11,10 @@ Two routes produce draws from the limiting null distribution:
 * With deterministic regressors the full finite-sample statistic is
   computed on pure-random-walk data of length ``n_grid`` with standard
   normal innovations; the statistic converges to the corresponding limit
-  and this route avoids deriving projected-process formulas.
+  and this route avoids deriving projected-process formulas. It shares
+  the batched fit, sandwich and self-normalizer of the bootstrap
+  (:func:`~sncoint.selfnorm.wald_batch`), evaluated in sub-chunks of each
+  chunk's draws.
 
 Both routes are vectorized across replications in fixed-size chunks, so a
 given (seed, n_grid, reps) triple always yields the same table.
@@ -24,9 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from .estimators import RestrictionSpec, batch_rows
+from .selfnorm import wald_batch
 from .streams import substream
 from .tables import CriticalValueTable, default_table
-from .timeseries import Deterministics, build_deterministics
+from .timeseries import Deterministics
 
 __all__ = [
     "LocalPowerCurve",
@@ -122,47 +127,24 @@ def _random_walk_statistics(
     """Self-normalized statistic on pure random walks, vectorized over reps.
 
     Innovations are i.i.d. standard normal, the true long-run coefficients
-    are zero, and the restriction fixes the first s of them at zero.
+    are zero, and the restriction fixes the first s of them at zero. Each
+    ``_chunk_size`` chunk draws its innovations in one call, which fixes
+    the table; :func:`~sncoint.selfnorm.wald_batch` then evaluates it in
+    :func:`~sncoint.estimators.batch_rows` sub-chunks.
     """
-    p = det.n_columns
-    k = p + 2 * m
-    Sd = np.cumsum(build_deterministics(det, T), axis=0) if p else np.empty((T, 0))
+    restriction = RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
     chunk = _chunk_size(T, m)
+    rows = batch_rows(T, det.n_columns + 2 * m)
     out: list[np.ndarray] = []
     done = 0
     index = 0
     while done < reps:
         c = min(chunk, reps - done)
-        rng = substream(seed, index)
-        w = rng.standard_normal((c, T, m + 1))
-        y = w[:, :, 0]
-        x = np.cumsum(w[:, :, 1:], axis=1)
-        Sy = np.cumsum(y, axis=1)
-        Z = np.concatenate([np.broadcast_to(Sd, (c, T, p)), np.cumsum(x, axis=1), x], axis=2)
-
-        norms = np.sqrt(np.einsum("ctj,ctj->cj", Z, Z))
-        Zs = Z / norms[:, None, :]
-        A = np.einsum("ctj,ctk->cjk", Zs, Zs)
-        b = np.einsum("ctj,ct->cj", Zs, Sy)
-        theta_s = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-        resid = Sy - np.einsum("ctj,cj->ct", Zs, theta_s)
-
-        gaps = resid[:, 1:] - resid[:, :1]
-        normalizer = np.einsum("ct,ct->c", gaps, gaps) / T**2
-
-        SZ = np.cumsum(Zs, axis=1)
-        C = SZ[:, -1:, :] - np.concatenate([np.zeros((c, 1, k)), SZ[:, :-1]], axis=1)
-        B = np.einsum("ctj,ctk->cjk", C, C)
-        X = np.linalg.solve(A, B)
-        Vs = np.linalg.solve(A, X.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-        theta = theta_s / norms
-        V = Vs / (norms[:, :, None] * norms[:, None, :])
-
-        top = theta[:, p : p + s]
-        Q = normalizer[:, None, None] * V[:, p : p + s, p : p + s]
-        sol = np.linalg.solve(Q, top[:, :, None])[:, :, 0]
-        out.append(np.einsum("cj,cj->c", top, sol))
+        w = substream(seed, index).standard_normal((c, T, m + 1))
+        for start in range(0, c, rows):
+            sub = w[start : start + rows]
+            batch = wald_batch(sub[:, :, 0], np.cumsum(sub[:, :, 1:], axis=1), det, restriction)
+            out.append(batch.wald_unit / batch.kappa)
         done += c
         index += 1
     return np.concatenate(out)

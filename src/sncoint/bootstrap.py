@@ -7,8 +7,17 @@ samples that satisfy the null restriction by construction. The observed
 statistic is compared against the (B+1)(1-alpha)-th smallest of the B
 bootstrap statistics.
 
-Every replication draws from its own substream keyed by (seed,
-replication index), so results do not depend on the number of workers.
+Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
+(about 2^17 elements per (draws, T, .) array), through
+:func:`~sncoint.streams.replication_map`. A chunk simulates its VAR with
+one loop over time and evaluates every draw at once with the batched
+kernel :func:`~sncoint.selfnorm.wald_batch`, which mirrors
+:func:`bootstrap_statistic` row by row. A degenerate draw (zero or
+non-finite column, rank deficiency, kappa <= 0, perfect fit, singular
+restricted block) is regenerated once from its retry substream and
+discarded if still degenerate. Every draw keeps its own substream keyed
+by (seed, replication index, attempt), and the chunking depends only on
+the sample shape, so results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import numpy as np
 from .estimators import (
     ImOlsFit,
     RestrictionSpec,
+    batch_rows,
     im_ols,
     levels_residuals,
     restricted_im_ols,
@@ -33,6 +43,7 @@ from .selfnorm import (
     _degenerate_fit,
     conditional_lrv_from_ols,
     self_normalizer,
+    wald_batch,
     wald_statistic,
 )
 from .streams import replication_map, substream
@@ -46,8 +57,10 @@ __all__ = [
     "max_sieve_order",
     "critical_rank",
     "companion_spectral_radius",
+    "generate_bootstrap_batch",
     "generate_bootstrap_sample",
     "bootstrap_statistic",
+    "bootstrap_draws",
     "bootstrap_test",
 ]
 
@@ -233,21 +246,45 @@ def select_order(w: np.ndarray, rule: str | int = "aic", q_max: int | None = Non
     return best_q
 
 
-def _simulate_var(model: VarSieveModel, eps: np.ndarray, keep: int) -> np.ndarray:
-    """Drive the fitted recursion with innovations ``eps``, zero initial
-    values, and return the last ``keep`` observations."""
+def generate_bootstrap_batch(
+    model: VarSieveModel,
+    T: int,
+    beta_restricted: np.ndarray,
+    det: Deterministics,
+    delta: np.ndarray,
+    config: BootstrapConfig,
+    indices: np.ndarray,
+    attempt: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regenerate the null-imposed samples ``indices`` from the fitted sieve.
+
+    Draw i takes ``burn_in + order + T`` innovations i.i.d. with
+    replacement from the centered residual pool, from its own substream
+    (seed, i, attempt). The recursion starts from zeros and runs once over
+    time for all draws, with a (draws, order * series) state; the last T
+    observations are kept. The regressors are partial sums of the
+    simulated innovations and the dependent variable uses the restricted
+    coefficient vector, so the null holds exactly. Returns ``y`` (c, T)
+    and ``x`` (c, T, m).
+    """
     q, k = model.order, model.n_series
-    flat = np.ascontiguousarray(np.hstack(list(model.coefs)))  # (k, q*k)
-    n_steps = eps.shape[0]
-    out = np.zeros((q + n_steps, k))
-    window = np.zeros(q * k)  # [w_{t-1}, w_{t-2}, ..., w_{t-q}]
+    pool = model.resid_pool
+    n_steps = config.burn_in + q + T
+    picks = [substream(config.seed, int(i), attempt).integers(0, pool.shape[0], size=n_steps) for i in indices]
+    # w[:, q + t] holds step t; the q leading zeros are the initial values.
+    w = np.zeros((len(picks), q + n_steps, k))
+    w[:, q:] = pool[np.stack(picks)]
+    # Lag-ordered coefficients [A_q, ..., A_1]', matching the window
+    # w[:, t : t + q] = [w_{t-q}, ..., w_{t-1}] flattened.
+    lagged = np.ascontiguousarray(np.vstack([a.T for a in model.coefs[::-1]]))
     for t in range(n_steps):
-        new = eps[t] + flat @ window
-        out[q + t] = new
-        if q > 1:
-            window[k:] = window[:-k]
-        window[:k] = new
-    return out[-keep:]
+        w[:, q + t] += w[:, t : t + q].reshape(-1, q * k) @ lagged
+    w = w[:, -T:]
+    x = np.cumsum(w[:, :, 1:], axis=1)
+    y = x @ beta_restricted + w[:, :, 0]
+    if det.n_columns:
+        y += build_deterministics(det, T) @ delta
+    return y, x
 
 
 def generate_bootstrap_sample(
@@ -260,26 +297,12 @@ def generate_bootstrap_sample(
     replication_index: int,
     attempt: int = 0,
 ) -> CointegrationSample:
-    """Regenerate one null-imposed sample from the fitted sieve.
-
-    Innovations are drawn i.i.d. with replacement from the centered
-    residual pool; the recursion starts from zeros and warms up for
-    ``burn_in`` plus one model order of extra steps before the last T
-    observations are kept. The regressors are rebuilt as partial sums of
-    the simulated innovations and the dependent variable uses the
-    restricted coefficient vector, so the null holds exactly.
-    """
-    rng = substream(config.seed, replication_index, attempt)
-    pool = model.resid_pool
-    n_steps = config.burn_in + model.order + T
-    eps = pool[rng.integers(0, pool.shape[0], size=n_steps)]
-    w_star = _simulate_var(model, eps, keep=T)
-    u_star = w_star[:, 0]
-    x_star = np.cumsum(w_star[:, 1:], axis=0)
-    y_star = x_star @ beta_restricted + u_star
-    if det.n_columns:
-        y_star = y_star + build_deterministics(det, T) @ delta
-    return CointegrationSample(y=y_star, x=x_star, det=det)
+    """One regenerated sample: draw ``replication_index`` of
+    :func:`generate_bootstrap_batch`."""
+    y, x = generate_bootstrap_batch(
+        model, T, beta_restricted, det, delta, config, np.array([replication_index]), attempt
+    )
+    return CointegrationSample(y=y[0], x=x[0], det=det)
 
 
 def bootstrap_statistic(
@@ -313,7 +336,32 @@ def bootstrap_statistic(
     return wald_statistic(fit, restriction, kappa)
 
 
-def _one_replication(
+def _batch_statistics(
+    y: np.ndarray,
+    x: np.ndarray,
+    det: Deterministics,
+    restriction: RestrictionSpec,
+    statistic: str,
+    kernel: KernelSpec | None,
+) -> np.ndarray:
+    """:func:`bootstrap_statistic` of each row; NaN where it raises."""
+    batch = wald_batch(y, x, det, restriction)
+    if statistic == "sn":
+        kappa = np.where(batch.perfect_fit, np.nan, batch.kappa)
+    elif statistic == "tau1":
+        return batch.wald_unit
+    else:
+        kappa = np.full(y.shape[0], np.nan)
+        for i in np.flatnonzero(~batch.degenerate):
+            try:
+                kappa[i] = conditional_lrv_from_ols(CointegrationSample(y=y[i], x=x[i], det=det), kernel)
+            except (ValueError, np.linalg.LinAlgError):
+                continue
+        kappa[~(kappa > 0.0)] = np.nan
+    return batch.wald_unit / kappa
+
+
+def bootstrap_draws(
     model: VarSieveModel,
     T: int,
     beta_restricted: np.ndarray,
@@ -323,17 +371,37 @@ def _one_replication(
     restriction: RestrictionSpec,
     statistic: str,
     kernel: KernelSpec | None,
-    index: int,
-) -> float:
-    # Degenerate replications are regenerated once from a fresh substream,
-    # then given up on (NaN) so the caller can count them.
-    for attempt in (0, 1):
-        star = generate_bootstrap_sample(model, T, beta_restricted, det, delta, config, index, attempt)
-        try:
-            return bootstrap_statistic(star, restriction, statistic, kernel)
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-    return np.nan
+    indices: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Bootstrap statistics of the draws ``indices`` and the retry count.
+
+    A degenerate draw (see :class:`~sncoint.selfnorm.WaldBatch`) is
+    regenerated once from its attempt-1 substream; one still degenerate
+    is NaN, for the caller to count as discarded.
+    """
+    indices = np.asarray(indices)
+    draws = _batch_statistics(
+        *generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices),
+        det, restriction, statistic, kernel,
+    )  # fmt: skip
+    retry = np.flatnonzero(np.isnan(draws))
+    if retry.size:
+        draws[retry] = _batch_statistics(
+            *generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices[retry], 1),
+            det, restriction, statistic, kernel,
+        )  # fmt: skip
+    return draws, retry.size
+
+
+def _chunk(draw, rows: int, n_boot: int, index: int) -> tuple[np.ndarray, int]:
+    return draw(np.arange(index * rows, min(n_boot, (index + 1) * rows)))
+
+
+def _chunked_draws(draw, n_boot: int, rows: int, workers: int) -> tuple[np.ndarray, int]:
+    """Draws 0..n_boot-1 of ``draw`` (a partial of :func:`bootstrap_draws`)
+    in chunks of ``rows``, one chunk per :func:`replication_map` task."""
+    chunks = replication_map(partial(_chunk, draw, rows, n_boot), -(-n_boot // rows), workers)
+    return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
 
 def bootstrap_test(
@@ -363,8 +431,8 @@ def bootstrap_test(
     model = yule_walker(w_hat, order)
     beta_restricted = restricted_im_ols(fit, restriction)
 
-    runner = partial(
-        _one_replication,
+    draw = partial(
+        bootstrap_draws,
         model,
         sample.nobs,
         beta_restricted,
@@ -375,7 +443,8 @@ def bootstrap_test(
         statistic,
         kernel,
     )
-    draws = np.asarray(replication_map(runner, config.n_boot, config.workers))
+    rows = batch_rows(sample.nobs, len(fit.params))
+    draws, n_retried = _chunked_draws(draw, config.n_boot, rows, config.workers)
     valid = draws[~np.isnan(draws)]
     n_discarded = config.n_boot - valid.shape[0]
     if valid.shape[0] == 0:
@@ -396,4 +465,10 @@ def bootstrap_test(
         method=_METHOD_TAGS[statistic],
         p_value=p_value,
         warnings=notes,
+        diagnostics={
+            "sieve_order": model.order,
+            "spectral_radius": companion_spectral_radius(model.coefs),
+            "n_retried": n_retried,
+            "n_discarded": n_discarded,
+        },
     )

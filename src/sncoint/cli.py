@@ -49,8 +49,9 @@ def ingest_csv(
 ) -> CointegrationSample:
     """Read a UTF-8, comma-separated file with a header row into a sample.
 
-    Row order is time order. Missing columns, blank cells and non-numeric
-    cells raise :class:`UsageError` naming the offending row and column.
+    Row order is time order. Missing columns, blank cells, non-numeric
+    cells and non-finite values ("nan", "inf") raise :class:`UsageError`
+    naming the offending row and column.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -67,11 +68,14 @@ def ingest_csv(
                 if not cell:
                     raise UsageError(f"{path}: row {row_number}, column {name!r}: empty cell")
                 try:
-                    record.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise UsageError(
                         f"{path}: row {row_number}, column {name!r}: could not parse {cell!r}"
                     ) from None
+                if not np.isfinite(value):
+                    raise UsageError(f"{path}: row {row_number}, column {name!r}: non-finite value {cell!r}")
+                record.append(value)
             y_vals.append(record[0])
             x_vals.append(record[1:])
     if not y_vals:
@@ -124,6 +128,7 @@ class AnalysisReport:
                 method=o["method"],
                 p_value=o.get("p_value"),
                 warnings=tuple(o.get("warnings", ())),
+                diagnostics=dict(o.get("diagnostics", {})),
             )
             for o in data["outcomes"]
         )

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelSpec, estimate_lrv, one_sided_lrv
-from .timeseries import CointegrationSample, partial_sum
+from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
     "OlsFit",
@@ -30,6 +29,8 @@ __all__ = [
     "DOlsFit",
     "ols",
     "im_ols",
+    "im_ols_batch",
+    "batch_rows",
     "scaled_variance",
     "restricted_im_ols",
     "levels_residuals",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _RANK_RCOND = 1e-10
+# Larger batches raise peak memory faster than they cut time per draw.
+_BATCH_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class ImOlsFit:
         the reversed partial sums of Z; see :func:`scaled_variance`.
     n_det, n_reg : int
         Number of deterministic columns p and integrated regressors m.
+
+    A fit from :func:`im_ols_batch` carries a leading axis of length c on
+    every array.
     """
 
     params: np.ndarray
@@ -100,82 +106,105 @@ class ImOlsFit:
 
     @property
     def nobs(self) -> int:
-        return self.regressors.shape[0]
+        return self.regressors.shape[-2]
 
     @property
     def delta(self) -> np.ndarray:
         """Deterministic coefficients."""
-        return self.params[: self.n_det]
+        return self.params[..., : self.n_det]
 
     @property
     def beta(self) -> np.ndarray:
         """Long-run coefficients on the integrated regressors."""
-        return self.params[self.n_det : self.n_det + self.n_reg]
+        return self.params[..., self.n_det : self.n_det + self.n_reg]
 
     @property
     def gamma(self) -> np.ndarray:
         """Coefficients on the regressor levels (endogeneity correction)."""
-        return self.params[self.n_det + self.n_reg :]
+        return self.params[..., self.n_det + self.n_reg :]
 
     def beta_slice(self) -> slice:
         return slice(self.n_det, self.n_det + self.n_reg)
 
 
+def _augmented(x: np.ndarray, det: Deterministics) -> np.ndarray:
+    """Z = [cumsum(d), cumsum(x), x] for levels ``x`` of shape (..., T, m)."""
+    Sd = np.cumsum(build_deterministics(det, x.shape[-2]), axis=0)
+    Sd = np.broadcast_to(Sd, x.shape[:-1] + Sd.shape[-1:])
+    return np.concatenate([Sd, np.cumsum(x, axis=-2), x], axis=-1)
+
+
 def augmented_regressors(sample: CointegrationSample) -> np.ndarray:
     """Build Z = [cumsum(d), cumsum(x), x] for the partial-sum regression."""
-    blocks = []
-    d = sample.deterministics()
-    if d.shape[1]:
-        blocks.append(partial_sum(d))
-    blocks.append(partial_sum(sample.x))
-    blocks.append(sample.x)
-    return np.column_stack(blocks)
+    return _augmented(sample.x, sample.det)
 
 
-def _reversed_partial_sums(Z: np.ndarray) -> np.ndarray:
-    """Rows c_t = S_T - S_{t-1} with S_t the running column sums of Z."""
-    SZ = np.cumsum(Z, axis=0)
-    prev = np.vstack([np.zeros((1, Z.shape[1])), SZ[:-1]])
-    return SZ[-1] - prev
+def batch_rows(T: int, width: int) -> int:
+    """Rows per batch so that one (rows, T, width) array holds about 2^17
+    elements (1 MiB); depends on the shape only, never on workers."""
+    return max(1, _BATCH_ELEMENTS // (T * width))
 
 
-def _sandwich(Z: np.ndarray) -> np.ndarray:
-    # Evaluates (Z'Z)^{-1} (C'C) (Z'Z)^{-1} as H'H with H = C (Z'Z)^{-1},
-    # through the QR factor of the equilibrated regressors: the error then
-    # scales with the square root of the Gram matrix's condition number,
-    # which raw partial-sum columns push beyond float64 for long samples.
-    norms = np.linalg.norm(Z, axis=0)
-    Zs = Z / norms
-    C = _reversed_partial_sums(Zs)
-    R = np.linalg.qr(Zs, mode="r")
-    H = solve_triangular(R, solve_triangular(R, C.T, trans="T", lower=False), lower=False).T
-    V = (H.T @ H) / np.outer(norms, norms)
-    return 0.5 * (V + V.T)
+def _fit_batch(Z: np.ndarray, Sy: np.ndarray, n_det: int, n_reg: int) -> ImOlsFit:
+    # One stacked Householder QR of the equilibrated [Z, Sy] yields R and
+    # Q'Sy. The sandwich (Z'Z)^{-1} (C'C) (Z'Z)^{-1}, with C the reversed
+    # partial sums of Z, is evaluated as R^{-1} (Y'Y) R^{-T}, Y = C R^{-1}:
+    # the error then scales with the condition number of R rather than of
+    # the Gram matrix, which raw partial-sum columns push beyond float64
+    # for long samples. The rank check uses the singular values of R,
+    # which are those of the equilibrated Z. Rows that fail it, or have a
+    # zero or non-finite column, get NaN coefficients and sandwich.
+    c, _, k = Z.shape
+    norms = np.sqrt(np.einsum("ctj,ctj->cj", Z, Z))
+    degenerate = ~(np.isfinite(norms).all(axis=1) & (norms > 0.0).all(axis=1) & np.isfinite(Sy[:, -1]))
+    norms[degenerate] = 1.0
+    Zs = Z / norms[:, None, :]
+    Zs[degenerate] = 0.0
+    Raug = np.linalg.qr(np.concatenate([Zs, Sy[:, :, None]], axis=2), mode="r")
+    R = Raug[:, :k, :k]
+    sv = np.linalg.svd(R, compute_uv=False)
+    degenerate |= ~(sv[:, -1] > _RANK_RCOND * sv[:, 0])
+    R[degenerate] = np.eye(k)
+    Rinv = np.linalg.inv(R)
+    theta = (Rinv @ Raug[:, :k, k:])[:, :, 0]
+
+    SZ = np.cumsum(Zs, axis=1)
+    C = SZ[:, -1:] - np.concatenate([np.zeros((c, 1, k)), SZ[:, :-1]], axis=1)
+    Y = C @ Rinv
+    V = Rinv @ (Y.transpose(0, 2, 1) @ Y) @ Rinv.transpose(0, 2, 1)
+    V = 0.5 * (V + V.transpose(0, 2, 1)) / (norms[:, :, None] * norms[:, None, :])
+    theta[degenerate] = np.nan
+    V[degenerate] = np.nan
+    resid = Sy - (Zs @ theta[:, :, None])[:, :, 0]
+    return ImOlsFit(params=theta / norms, regressors=Z, resid=resid, scaled_cov=V, n_det=n_det, n_reg=n_reg)
+
+
+def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
+    """IM-OLS of each row of ``y`` (c, T) on the levels ``x`` (c, T, m).
+
+    Rows :func:`im_ols` would reject as collinear have NaN ``params``,
+    ``resid`` and ``scaled_cov``.
+    """
+    return _fit_batch(_augmented(x, det), np.cumsum(y, axis=1), det.n_columns, x.shape[2])
 
 
 def scaled_variance(fit: ImOlsFit) -> np.ndarray:
-    """Recompute the sandwich matrix of ``fit`` from its regressors."""
-    return _sandwich(fit.regressors)
+    """Recompute the sandwich matrix of ``fit`` from its regressors (the
+    dependent column passed along does not enter it)."""
+    return _fit_batch(fit.regressors[None], fit.resid[None], fit.n_det, fit.n_reg).scaled_cov[0]
 
 
 def im_ols(sample: CointegrationSample) -> ImOlsFit:
-    """Estimate the augmented partial-sum regression by OLS.
+    """Estimate the augmented partial-sum regression by OLS: the one-row
+    case of :func:`im_ols_batch`.
 
     Raises :class:`numpy.linalg.LinAlgError` when the augmented regressor
     matrix is numerically collinear.
     """
-    Z = augmented_regressors(sample)
-    Sy = partial_sum(sample.y)
-    params = _scaled_lstsq(Sy, Z, "augmented regression singular")
-    V = _sandwich(Z)
-    return ImOlsFit(
-        params=params,
-        regressors=Z,
-        resid=Sy - Z @ params,
-        scaled_cov=V,
-        n_det=sample.det.n_columns,
-        n_reg=sample.n_regressors,
-    )
+    fit = im_ols_batch(sample.y[None], sample.x[None], sample.det)
+    if np.isnan(fit.params).any():
+        raise np.linalg.LinAlgError("augmented regression singular")
+    return ImOlsFit(fit.params[0], fit.regressors[0], fit.resid[0], fit.scaled_cov[0], fit.n_det, fit.n_reg)
 
 
 @dataclass(frozen=True)
@@ -190,6 +219,8 @@ class RestrictionSpec:
         value = np.atleast_1d(np.asarray(self.value, dtype=float))
         if R.shape[0] != value.shape[0]:
             raise ValueError("restriction matrix and value dimensions differ")
+        if not (np.isfinite(R).all() and np.isfinite(value).all()):
+            raise ValueError("restriction holds a non-finite value")
         if R.shape[0] > R.shape[1]:
             raise ValueError("more restrictions than coefficients")
         if np.linalg.matrix_rank(R, tol=_RANK_RCOND * max(1.0, float(np.abs(R).max()))) < R.shape[0]:

@@ -15,20 +15,24 @@ tuning-parameter-free statistic whose limit law is tabulated in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .estimators import ImOlsFit, RestrictionSpec, d_ols, fm_ols, im_ols, ols
+from .estimators import ImOlsFit, RestrictionSpec, d_ols, fm_ols, im_ols, im_ols_batch, ols
 from .kernels import BARTLETT, KernelSpec, estimate_lrv, lrv_matrix
 from .tables import CriticalValueTable
-from .timeseries import CointegrationSample, first_difference
+from .timeseries import CointegrationSample, Deterministics, first_difference
 
 __all__ = [
     "TestOutcome",
     "self_normalizer",
     "wald_statistic",
+    "WaldBatch",
+    "wald_batch",
     "self_normalized_test",
     "traditional_wald",
     "diff_residual_lrv",
@@ -38,7 +42,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Decision record: statistic, critical value, optional p-value."""
+    """Decision record: statistic, critical value, optional p-value.
+
+    ``diagnostics`` holds the tuning choices a test actually used, e.g.
+    the bootstrap's sieve order and retried or discarded draws.
+    """
 
     statistic: float
     critical_value: float
@@ -46,10 +54,18 @@ class TestOutcome:
     method: str
     p_value: float | None = None
     warnings: tuple[str, ...] = ()
+    diagnostics: Mapping[str, float | int] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        if math.isnan(self.statistic):
+            raise ValueError(f"{self.method}: statistic is NaN")
         if self.reject != (self.statistic > self.critical_value):
             raise ValueError("reject flag inconsistent with statistic and critical value")
+
+
+def _normalizer(resid: np.ndarray) -> np.ndarray:
+    gaps = resid[..., 1:] - resid[..., :1]
+    return np.einsum("...t,...t->...", gaps, gaps) / resid.shape[-1] ** 2
 
 
 def self_normalizer(fit: ImOlsFit) -> float:
@@ -60,28 +76,73 @@ def self_normalizer(fit: ImOlsFit) -> float:
     """
     if fit.nobs < 3:
         raise ValueError("need at least 3 observations")
-    gaps = fit.resid[1:] - fit.resid[0]
-    return float(gaps @ gaps) / fit.nobs**2
+    return float(_normalizer(fit.resid))
 
 
-def _degenerate_fit(fit: ImOlsFit) -> bool:
-    """Perfect fit up to rounding: residuals negligible against the signal."""
-    signal = float(np.abs(fit.regressors @ fit.params).max(initial=0.0))
-    return float(np.abs(fit.resid).max(initial=0.0)) <= 1e-12 * max(signal, 1e-300)
+def _degenerate_fit(fit: ImOlsFit):
+    """Perfect fit up to rounding: residuals negligible against the signal
+    (per row of a batch)."""
+    signal = np.abs(fit.regressors @ fit.params[..., None]).max(axis=(-2, -1))
+    return np.abs(fit.resid).max(axis=-1) <= 1e-12 * np.maximum(signal, 1e-300)
+
+
+def _quadratic_form(gap: np.ndarray, middle: np.ndarray):
+    """gap' middle^{-1} gap over leading axes; NaN where ``middle`` is
+    exactly singular."""
+    try:
+        return np.einsum("...s,...s->...", gap, np.linalg.solve(middle, gap[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        if gap.ndim == 1:
+            return np.nan
+        return np.array([_quadratic_form(g, mid) for g, mid in zip(gap, middle)])
+
+
+def _wald_unit(fit: ImOlsFit, restriction: RestrictionSpec):
+    """tau(1) of a fit, or of each row of a batch."""
+    R2 = restriction.padded(fit.n_det, fit.n_reg)
+    return _quadratic_form(fit.params @ R2.T - restriction.value, R2 @ fit.scaled_cov @ R2.T)
 
 
 def wald_statistic(fit: ImOlsFit, restriction: RestrictionSpec, kappa: float) -> float:
-    """Quadratic form tau(kappa) for the restriction R beta = value."""
+    """Quadratic form tau(kappa) = tau(1) / kappa for the restriction R beta = value."""
     if kappa <= 0.0:
         raise ValueError("degenerate normalizer: kappa must be positive")
-    R2 = restriction.padded(fit.n_det, fit.n_reg)
-    gap = R2 @ fit.params - restriction.value
-    middle = kappa * (R2 @ fit.scaled_cov @ R2.T)
-    try:
-        solved = np.linalg.solve(middle, gap)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("restricted variance block singular") from exc
-    return float(gap @ solved)
+    unit = _wald_unit(fit, restriction)
+    if np.isnan(unit):
+        raise np.linalg.LinAlgError("restricted variance block singular")
+    return float(unit) / kappa
+
+
+@dataclass(frozen=True)
+class WaldBatch:
+    """Self-normalizer and Wald form of each row of a batch fit.
+
+    ``wald_unit`` is tau(1), so the statistic at scale kappa is
+    ``wald_unit / kappa``. ``degenerate`` marks the rows where
+    :func:`im_ols` or :func:`wald_statistic` would raise, or the form is
+    not finite; ``wald_unit`` is NaN there. ``perfect_fit`` marks the rows
+    the self-normalized statistic rejects besides: kappa not positive, or
+    residuals negligible as in :func:`_degenerate_fit`.
+    """
+
+    fit: ImOlsFit
+    kappa: np.ndarray
+    wald_unit: np.ndarray
+    degenerate: np.ndarray
+    perfect_fit: np.ndarray
+
+
+def wald_batch(y: np.ndarray, x: np.ndarray, det: Deterministics, restriction: RestrictionSpec) -> WaldBatch:
+    """Fit, sandwich, self-normalizer and Wald form for each row of
+    ``y`` (c, T) and ``x`` (c, T, m): row i is the per-sample path on
+    ``CointegrationSample(y[i], x[i], det)``."""
+    fit = im_ols_batch(y, x, det)
+    kappa = _normalizer(fit.resid)
+    wald_unit = _wald_unit(fit, restriction)
+    degenerate = ~np.isfinite(wald_unit)
+    wald_unit[degenerate] = np.nan
+    perfect_fit = ~(kappa > 0.0) | _degenerate_fit(fit)
+    return WaldBatch(fit=fit, kappa=kappa, wald_unit=wald_unit, degenerate=degenerate, perfect_fit=perfect_fit)
 
 
 def self_normalized_test(

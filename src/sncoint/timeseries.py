@@ -102,7 +102,8 @@ class CointegrationSample:
     Parameters
     ----------
     y : ndarray, shape (T,)
-        Dependent variable.
+        Dependent variable. ``y`` and ``x`` must be finite; NaN or inf
+        raises :class:`ValueError` naming the column and time index.
     x : ndarray, shape (T, m)
         Integrated regressors, with the x_0 = 0 convention.
     det : Deterministics
@@ -122,6 +123,11 @@ class CointegrationSample:
             raise ValueError("y must be a vector and x a T x m matrix")
         if y.shape[0] != x.shape[0]:
             raise ValueError("y and x must have the same number of observations")
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            for name, column in [("y", y)] + [(f"x column {j}", x[:, j]) for j in range(x.shape[1])]:
+                bad = np.flatnonzero(~np.isfinite(column))
+                if bad.size:
+                    raise ValueError(f"{name} holds a non-finite value ({column[bad[0]]}) at t = {bad[0] + 1}")
         T, m = x.shape
         p = self.det.n_columns
         if T < 2 * m + p + 3:

@@ -44,6 +44,18 @@ class TestSimulateCriticalValues:
         q_walk = np.quantile(walk, [0.5, 0.9, 0.95])
         np.testing.assert_allclose(q_direct, q_walk, rtol=0.12)
 
+    def test_random_walk_route_golden_values(self):
+        # values of the per-chunk normal-equation implementation this route
+        # replaced: the table's random-number layout is unchanged
+        from sncoint.asymptotics import _random_walk_statistics
+
+        golden = [
+            20.894003529425376, 6.913859443083195, 93.73311598525746, 88.38643273311878,
+            110.3198373819982, 37.15713962251503, 29.079144447440108, 2.651399815194696,
+        ]  # fmt: skip
+        walk = _random_walk_statistics(2, 1, Deterministics.INTERCEPT, T=2000, reps=8, seed=3)
+        np.testing.assert_allclose(walk, golden, rtol=1e-8)
+
     def test_quantiles_monotone_in_restrictions_and_regressors(self):
         q = {}
         for m, s in ((1, 1), (2, 1), (2, 2)):

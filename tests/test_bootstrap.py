@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
@@ -263,11 +265,10 @@ class TestBootstrapTest:
     def test_exchangeable_residual_pool(self):
         # permuting the pool leaves the bootstrap distribution unchanged;
         # draws differ only through seed-equivalent resampling
-        from functools import partial
         from scipy.stats import ks_2samp
 
         from sncoint import levels_residuals, restricted_im_ols
-        from sncoint.bootstrap import _one_replication
+        from sncoint.bootstrap import bootstrap_draws
 
         rng = substream(116, 0)
         sample = mild_sample(rng, T=100)
@@ -286,8 +287,120 @@ class TestBootstrapTest:
         cfg = BootstrapConfig(n_boot=299, alpha=0.05, seed=21)
         draws = {}
         for name, mod in (("base", model), ("perm", permuted)):
-            runner = partial(
-                _one_replication, mod, sample.nobs, beta_r, sample.det, fit.delta, cfg, restriction, "sn", None
+            draws[name], _ = bootstrap_draws(
+                mod, sample.nobs, beta_r, sample.det, fit.delta, cfg, restriction, "sn", None, np.arange(cfg.n_boot)
             )
-            draws[name] = np.array([runner(i) for i in range(cfg.n_boot)])
         assert ks_2samp(draws["base"], draws["perm"]).pvalue > 0.01
+
+
+def _reference_draw(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, index):
+    """Per-sample reference: retry once from the attempt-1 substream, then NaN."""
+    for attempt in (0, 1):
+        star = generate_bootstrap_sample(model, T, beta_r, det, delta, cfg, index, attempt)
+        try:
+            return bootstrap_statistic(star, restriction, statistic, kernel), attempt
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+    return np.nan, 1
+
+
+def _reference_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel):
+    pairs = [
+        _reference_draw(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, i) for i in range(cfg.n_boot)
+    ]
+    return np.array([d for d, _ in pairs]), sum(a for _, a in pairs)
+
+
+def _kernel_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, rows):
+    from functools import partial
+
+    from sncoint.bootstrap import _chunked_draws, bootstrap_draws
+
+    draw = partial(bootstrap_draws, model, T, beta_r, det, delta, cfg, restriction, statistic, kernel)
+    return _chunked_draws(draw, cfg.n_boot, rows, 1)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("statistic", ["sn", "tau1", "wald-lrv"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.TREND])
+    def test_matches_per_sample_reference(self, statistic, m, det):
+        from sncoint import BARTLETT, KernelSpec, levels_residuals, restricted_im_ols
+
+        rng = substream(117, m, det.n_columns)
+        T = 90
+        v = rng.standard_normal((T, m))
+        x = np.cumsum(v, axis=0)
+        y = x @ np.ones(m) + rng.standard_normal(T) + 0.4 * v.sum(axis=1)
+        sample = CointegrationSample(y=y, x=x, det=det)
+        restriction = RestrictionSpec(R=np.eye(m), value=np.ones(m))
+        fit = im_ols(sample)
+        w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
+        model = yule_walker(w_hat, 2)
+        beta_r = restricted_im_ols(fit, restriction)
+        cfg = BootstrapConfig(n_boot=39, alpha=0.05, seed=8)
+        kernel = KernelSpec(BARTLETT, "andrews")
+        args = (model, T, beta_r, det, fit.delta, cfg, restriction, statistic, kernel)
+        # 16-draw chunks: the 39 draws span three chunks, the last one partial
+        draws, retried = _kernel_draws(*args, rows=16)
+        expected, expected_retried = _reference_draws(*args)
+        assert retried == expected_retried
+        np.testing.assert_array_equal(np.isnan(draws), np.isnan(expected))
+        np.testing.assert_allclose(draws, expected, rtol=1e-9)
+
+    def test_single_residual_pool_discards_every_draw(self):
+        # zero coefficients and one pooled residual: every draw is the same
+        # perfect fit, the retry reproduces it, and every draw is discarded
+        r = np.array([[0.5, -0.25, 1.0]])
+        model = VarSieveModel(order=1, coefs=np.zeros((1, 3, 3)), resid_pool=r, sigma=np.zeros((3, 3)))
+        cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=0)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        args = (model, 20, np.ones(2), Deterministics.NONE, np.array([]), cfg, restriction, "sn", None)
+        draws, retried = _kernel_draws(*args, rows=8)
+        expected, expected_retried = _reference_draws(*args)
+        assert np.isnan(expected).all() and expected_retried == 19
+        assert np.isnan(draws).all() and retried == 19
+
+    def test_retry_and_discard_match_reference(self):
+        # a pool whose error component is zero three times in four: a draw
+        # of all-zero errors is a perfect fit, so some draws are retried
+        # and a few of those discarded
+        pool = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+        model = VarSieveModel(order=1, coefs=np.zeros((1, 2, 2)), resid_pool=pool, sigma=np.eye(2))
+        cfg = BootstrapConfig(n_boot=199, alpha=0.05, seed=4, burn_in=0)
+        restriction = RestrictionSpec(R=np.eye(1), value=np.ones(1))
+        args = (model, 5, np.ones(1), Deterministics.NONE, np.array([]), cfg, restriction, "sn", None)
+        draws, retried = _kernel_draws(*args, rows=64)
+        expected, expected_retried = _reference_draws(*args)
+        assert retried == expected_retried > 0
+        np.testing.assert_array_equal(np.isnan(draws), np.isnan(expected))
+        assert np.isnan(draws).any()
+        np.testing.assert_allclose(draws, expected, rtol=1e-9)
+
+
+class TestDeterminismAcrossChunks:
+    def test_workers_give_identical_outcomes(self):
+        from sncoint.estimators import batch_rows
+
+        rng = substream(118, 0)
+        T = 400
+        v = rng.standard_normal((T, 2))
+        x = np.cumsum(v, axis=0)
+        sample = CointegrationSample(y=x @ [1.0, 1.0] + rng.standard_normal(T), x=x, det=Deterministics.TREND)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        cfg = BootstrapConfig(n_boot=199, alpha=0.05, seed=6)
+        assert cfg.n_boot > 3 * batch_rows(T, 6)
+        outcomes = [bootstrap_test(sample, restriction, replace(cfg, workers=w)) for w in (1, 2)]
+        assert outcomes[0] == outcomes[1]
+
+
+class TestDiagnostics:
+    def test_outcome_reports_sieve_and_counts(self):
+        rng = substream(119, 0)
+        sample = mild_sample(rng)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.array([1.0, 1.0]))
+        out = bootstrap_test(sample, restriction, BootstrapConfig(n_boot=39, alpha=0.05, seed=5, order_rule=2))
+        assert out.diagnostics["sieve_order"] == 2
+        assert 0.0 <= out.diagnostics["spectral_radius"] < 1.0
+        assert out.diagnostics["n_retried"] == 0
+        assert out.diagnostics["n_discarded"] == 0

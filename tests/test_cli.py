@@ -60,6 +60,13 @@ class TestIngestCsv:
         with pytest.raises(UsageError, match=r"row 3, column 'y'.*'bad'"):
             ingest_csv(path, "y", ["x"])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        rows = "".join(f"{t},{t}\n" for t in range(1, 12))
+        path = write_csv(tmp_path / "f.csv", f"y,x\n1,1\n2,{cell}\n" + rows)
+        with pytest.raises(UsageError, match=rf"row 3, column 'x': non-finite value '{cell}'"):
+            ingest_csv(path, "y", ["x"])
+
     def test_column_order_follows_mapping(self, tmp_path):
         path = write_csv(
             tmp_path / "o.csv", "a,b,c\n1,10,100\n2,20,200\n3,30,300\n4,40,400\n5,50,500\n6,60,600\n7,70,700\n8,80,800\n"
@@ -144,6 +151,18 @@ class TestRunAnalysis:
         # every decision re-derivable from statistic and critical value
         for outcome in restored.outcomes:
             assert outcome.reject == (outcome.statistic > outcome.critical_value)
+
+    def test_round_trip_keeps_bootstrap_diagnostics(self):
+        sample = make_sample()
+        restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
+        boot = BootstrapConfig(n_boot=19, alpha=0.10, seed=5)
+        report = run_analysis(sample, restriction, alpha=0.10, boot=boot, seed=5)
+        diagnostics = report.outcomes[-1].diagnostics
+        assert set(diagnostics) == {"sieve_order", "spectral_radius", "n_retried", "n_discarded"}
+        restored = AnalysisReport.from_json(report.to_json())
+        assert restored.outcomes == report.outcomes
+        for key, value in diagnostics.items():
+            assert type(restored.outcomes[-1].diagnostics[key]) is type(value)
 
 
 class TestCommandLine:
@@ -266,6 +285,14 @@ class TestCommandLine:
         code = main(["test", "--data", path, "--y", "y", "--x", "x1", "--x", "x2"])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_nan_in_data_is_usage_error(self, tmp_path, capsys):
+        path = synthetic_csv(tmp_path)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[5] = "nan," + lines[5].split(",")[1]
+        write_csv(tmp_path / "data.csv", "\n".join(lines) + "\n")
+        assert main(["test", "--data", path, "--y", "rate", "--x", "price"]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["test", "--nonsense"]) == 1

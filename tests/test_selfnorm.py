@@ -256,3 +256,48 @@ class TestDiffResidualLrv:
             for j in range(n):
                 expected += max(0.0, 1.0 - abs(i - j) / 3.0) * diffs[i] * diffs[j]
         assert value == pytest.approx(expected / n, rel=1e-12)
+
+
+class TestTestOutcome:
+    def test_nan_statistic_refused(self):
+        from sncoint import TestOutcome
+
+        with pytest.raises(ValueError, match="NaN"):
+            TestOutcome(statistic=float("nan"), critical_value=1.0, reject=False, method="SN-asymptotic")
+
+    def test_diagnostics_default_empty(self):
+        from sncoint import TestOutcome
+
+        out = TestOutcome(statistic=2.0, critical_value=1.0, reject=True, method="SN-asymptotic")
+        assert dict(out.diagnostics) == {}
+
+
+class TestWaldBatch:
+    def test_rows_match_per_sample_path(self):
+        from sncoint.selfnorm import _degenerate_fit, wald_batch
+
+        rng = substream(130, 0)
+        samples = [make_sample(rng, T=70, rho=0.5, endo=0.5) for _ in range(5)]
+        restriction = RestrictionSpec(R=np.array([[1.0, -1.0]]), value=np.array([0.0]))
+        y = np.stack([s.y for s in samples])
+        x = np.stack([s.x for s in samples])
+        batch = wald_batch(y, x, Deterministics.NONE, restriction)
+        assert not batch.degenerate.any() and not batch.perfect_fit.any()
+        for i, sample in enumerate(samples):
+            fit = im_ols(sample)
+            assert not _degenerate_fit(fit)
+            np.testing.assert_allclose(batch.fit.params[i], fit.params, rtol=1e-9)
+            np.testing.assert_allclose(batch.fit.scaled_cov[i], fit.scaled_cov, rtol=1e-9)
+            assert batch.kappa[i] == pytest.approx(self_normalizer(fit), rel=1e-9)
+            assert batch.wald_unit[i] == pytest.approx(wald_statistic(fit, restriction, 1.0), rel=1e-9)
+
+    def test_collinear_and_non_finite_rows_flagged(self):
+        from sncoint.selfnorm import wald_batch
+
+        rng = substream(131, 0)
+        good = make_sample(rng, T=40)
+        x = np.stack([good.x, np.column_stack([good.x[:, 0], good.x[:, 0]]), good.x])
+        y = np.stack([good.y, good.y, np.where(np.arange(40) == 5, np.nan, good.y)])
+        batch = wald_batch(y, x, Deterministics.NONE, RestrictionSpec(R=np.eye(2), value=np.ones(2)))
+        np.testing.assert_array_equal(batch.degenerate, [False, True, True])
+        assert np.isfinite(batch.wald_unit[0]) and np.isnan(batch.wald_unit[1:]).all()

@@ -100,3 +100,17 @@ class TestCointegrationSample:
         x = np.cumsum(np.random.default_rng(4).standard_normal(20))
         s = CointegrationSample(y=np.zeros(20), x=x)
         assert s.x.shape == (20, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, bad):
+        x = np.cumsum(np.random.default_rng(5).standard_normal((20, 1)), axis=0)
+        y = x[:, 0].copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match=r"y holds a non-finite value .* t = 4"):
+            CointegrationSample(y=y, x=x)
+
+    def test_non_finite_regressor_names_column(self):
+        x = np.cumsum(np.random.default_rng(6).standard_normal((20, 2)), axis=0)
+        x[7, 1] = np.nan
+        with pytest.raises(ValueError, match=r"x column 1 holds a non-finite value \(nan\) at t = 8"):
+            CointegrationSample(y=np.zeros(20), x=x)
