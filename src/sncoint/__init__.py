@@ -8,7 +8,7 @@ from .asymptotics import (
     simulate_critical_values,
     simulate_limit_statistics,
 )
-from .battery import standard_battery, standard_statistics
+from .battery import AnalysisReport, ar1_persistence, run_analysis, standard_battery, standard_statistics
 from .bootstrap import (
     BootstrapConfig,
     VarSieveModel,
@@ -18,9 +18,10 @@ from .bootstrap import (
     select_order,
     yule_walker,
 )
-from .cli import AnalysisReport, ar1_persistence, ingest_csv, run_analysis
+from .cli import ingest_csv
 from .estimators import (
     DOlsFit,
+    FittedSample,
     FmOlsFit,
     ImOlsFit,
     OlsFit,

@@ -1,39 +1,162 @@
-"""Ready-made test batteries for the Monte Carlo drivers.
+"""The analysis workflow for one dataset, and ready-made test batteries
+for the Monte Carlo drivers.
 
-Adapters here close over their tuning choices with ``functools.partial``
+Battery adapters close over their tuning choices with ``functools.partial``
 of module-level functions, so batteries can cross process boundaries
 when experiments run on multiple workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import dataclasses
+import json
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from . import __version__
+from .asymptotics import simulate_critical_values
 from .bootstrap import BootstrapConfig, bootstrap_statistic, bootstrap_test
-from .estimators import RestrictionSpec
+from .estimators import FittedSample, RestrictionSpec, fm_ols, ols
 from .kernels import BARTLETT, KernelSpec
-from .selfnorm import self_normalized_test, traditional_wald
+from .selfnorm import TestOutcome, self_normalized_test, traditional_wald
 from .tables import CriticalValueTable, default_table
 from .timeseries import CointegrationSample
 
-__all__ = ["standard_battery", "standard_statistics"]
+__all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
 
 _EST_TAGS = {"Wald-IM": "IM", "Wald-FM": "FM", "Wald-D": "D"}
 _BOOT_TAGS = {"SN-bootstrap": "sn", "Wald-IM-bootstrap": "wald-lrv", "tau1-bootstrap": "tau1"}
 
 
+def ar1_persistence(residuals: np.ndarray) -> float:
+    """First-order autoregressive coefficient of a residual series.
+
+    The lag regression always includes an intercept; with mean-zero
+    residuals it is numerically irrelevant.
+    """
+    resid = np.asarray(residuals, dtype=float)
+    if resid.shape[0] < 3:
+        raise ValueError("need at least 3 observations")
+    if np.ptp(resid) == 0.0:
+        raise ValueError("residuals are constant")
+    X = np.column_stack([np.ones(resid.shape[0] - 1), resid[:-1]])
+    return float(ols(resid[1:], X).params[1])
+
+
+@dataclass(frozen=True)
+class AnalysisReport:
+    """Estimates, test outcomes and provenance for one dataset."""
+
+    estimates: dict
+    outcomes: tuple[TestOutcome, ...]
+    rho1: float
+    provenance: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "estimates": {k: list(map(float, v)) for k, v in self.estimates.items()},
+            "outcomes": [dataclasses.asdict(o) | {"warnings": list(o.warnings)} for o in self.outcomes],
+            "rho1": self.rho1,
+            "provenance": self.provenance,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AnalysisReport":
+        outcomes = tuple(
+            TestOutcome(
+                statistic=o["statistic"],
+                critical_value=o["critical_value"],
+                reject=o["reject"],
+                method=o["method"],
+                p_value=o.get("p_value"),
+                warnings=tuple(o.get("warnings", ())),
+                diagnostics=dict(o.get("diagnostics", {})),
+            )
+            for o in data["outcomes"]
+        )
+        return cls(
+            estimates={k: np.asarray(v) for k, v in data["estimates"].items()},
+            outcomes=outcomes,
+            rho1=data["rho1"],
+            provenance=data.get("provenance", {}),
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "AnalysisReport":
+        return cls.from_dict(json.loads(text))
+
+
 def _resolve_table(
-    table: CriticalValueTable | None, sample: CointegrationSample, restriction: RestrictionSpec
+    table: CriticalValueTable | None, sample: CointegrationSample, restriction: RestrictionSpec, seed: int
 ) -> CriticalValueTable:
+    """``table``, else the packaged quantiles, else a table simulated from ``seed``."""
     if table is not None:
         return table
-    return default_table(sample.n_regressors, restriction.n_restrictions, sample.det)
+    m, s = sample.n_regressors, restriction.n_restrictions
+    try:
+        return default_table(m, s, sample.det)
+    except KeyError:
+        return simulate_critical_values(m, s, sample.det, seed=seed)
+
+
+def run_analysis(
+    sample: CointegrationSample,
+    restriction: RestrictionSpec,
+    alpha: float = 0.05,
+    kernel: KernelSpec | None = None,
+    boot: BootstrapConfig | None = None,
+    table: CriticalValueTable | None = None,
+    seed: int = 0,
+    provenance: dict | None = None,
+) -> AnalysisReport:
+    """Estimate the cointegrating vector three ways and test the restriction.
+
+    Always runs the asymptotic self-normalized test and the traditional
+    fully-modified Wald test; adds the bootstrap-assisted self-normalized
+    test when a bootstrap configuration is supplied. The critical-value
+    table is loaded from the packaged quantiles, or simulated on demand
+    for combinations outside them. Every estimate and test reads one
+    :class:`~sncoint.estimators.FittedSample`, so the sample is fitted once.
+    """
+    kernel = kernel or KernelSpec(BARTLETT, "andrews")
+    fitted = FittedSample(sample)
+    static, fit, fm = fitted.static, fitted.im, fm_ols(fitted, kernel)
+
+    outcomes = [
+        self_normalized_test(fitted, restriction, _resolve_table(table, sample, restriction, seed), alpha),
+        traditional_wald("FM", fitted, restriction, kernel, alpha),
+    ]
+    if boot is not None:
+        outcomes.append(bootstrap_test(fitted, restriction, boot))
+
+    return AnalysisReport(
+        estimates={
+            "ols": static.params[sample.det.n_columns :],
+            "im_ols": fit.beta,
+            "fm_ols": fm.beta,
+        },
+        outcomes=tuple(outcomes),
+        rho1=ar1_persistence(static.resid),
+        provenance={
+            "seed": seed,
+            "alpha": alpha,
+            "kernel": kernel.kind,
+            "bandwidth": kernel.bandwidth if isinstance(kernel.bandwidth, str) else float(kernel.bandwidth),
+            "det": sample.det.value,
+            "version": __version__,
+            **(provenance or {}),
+        },
+    )
 
 
 def _run_sn_asymptotic(table, alpha, sample, restriction, seed) -> bool:
-    resolved = _resolve_table(table, sample, restriction)
+    resolved = _resolve_table(table, sample, restriction, seed)
     return self_normalized_test(sample, restriction, resolved, alpha).reject
 
 

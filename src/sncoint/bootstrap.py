@@ -30,18 +30,16 @@ from functools import partial
 import numpy as np
 
 from .estimators import (
-    ImOlsFit,
+    FittedSample,
     RestrictionSpec,
     batch_rows,
-    im_ols,
     levels_residuals,
     restricted_im_ols,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, autocovariances
 from .selfnorm import (
     TestOutcome,
     _degenerate_fit,
-    conditional_lrv_from_ols,
     self_normalizer,
     wald_batch,
     wald_statistic,
@@ -147,15 +145,10 @@ def companion_spectral_radius(coefs: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(F))))
 
 
-def _autocovariances(w: np.ndarray, max_lag: int) -> list[np.ndarray]:
-    """Biased autocovariances of the demeaned series, lags 0..max_lag."""
-    T = w.shape[0]
-    wd = w - w.mean(axis=0)
-    return [wd[h:].T @ wd[: T - h] / T for h in range(max_lag + 1)]
-
-
-def _solve_yule_walker(gammas: list[np.ndarray], q: int) -> np.ndarray:
-    """Coefficient stack solving the block-Toeplitz moment equations."""
+def _solve_yule_walker(gammas: np.ndarray, q: int) -> np.ndarray:
+    """Coefficient stack solving the block-Toeplitz moment equations, given
+    :func:`autocovariances` of the demeaned series up to lag q or beyond."""
+    gammas = gammas.transpose(0, 2, 1)  # gammas[h] = T^{-1} sum_t w_{t+h} w_t'
     k = gammas[0].shape[0]
     G = np.empty((q * k, q * k))
     for a in range(q):
@@ -196,7 +189,7 @@ def yule_walker(w: np.ndarray, q: int) -> VarSieveModel:
         raise ValueError("order must be at least 1")
     if T <= q * k + 1:
         raise ValueError(f"sample of length {T} too short for a VAR({q}) in {k} series")
-    coefs = _solve_yule_walker(_autocovariances(w, q), q)
+    coefs = _solve_yule_walker(autocovariances(w - w.mean(axis=0), q), q)
     radius = companion_spectral_radius(coefs)
     if radius >= 1.0:
         raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {radius:.6f})")
@@ -228,8 +221,8 @@ def select_order(w: np.ndarray, rule: str | int = "aic", q_max: int | None = Non
     if q_max is None:
         q_max = max_sieve_order(T)
     q_max = max(1, min(q_max, (T - 2) // k))
-    gammas = _autocovariances(w, q_max)
     wd = w - w.mean(axis=0)
+    gammas = autocovariances(wd, q_max)
     n_eval = T - q_max
     best_q, best_ic = 1, np.inf
     for q in range(1, q_max + 1):
@@ -306,7 +299,7 @@ def generate_bootstrap_sample(
 
 
 def bootstrap_statistic(
-    star_sample: CointegrationSample,
+    star_sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     statistic: str = "sn",
     kernel: KernelSpec | None = None,
@@ -318,7 +311,8 @@ def bootstrap_statistic(
     the sample at hand). Raises :class:`ValueError` for degenerate
     samples whose normalizer is zero.
     """
-    fit = im_ols(star_sample)
+    fitted = FittedSample.of(star_sample)
+    fit = fitted.im
     if statistic == "sn":
         kappa = self_normalizer(fit)
         if kappa <= 0.0 or _degenerate_fit(fit):
@@ -328,7 +322,7 @@ def bootstrap_statistic(
     elif statistic == "wald-lrv":
         if kernel is None:
             raise ValueError("'wald-lrv' needs a kernel specification")
-        kappa = conditional_lrv_from_ols(star_sample, kernel)
+        kappa = fitted.lrv(kernel).conditional
         if kappa <= 0.0:
             raise ValueError("degenerate long-run variance")
     else:
@@ -354,7 +348,7 @@ def _batch_statistics(
         kappa = np.full(y.shape[0], np.nan)
         for i in np.flatnonzero(~batch.degenerate):
             try:
-                kappa[i] = conditional_lrv_from_ols(CointegrationSample(y=y[i], x=x[i], det=det), kernel)
+                kappa[i] = FittedSample(CointegrationSample(y=y[i], x=x[i], det=det)).lrv(kernel).conditional
             except (ValueError, np.linalg.LinAlgError):
                 continue
         kappa[~(kappa > 0.0)] = np.nan
@@ -405,12 +399,11 @@ def _chunked_draws(draw, n_boot: int, rows: int, workers: int) -> tuple[np.ndarr
 
 
 def bootstrap_test(
-    sample: CointegrationSample,
+    sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     config: BootstrapConfig,
     statistic: str = "sn",
     kernel: KernelSpec | None = None,
-    fit: ImOlsFit | None = None,
 ) -> TestOutcome:
     """Full sieve-bootstrap test of R beta = value on ``sample``.
 
@@ -422,9 +415,9 @@ def bootstrap_test(
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {_STATISTICS}")
-    if fit is None:
-        fit = im_ols(sample)
-    observed = bootstrap_statistic(sample, restriction, statistic, kernel)
+    fitted = FittedSample.of(sample)
+    sample, fit = fitted.sample, fitted.im
+    observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
 
     w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
     order = select_order(w_hat, config.order_rule, config.q_max)

@@ -1,4 +1,4 @@
-"""CSV ingestion, the analysis workflow, and the command-line interface.
+"""CSV ingestion and the command-line interface.
 
 Subcommands:
 
@@ -15,30 +15,63 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import simulate_critical_values
-from .battery import standard_battery, standard_statistics
-from .bootstrap import BootstrapConfig, bootstrap_test
-from .estimators import RestrictionSpec, fm_ols, im_ols, ols
+from .battery import AnalysisReport, run_analysis, standard_battery, standard_statistics
+from .bootstrap import BootstrapConfig
+from .estimators import RestrictionSpec
 from .kernels import BARTLETT, QUADRATIC_SPECTRAL, KernelSpec, estimate_lrv
 from .montecarlo import DgpConfig, size_adjusted_power, size_experiment
-from .selfnorm import TestOutcome, self_normalized_test, traditional_wald
-from .tables import CriticalValueTable, default_table, load_table, save_table
+from .tables import load_table, save_table
 from .timeseries import CointegrationSample, Deterministics
 
-__all__ = ["ingest_csv", "ar1_persistence", "run_analysis", "AnalysisReport", "parse_matrix", "main"]
+__all__ = ["ingest_csv", "parse_matrix", "main"]
 
 
 class UsageError(Exception):
     """Bad flags, bad files, bad inline matrices."""
+
+
+def _read_columns(path: str, columns: list[str]) -> np.ndarray:
+    """The named columns of a UTF-8, comma-separated file with a header
+    row, as a (rows, columns) array in row order.
+
+    Missing columns, an empty file, blank cells, non-numeric cells and
+    non-finite values ("nan", "inf") raise :class:`UsageError` naming the
+    offending row and column.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for name in columns:
+            if name not in header:
+                raise UsageError(f"{path}: column {name!r} not found (header: {', '.join(header)})")
+        rows: list[list[float]] = []
+        for row_number, row in enumerate(reader, start=2):
+            record = []
+            for name in columns:
+                cell = (row.get(name) or "").strip()
+                if not cell:
+                    raise UsageError(f"{path}: row {row_number}, column {name!r}: empty cell")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise UsageError(
+                        f"{path}: row {row_number}, column {name!r}: could not parse {cell!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise UsageError(f"{path}: row {row_number}, column {name!r}: non-finite value {cell!r}")
+                record.append(value)
+            rows.append(record)
+    if not rows:
+        raise UsageError(f"{path}: no data rows")
+    return np.asarray(rows)
 
 
 def ingest_csv(
@@ -53,165 +86,11 @@ def ingest_csv(
     cells and non-finite values ("nan", "inf") raise :class:`UsageError`
     naming the offending row and column.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in [y_column, *x_columns]:
-            if name not in header:
-                raise UsageError(f"{path}: column {name!r} not found (header: {', '.join(header)})")
-        y_vals: list[float] = []
-        x_vals: list[list[float]] = []
-        for row_number, row in enumerate(reader, start=2):
-            record = []
-            for name in [y_column, *x_columns]:
-                cell = (row.get(name) or "").strip()
-                if not cell:
-                    raise UsageError(f"{path}: row {row_number}, column {name!r}: empty cell")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise UsageError(
-                        f"{path}: row {row_number}, column {name!r}: could not parse {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise UsageError(f"{path}: row {row_number}, column {name!r}: non-finite value {cell!r}")
-                record.append(value)
-            y_vals.append(record[0])
-            x_vals.append(record[1:])
-    if not y_vals:
-        raise UsageError(f"{path}: no data rows")
+    data = _read_columns(path, [y_column, *x_columns])
     try:
-        return CointegrationSample(y=np.asarray(y_vals), x=np.asarray(x_vals), det=det)
+        return CointegrationSample(y=data[:, 0], x=data[:, 1:], det=det)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-
-
-def ar1_persistence(residuals: np.ndarray) -> float:
-    """First-order autoregressive coefficient of a residual series.
-
-    The lag regression always includes an intercept; with mean-zero
-    residuals it is numerically irrelevant.
-    """
-    resid = np.asarray(residuals, dtype=float)
-    if resid.shape[0] < 3:
-        raise ValueError("need at least 3 observations")
-    if np.ptp(resid) == 0.0:
-        raise ValueError("residuals are constant")
-    X = np.column_stack([np.ones(resid.shape[0] - 1), resid[:-1]])
-    return float(ols(resid[1:], X).params[1])
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Estimates, test outcomes and provenance for one dataset."""
-
-    estimates: dict
-    outcomes: tuple[TestOutcome, ...]
-    rho1: float
-    provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "estimates": {k: list(map(float, v)) for k, v in self.estimates.items()},
-            "outcomes": [dataclasses.asdict(o) | {"warnings": list(o.warnings)} for o in self.outcomes],
-            "rho1": self.rho1,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        outcomes = tuple(
-            TestOutcome(
-                statistic=o["statistic"],
-                critical_value=o["critical_value"],
-                reject=o["reject"],
-                method=o["method"],
-                p_value=o.get("p_value"),
-                warnings=tuple(o.get("warnings", ())),
-                diagnostics=dict(o.get("diagnostics", {})),
-            )
-            for o in data["outcomes"]
-        )
-        return cls(
-            estimates={k: np.asarray(v) for k, v in data["estimates"].items()},
-            outcomes=outcomes,
-            rho1=data["rho1"],
-            provenance=data.get("provenance", {}),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
-
-
-def _resolve_table(
-    sample: CointegrationSample,
-    restriction: RestrictionSpec,
-    table: CriticalValueTable | None,
-    seed: int,
-) -> CriticalValueTable:
-    if table is not None:
-        return table
-    m, s = sample.n_regressors, restriction.n_restrictions
-    try:
-        return default_table(m, s, sample.det)
-    except KeyError:
-        return simulate_critical_values(m, s, sample.det, seed=seed)
-
-
-def run_analysis(
-    sample: CointegrationSample,
-    restriction: RestrictionSpec,
-    alpha: float = 0.05,
-    kernel: KernelSpec | None = None,
-    boot: BootstrapConfig | None = None,
-    table: CriticalValueTable | None = None,
-    seed: int = 0,
-    provenance: dict | None = None,
-) -> AnalysisReport:
-    """Estimate the cointegrating vector three ways and test the restriction.
-
-    Always runs the asymptotic self-normalized test and the traditional
-    fully-modified Wald test; adds the bootstrap-assisted self-normalized
-    test when a bootstrap configuration is supplied. The critical-value
-    table is loaded from the packaged quantiles, or simulated on demand
-    for combinations outside them.
-    """
-    kernel = kernel or KernelSpec(BARTLETT, "andrews")
-    d = sample.deterministics()
-    X = np.column_stack([d, sample.x]) if d.shape[1] else sample.x
-    static = ols(sample.y, X)
-    fit = im_ols(sample)
-    fm = fm_ols(sample, kernel)
-
-    outcomes = [
-        self_normalized_test(sample, restriction, _resolve_table(sample, restriction, table, seed), alpha),
-        traditional_wald("FM", sample, restriction, kernel, alpha),
-    ]
-    if boot is not None:
-        outcomes.append(bootstrap_test(sample, restriction, boot, fit=fit))
-
-    return AnalysisReport(
-        estimates={
-            "ols": static.params[d.shape[1] :],
-            "im_ols": fit.beta,
-            "fm_ols": fm.beta,
-        },
-        outcomes=tuple(outcomes),
-        rho1=ar1_persistence(static.resid),
-        provenance={
-            "seed": seed,
-            "alpha": alpha,
-            "kernel": kernel.kind,
-            "bandwidth": kernel.bandwidth if isinstance(kernel.bandwidth, str) else float(kernel.bandwidth),
-            "det": sample.det.value,
-            "version": __version__,
-            **(provenance or {}),
-        },
-    )
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -301,12 +180,6 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
-def _outcome_payload(outcome: TestOutcome) -> dict:
-    data = dataclasses.asdict(outcome)
-    data["warnings"] = list(outcome.warnings)
-    return data
-
-
 def _print_report(report: AnalysisReport) -> None:
     print("Estimates of the long-run coefficients")
     for name, coef in report.estimates.items():
@@ -326,35 +199,20 @@ def _print_report(report: AnalysisReport) -> None:
 
 
 def _cmd_test(args) -> int:
+    """``test``, and ``boottest``, which adds the bootstrap test."""
     sample = _sample_from_args(args)
     restriction = _restriction_from_args(args, sample.n_regressors)
-    table = load_table(args.table) if args.table else None
-    report = run_analysis(
-        sample,
-        restriction,
-        alpha=args.alpha,
-        kernel=_kernel_from_args(args),
-        table=table,
-        seed=args.seed,
-        provenance={"input": args.data, "input_sha256": _sha256(args.data)},
-    )
-    if args.out:
-        _emit(report.to_dict(), args)
-    else:
-        _print_report(report)
-    return 0
-
-
-def _cmd_boottest(args) -> int:
-    sample = _sample_from_args(args)
-    restriction = _restriction_from_args(args, sample.n_regressors)
-    boot = BootstrapConfig(
-        n_boot=args.B,
-        alpha=args.alpha,
-        seed=args.seed,
-        order_rule=_order_from_args(args.order),
-        workers=args.workers,
-    )
+    provenance = {"input": args.data, "input_sha256": _sha256(args.data)}
+    boot = None
+    if args.command == "boottest":
+        boot = BootstrapConfig(
+            n_boot=args.B,
+            alpha=args.alpha,
+            seed=args.seed,
+            order_rule=_order_from_args(args.order),
+            workers=args.workers,
+        )
+        provenance["B"] = args.B
     table = load_table(args.table) if args.table else None
     report = run_analysis(
         sample,
@@ -364,7 +222,7 @@ def _cmd_boottest(args) -> int:
         boot=boot,
         table=table,
         seed=args.seed,
-        provenance={"input": args.data, "input_sha256": _sha256(args.data), "B": args.B},
+        provenance=provenance,
     )
     if args.out:
         _emit(report.to_dict(), args)
@@ -460,19 +318,7 @@ def _cmd_lrv(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise UsageError("--columns must name at least one column")
-    with open(args.data, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in columns:
-            if name not in header:
-                raise UsageError(f"{args.data}: column {name!r} not found")
-        data = []
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                data.append([float((row.get(c) or "").strip()) for c in columns])
-            except ValueError:
-                raise UsageError(f"{args.data}: row {row_number}: non-numeric cell") from None
-    est = estimate_lrv(np.asarray(data), _kernel_from_args(args))
+    est = estimate_lrv(_read_columns(args.data, columns), _kernel_from_args(args))
     payload = {
         "kernel": est.kind,
         "bandwidth": est.bandwidth,
@@ -511,7 +357,7 @@ def _build_parser() -> _Parser:
     p_boot.add_argument("--B", type=int, default=1499, help="bootstrap replications")
     p_boot.add_argument("--order", default="aic", help="'aic', 'bic', or a fixed order")
     p_boot.add_argument("--workers", type=int, default=1)
-    p_boot.set_defaults(func=_cmd_boottest)
+    p_boot.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critvals", help="simulate critical values")
     p_crit.add_argument("--m", type=int, required=True)

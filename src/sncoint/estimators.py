@@ -15,10 +15,11 @@ the partial-sum columns are otherwise badly scaled for large T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, estimate_lrv, one_sided_lrv
+from .kernels import KernelSpec, LrvEstimate, estimate_lrv
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "levels_residuals",
     "fm_ols",
     "d_ols",
+    "FittedSample",
 ]
 
 _RANK_RCOND = 1e-10
@@ -246,16 +248,22 @@ class RestrictionSpec:
         return np.hstack([np.zeros((s, n_det)), self.R, np.zeros((s, n_reg))])
 
 
+def _equilibrated_gram(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column norms of ``Z`` and the Gram matrix of its equilibrated columns,
+    in which normal equations are solved: partial sums and trends make the
+    raw Gram matrix badly scaled."""
+    norms = np.linalg.norm(Z, axis=0)
+    return norms, (Z / norms).T @ (Z / norms)
+
+
 def restricted_im_ols(fit: ImOlsFit, restriction: RestrictionSpec) -> np.ndarray:
     """Project the fitted coefficients onto the null set R beta = value.
 
     Returns the restricted long-run coefficient vector; it satisfies the
     restriction to machine precision.
     """
-    Z = fit.regressors
     R2 = restriction.padded(fit.n_det, fit.n_reg)
-    norms = np.linalg.norm(Z, axis=0)
-    A = (Z / norms).T @ (Z / norms)
+    norms, A = _equilibrated_gram(fit.regressors)
     # G = (Z'Z)^{-1} R2' computed through the equilibrated system.
     G = np.linalg.solve(A, (R2 / norms).T) / norms[:, None]
     middle = R2 @ G
@@ -279,10 +287,9 @@ def levels_residuals(sample: CointegrationSample, fit: ImOlsFit) -> np.ndarray:
     return resid
 
 
-def _beta_block_inverse(Z: np.ndarray, n_det: int) -> np.ndarray:
-    """The integrated-regressor block of (Z'Z)^{-1}, via equilibration."""
-    norms = np.linalg.norm(Z, axis=0)
-    A = (Z / norms).T @ (Z / norms)
+def _beta_block_inverse(norms: np.ndarray, A: np.ndarray, n_det: int) -> np.ndarray:
+    """The block of (Z'Z)^{-1} past the deterministic columns, from the
+    output of :func:`_equilibrated_gram`."""
     inv = np.linalg.inv(A) / np.outer(norms, norms)
     return inv[n_det:, n_det:]
 
@@ -306,7 +313,7 @@ class FmOlsFit:
         return self.params[: self.n_det]
 
 
-def fm_ols(sample: CointegrationSample, kernel: KernelSpec) -> FmOlsFit:
+def fm_ols(sample: CointegrationSample | FittedSample, kernel: KernelSpec) -> FmOlsFit:
     """Fully modified least squares for the cointegrating vector.
 
     The dependent variable is purged of its long-run conditional mean
@@ -314,35 +321,30 @@ def fm_ols(sample: CointegrationSample, kernel: KernelSpec) -> FmOlsFit:
     subtracted from the cross moment. Long-run quantities come from the
     static OLS residual paired with v_t = x_t - x_{t-1}.
     """
-    d = sample.deterministics()
-    Z = np.column_stack([d, sample.x]) if d.shape[1] else sample.x
-    first = ols(sample.y, Z)
+    fitted = FittedSample.of(sample)
+    sample, Z = fitted.sample, fitted.design
+    est = fitted.lrv(kernel)
     v = sample.innovations()
-    w = np.column_stack([first.resid, v])
-    est = estimate_lrv(w, kernel)
-    fixed = KernelSpec(kernel.kind, est.bandwidth)
-    delta_one = one_sided_lrv(w, fixed)
 
     vv_inv_vu = np.linalg.solve(est.vv, est.uv)
     y_plus = sample.y - v @ vv_inv_vu
-    # One-sided bias of the corrected error: delta_one[a, b] accumulates
+    # One-sided bias of the corrected error: one_sided[a, b] accumulates
     # cov(w_{t,a}, w_{t+h,b}) over h >= 0, so the v-to-future-u block is
-    # delta_one[1:, 0].
-    lam_plus = delta_one[1:, 0] - delta_one[1:, 1:] @ vv_inv_vu
+    # one_sided[1:, 0].
+    lam_plus = est.one_sided[1:, 0] - est.one_sided[1:, 1:] @ vv_inv_vu
+    n_det = sample.det.n_columns
     bias = np.zeros(Z.shape[1])
-    bias[d.shape[1] :] = lam_plus
+    bias[n_det:] = lam_plus
 
-    T = sample.nobs
-    norms = np.linalg.norm(Z, axis=0)
-    A = (Z / norms).T @ (Z / norms)
-    rhs = (Z.T @ y_plus - T * bias) / norms
+    norms, A = _equilibrated_gram(Z)
+    rhs = (Z.T @ y_plus - sample.nobs * bias) / norms
     params = np.linalg.solve(A, rhs) / norms
     return FmOlsFit(
         params=params,
         resid=sample.y - Z @ params,
-        n_det=d.shape[1],
+        n_det=n_det,
         conditional_lrv=est.conditional,
-        moment_inv_beta=_beta_block_inverse(Z, d.shape[1]),
+        moment_inv_beta=_beta_block_inverse(norms, A, n_det),
     )
 
 
@@ -407,5 +409,46 @@ def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
         n_det=p,
         n_reg=m,
         leads_lags=K,
-        moment_inv_beta=_beta_block_inverse(X_f, p)[:m, :m],
+        moment_inv_beta=_beta_block_inverse(*_equilibrated_gram(X_f), p)[:m, :m],
     )
+
+
+class FittedSample:
+    """A sample with the fits that estimators and tests share, each
+    computed once, on first use.
+
+    ``design`` is the static regressor matrix [d, x], ``static`` the OLS
+    of y on it, ``im`` the IM-OLS fit, and ``lrv(kernel)`` the long-run
+    covariance of w = [static residual, v], one per kernel specification.
+    :func:`fm_ols` and the tests in :mod:`sncoint.selfnorm` and
+    :mod:`sncoint.bootstrap` take one in place of a sample and read its
+    fits instead of refitting.
+    """
+
+    def __init__(self, sample: CointegrationSample) -> None:
+        self.sample = sample
+        self._lrv: dict[KernelSpec, LrvEstimate] = {}
+
+    @classmethod
+    def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
+        """``sample`` itself if already fitted, else a new wrapper."""
+        return sample if isinstance(sample, FittedSample) else cls(sample)
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        return np.column_stack([self.sample.deterministics(), self.sample.x])
+
+    @cached_property
+    def static(self) -> OlsFit:
+        return ols(self.sample.y, self.design)
+
+    @cached_property
+    def im(self) -> ImOlsFit:
+        return im_ols(self.sample)
+
+    def lrv(self, kernel: KernelSpec) -> LrvEstimate:
+        """Long-run covariance of [static residual, v] under ``kernel``."""
+        if kernel not in self._lrv:
+            w = np.column_stack([self.static.resid, self.sample.innovations()])
+            self._lrv[kernel] = estimate_lrv(w, kernel)
+        return self._lrv[kernel]

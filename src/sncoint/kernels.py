@@ -28,6 +28,7 @@ __all__ = [
     "kernel_weight",
     "andrews_bandwidth",
     "resolve_bandwidth",
+    "autocovariances",
     "lrv_matrix",
     "one_sided_lrv",
     "conditional_lrv",
@@ -79,13 +80,16 @@ class LrvEstimate:
     """Partitioned long-run covariance of [u_t, v_t']'.
 
     ``omega`` is the full (m+1) x (m+1) matrix; ``conditional`` is the
-    Schur complement of the regressor block.
+    Schur complement of the regressor block; ``bandwidth`` is the numeric
+    bandwidth used; ``one_sided`` is the one-sided sum of
+    :func:`one_sided_lrv` at that bandwidth.
     """
 
     omega: np.ndarray
     conditional: float
     bandwidth: float
     kind: str
+    one_sided: np.ndarray
 
     @property
     def uu(self) -> float:
@@ -177,34 +181,32 @@ def resolve_bandwidth(w: np.ndarray, kernel: KernelSpec) -> float:
     return float(kernel.bandwidth)
 
 
-def _weighted_autocovariances(w: np.ndarray, kind: str, bandwidth: float):
-    """Yield (weight, Gamma_hat(h)) pairs with Gamma_hat(h) = T^{-1} sum_t w_t w_{t+h}'."""
+def autocovariances(w: np.ndarray, max_lag: int) -> np.ndarray:
+    """Gamma_hat(h) = T^{-1} sum_t w_t w_{t+h}' for h = 0..max_lag, stacked
+    along the first axis; no demeaning."""
     T = w.shape[0]
-    lags = np.arange(T)
-    weights = kernel_weight(kind, lags / bandwidth)
-    for h in range(T):
-        wt = weights[h]
-        if wt == 0.0:
-            if kind == BARTLETT:
-                break
-            continue
-        gamma = w[: T - h].T @ w[h:] / T
-        yield wt, gamma
+    return np.stack([w[: T - h].T @ w[h:] / T for h in range(max_lag + 1)])
 
 
-def lrv_matrix(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Symmetric kernel long-run covariance T^{-1} sum_ij K(|i-j|/b) w_i w_j'."""
+def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The symmetric and one-sided kernel sums and the numeric bandwidth,
+    from one pass over the autocovariances."""
     w = _as_time_matrix(w)
     if w.shape[0] < 2:
         raise ValueError("need at least 2 observations")
     bandwidth = resolve_bandwidth(w, kernel)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    k = w.shape[1]
-    omega = np.zeros((k, k))
-    for h, (wt, gamma) in enumerate(_weighted_autocovariances(w, kernel.kind, bandwidth)):
-        omega += wt * (gamma if h == 0 else gamma + gamma.T)
-    return 0.5 * (omega + omega.T)
+    weights = kernel_weight(kernel.kind, np.arange(w.shape[0]) / bandwidth)
+    # Bartlett weights vanish from lag ceil(b) on; QS weights never do.
+    n_lags = int(np.flatnonzero(weights)[-1]) + 1
+    gammas = autocovariances(w, n_lags - 1)
+    one_sided = np.tensordot(weights[:n_lags], gammas, axes=1)
+    omega = one_sided + one_sided.T - gammas[0]
+    return 0.5 * (omega + omega.T), one_sided, bandwidth
+
+
+def lrv_matrix(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """Symmetric kernel long-run covariance T^{-1} sum_ij K(|i-j|/b) w_i w_j'."""
+    return _kernel_sums(w, kernel)[0]
 
 
 def one_sided_lrv(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
@@ -212,19 +214,10 @@ def one_sided_lrv(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
 
     Gamma_hat(h) = T^{-1} sum_t w_t w_{t+h}', so entry (a, b) accumulates
     the covariances between component a now and component b at later lags.
-    Satisfies one_sided + one_sided' - Gamma_hat(0) = lrv_matrix exactly.
+    Satisfies one_sided + one_sided' - Gamma_hat(0) = lrv_matrix, which is
+    how :func:`lrv_matrix` is computed.
     """
-    w = _as_time_matrix(w)
-    if w.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    bandwidth = resolve_bandwidth(w, kernel)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    k = w.shape[1]
-    delta = np.zeros((k, k))
-    for wt, gamma in _weighted_autocovariances(w, kernel.kind, bandwidth):
-        delta += wt * gamma
-    return delta
+    return _kernel_sums(w, kernel)[1]
 
 
 def conditional_lrv(omega: np.ndarray) -> float:
@@ -246,13 +239,13 @@ def conditional_lrv(omega: np.ndarray) -> float:
 
 
 def estimate_lrv(w: np.ndarray, kernel: KernelSpec) -> LrvEstimate:
-    """Full long-run covariance of [u, v']' rows plus the conditional scalar."""
-    w = _as_time_matrix(w)
-    bandwidth = resolve_bandwidth(w, kernel)
-    omega = lrv_matrix(w, KernelSpec(kernel.kind, bandwidth))
+    """Symmetric and one-sided long-run covariances of [u, v']' rows, the
+    conditional scalar and the bandwidth, from one autocovariance pass."""
+    omega, one_sided, bandwidth = _kernel_sums(w, kernel)
     return LrvEstimate(
         omega=omega,
         conditional=conditional_lrv(omega),
         bandwidth=bandwidth,
         kind=kernel.kind,
+        one_sided=one_sided,
     )

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .estimators import ImOlsFit, RestrictionSpec, d_ols, fm_ols, im_ols, im_ols_batch, ols
-from .kernels import BARTLETT, KernelSpec, estimate_lrv, lrv_matrix
+from .estimators import FittedSample, ImOlsFit, RestrictionSpec, d_ols, fm_ols, im_ols_batch
+from .kernels import BARTLETT, KernelSpec, lrv_matrix
 from .tables import CriticalValueTable
 from .timeseries import CointegrationSample, Deterministics, first_difference
 
@@ -36,7 +36,6 @@ __all__ = [
     "self_normalized_test",
     "traditional_wald",
     "diff_residual_lrv",
-    "conditional_lrv_from_ols",
 ]
 
 
@@ -146,12 +145,14 @@ def wald_batch(y: np.ndarray, x: np.ndarray, det: Deterministics, restriction: R
 
 
 def self_normalized_test(
-    sample: CointegrationSample,
+    sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     table: CriticalValueTable,
     alpha: float = 0.05,
 ) -> TestOutcome:
     """Self-normalized Wald test against simulated asymptotic quantiles."""
+    fitted = FittedSample.of(sample)
+    sample = fitted.sample
     m = sample.n_regressors
     s = restriction.n_restrictions
     if not table.covers(m, s, sample.det):
@@ -159,7 +160,7 @@ def self_normalized_test(
             f"table is for m={table.m}, s={table.s}, det={table.det.value}; "
             f"sample needs m={m}, s={s}, det={sample.det.value}"
         )
-    fit = im_ols(sample)
+    fit = fitted.im
     kappa = self_normalizer(fit)
     if kappa <= 0.0 or _degenerate_fit(fit):
         raise ValueError("degenerate normalizer: residuals are negligible")
@@ -173,19 +174,9 @@ def self_normalized_test(
     )
 
 
-def conditional_lrv_from_ols(sample: CointegrationSample, kernel: KernelSpec) -> float:
-    """Conditional long-run variance from static-OLS residuals and v_t."""
-    d = sample.deterministics()
-    X = np.column_stack([d, sample.x]) if d.shape[1] else sample.x
-    resid = ols(sample.y, X).resid
-    w = np.column_stack([resid, sample.innovations()])
-    est = estimate_lrv(w, kernel)
-    return est.conditional
-
-
 def traditional_wald(
     estimator: str,
-    sample: CointegrationSample,
+    sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     kernel: KernelSpec,
     alpha: float = 0.05,
@@ -196,24 +187,26 @@ def traditional_wald(
     ``estimator`` selects the point estimate: 'IM' (partial-sum
     regression), 'FM' (fully modified), or 'D' (leads and lags). All
     variants scale by the same conditional long-run variance built from
-    the static-OLS residuals.
+    the static-OLS residuals; ``diagnostics["bandwidth"]`` records its
+    numeric bandwidth.
     """
     estimator = estimator.upper()
     s = restriction.n_restrictions
-    omega = conditional_lrv_from_ols(sample, kernel)
+    fitted = FittedSample.of(sample)
+    lrv = fitted.lrv(kernel)
+    omega = lrv.conditional
     if omega <= 0.0:
         raise ValueError("conditional long-run variance must be positive")
 
     if estimator == "IM":
-        fit = im_ols(sample)
-        statistic = wald_statistic(fit, restriction, omega)
+        statistic = wald_statistic(fitted.im, restriction, omega)
     elif estimator in ("FM", "D"):
         if estimator == "FM":
-            est = fm_ols(sample, kernel)
+            est = fm_ols(fitted, kernel)
         else:
             if max_leads_lags is None:
-                max_leads_lags = max(1, int(np.floor(4.0 * (sample.nobs / 100.0) ** 0.25)))
-            est = d_ols(sample, max_leads_lags)
+                max_leads_lags = max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25)))
+            est = d_ols(fitted.sample, max_leads_lags)
         gap = restriction.R @ est.beta - restriction.value
         middle = omega * (restriction.R @ est.moment_inv_beta @ restriction.R.T)
         statistic = float(gap @ np.linalg.solve(middle, gap))
@@ -227,6 +220,7 @@ def traditional_wald(
         reject=statistic > critical,
         method=f"Wald-{estimator}",
         p_value=float(stats.chi2.sf(statistic, df=s)),
+        diagnostics={"bandwidth": lrv.bandwidth},
     )
 
 

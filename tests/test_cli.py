@@ -1,19 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sncoint
 from sncoint import (
+    BARTLETT,
+    QUADRATIC_SPECTRAL,
     AnalysisReport,
     BootstrapConfig,
     CointegrationSample,
+    DgpConfig,
     Deterministics,
+    KernelSpec,
     RestrictionSpec,
     ar1_persistence,
+    generate_dgp,
     ingest_csv,
     run_analysis,
 )
 from sncoint.cli import UsageError, main, parse_matrix
+from sncoint.estimators import im_ols, ols
+from sncoint.kernels import autocovariances
 from sncoint.streams import substream
 
 
@@ -151,6 +163,9 @@ class TestRunAnalysis:
         # every decision re-derivable from statistic and critical value
         for outcome in restored.outcomes:
             assert outcome.reject == (outcome.statistic > outcome.critical_value)
+        bandwidth = report.outcomes[1].diagnostics["bandwidth"]
+        assert type(bandwidth) is float and bandwidth > 0
+        assert restored.outcomes[1].diagnostics["bandwidth"] == bandwidth
 
     def test_round_trip_keeps_bootstrap_diagnostics(self):
         sample = make_sample()
@@ -163,6 +178,96 @@ class TestRunAnalysis:
         assert restored.outcomes == report.outcomes
         for key, value in diagnostics.items():
             assert type(restored.outcomes[-1].diagnostics[key]) is type(value)
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` made through any ``sncoint`` module; returns
+    the list of their positional arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sncoint" or name.startswith("sncoint."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestFitOnce:
+    """One analysis fits its sample once: the static OLS of y on [d, x],
+    the IM-OLS fit and the kernel autocovariance pass over [u, v]."""
+
+    def test_analysis_without_bootstrap(self, monkeypatch):
+        sample = make_sample()
+        restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
+        ols_calls = count_calls(monkeypatch, ols)
+        im_calls = count_calls(monkeypatch, im_ols)
+        passes = count_calls(monkeypatch, autocovariances)
+        run_analysis(sample, restriction, alpha=0.10, seed=5)
+        static = [args for args in ols_calls if args[0] is sample.y]
+        assert len(static) == 1 and static[0][1].shape == (sample.nobs, 2)
+        assert len(im_calls) == 1 and im_calls[0][0] is sample
+        assert len(passes) == 1
+
+    def test_bootstrap_does_not_refit_observed_sample(self, monkeypatch):
+        sample = make_sample()
+        restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
+        im_calls = count_calls(monkeypatch, im_ols)
+        boot = BootstrapConfig(n_boot=19, alpha=0.10, seed=5)
+        run_analysis(sample, restriction, alpha=0.10, boot=boot, seed=5)
+        assert [args[0] for args in im_calls] == [sample]
+
+
+def golden_sample(T, det, seed):
+    dgp = generate_dgp(DgpConfig(T=T, rho1=0.6, rho2=0.6), np.random.default_rng(seed))
+    return CointegrationSample(y=dgp.y, x=dgp.x, det=det)
+
+
+# The OLS and IM-OLS estimates, rho1 and the SN statistic must match bit
+# for bit. The FM-OLS estimate and the Wald-FM numbers come from kernel
+# sums, whose last bits depend on their summation order: 1e-12 relative.
+GOLDEN = {
+    "T250-bartlett": (
+        (250, Deterministics.INTERCEPT, 250, BARTLETT),
+        {
+            "ols": [1.0739207546770368, 1.0306000496686443],
+            "im_ols": [0.988663433215713, 0.9971617737706876],
+            "fm_ols": [1.0489102330221922, 1.0100028725835013],
+            "rho1": 0.5594219574900767,
+            "sn": 1.1795308907859121,
+            "wald_fm": (2.636980625138815, 0.267538897348279),
+        },
+    ),
+    "T1000-qs": (
+        (1000, Deterministics.NONE, 1000, QUADRATIC_SPECTRAL),
+        {
+            "ols": [1.0117484503975835, 1.0293443459757785],
+            "im_ols": [0.9993758781929536, 1.0019485711720224],
+            "fm_ols": [1.0020454976758297, 1.0061283170319186],
+            "rho1": 0.621561494238091,
+            "sn": 6.795010572759795,
+            "wald_fm": (0.6625050813293517, 0.7180238159302885),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_analysis_golden_values(case):
+    (T, det, seed, kind), expected = GOLDEN[case]
+    restriction = RestrictionSpec(R=np.eye(2), value=np.array([1.0, 1.0]))
+    report = run_analysis(golden_sample(T, det, seed), restriction, kernel=KernelSpec(kind, "andrews"), seed=0)
+    assert report.estimates["ols"].tolist() == expected["ols"]
+    assert report.estimates["im_ols"].tolist() == expected["im_ols"]
+    assert report.rho1 == expected["rho1"]
+    sn, wald = report.outcomes
+    assert sn.statistic == expected["sn"]
+    np.testing.assert_allclose(report.estimates["fm_ols"], expected["fm_ols"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose([wald.statistic, wald.p_value], expected["wald_fm"], rtol=1e-12, atol=0)
 
 
 class TestCommandLine:
@@ -264,6 +369,25 @@ class TestCommandLine:
         omega = np.asarray(payload["omega"])
         assert omega.shape == (2, 2)
         assert payload["conditional"] > 0
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", ""])
+    def test_lrv_command_rejects_bad_cell(self, tmp_path, capsys, cell):
+        rows = "".join(f"{t},{-t}\n" for t in range(1, 30))
+        path = write_csv(tmp_path / "lrv.csv", f"u,v\n1,1\n2,{cell}\n" + rows)
+        assert main(["lrv", "--data", path, "--columns", "u,v"]) == 1
+        assert "row 3, column 'v'" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        data = substream(8, 0).standard_normal((40, 2))
+        lines = ["u,v"] + [f"{float(a)!r},{float(b)!r}" for a, b in data]
+        path = write_csv(tmp_path / "lrv.csv", "\n".join(lines) + "\n")
+        src = str(Path(sncoint.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sncoint", "lrv", "--data", path, "--columns", "u,v"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["kernel"] == BARTLETT
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = synthetic_csv(tmp_path)

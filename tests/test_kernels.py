@@ -225,3 +225,12 @@ class TestEstimateLrv:
         np.testing.assert_array_equal(est.uv, est.omega[0, 1:])
         expected = est.uu - est.uv @ np.linalg.solve(est.vv, est.uv)
         assert est.conditional == pytest.approx(expected, rel=1e-12)
+
+    def test_one_sided_at_resolved_bandwidth(self):
+        w = np.random.default_rng(21).standard_normal((80, 2))
+        for kind in (BARTLETT, QUADRATIC_SPECTRAL):
+            est = estimate_lrv(w, KernelSpec(kind, "andrews"))
+            fixed = KernelSpec(kind, est.bandwidth)
+            np.testing.assert_allclose(est.one_sided, brute_force_one_sided(w, kind, est.bandwidth), atol=1e-12)
+            np.testing.assert_array_equal(est.one_sided, one_sided_lrv(w, fixed))
+            np.testing.assert_array_equal(est.omega, lrv_matrix(w, fixed))
