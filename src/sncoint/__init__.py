@@ -18,7 +18,6 @@ from .bootstrap import (
     select_order,
     yule_walker,
 )
-from .cli import ingest_csv
 from .estimators import (
     DOlsFit,
     FittedSample,
@@ -70,3 +69,13 @@ from .timeseries import (
     first_difference,
     partial_sum,
 )
+
+
+def __getattr__(name: str):
+    # The command-line module loads on first use, so that
+    # ``python -m sncoint.cli`` does not find it already imported.
+    if name == "ingest_csv":
+        from .cli import ingest_csv
+
+        return ingest_csv
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import simulate_critical_values
 from .bootstrap import BootstrapConfig, bootstrap_statistic, bootstrap_test
-from .estimators import FittedSample, RestrictionSpec, fm_ols, ols
+from .estimators import FittedSample, RestrictionSpec, ols
 from .kernels import BARTLETT, KernelSpec
-from .selfnorm import TestOutcome, self_normalized_test, traditional_wald
+from .selfnorm import TestOutcome, self_normalized_test, traditional_statistic, traditional_wald
 from .tables import CriticalValueTable, default_table
 from .timeseries import CointegrationSample
 
@@ -126,7 +126,7 @@ def run_analysis(
     """
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
     fitted = FittedSample(sample)
-    static, fit, fm = fitted.static, fitted.im, fm_ols(fitted, kernel)
+    static, fit, fm = fitted.static, fitted.im, fitted.fm(kernel)
 
     outcomes = [
         self_normalized_test(fitted, restriction, _resolve_table(table, sample, restriction, seed), alpha),
@@ -155,18 +155,19 @@ def run_analysis(
     )
 
 
-def _run_sn_asymptotic(table, alpha, sample, restriction, seed) -> bool:
-    resolved = _resolve_table(table, sample, restriction, seed)
-    return self_normalized_test(sample, restriction, resolved, alpha).reject
+def _run_sn_asymptotic(table, alpha, fitted, restriction, seed) -> bool:
+    fitted = FittedSample.of(fitted)
+    resolved = _resolve_table(table, fitted.sample, restriction, seed)
+    return self_normalized_test(fitted, restriction, resolved, alpha).reject
 
 
-def _run_traditional(tag, kernel, alpha, sample, restriction, seed) -> bool:
-    return traditional_wald(tag, sample, restriction, kernel, alpha).reject
+def _run_traditional(tag, kernel, alpha, fitted, restriction, seed) -> bool:
+    return traditional_wald(tag, fitted, restriction, kernel, alpha).reject
 
 
-def _run_bootstrap(statistic, kernel, config, sample, restriction, seed) -> bool:
+def _run_bootstrap(statistic, kernel, config, fitted, restriction, seed) -> bool:
     cfg = replace(config, seed=seed)
-    return bootstrap_test(sample, restriction, cfg, statistic=statistic, kernel=kernel).reject
+    return bootstrap_test(fitted, restriction, cfg, statistic=statistic, kernel=kernel).reject
 
 
 def standard_battery(
@@ -176,7 +177,10 @@ def standard_battery(
     kernel: KernelSpec | None = None,
     boot: BootstrapConfig | None = None,
 ) -> Mapping[str, object]:
-    """Build (sample, restriction, seed) -> reject callables by method tag.
+    """Build (fitted, restriction, seed) -> reject callables by method tag.
+
+    ``fitted`` is a :class:`~sncoint.estimators.FittedSample` (a bare
+    sample is wrapped), so the tests of one battery share its fits.
 
     Recognized tags: ``SN-asymptotic``, ``SN-bootstrap``, ``Wald-IM``,
     ``Wald-FM``, ``Wald-D``, ``Wald-IM-bootstrap``, ``tau1-bootstrap``.
@@ -200,22 +204,24 @@ def standard_battery(
     return battery
 
 
-def _stat_selfnorm(sample, restriction) -> float:
-    return bootstrap_statistic(sample, restriction, "sn")
+def _stat_selfnorm(fitted, restriction) -> float:
+    return bootstrap_statistic(fitted, restriction, "sn")
 
 
-def _stat_wald_im(kernel, sample, restriction) -> float:
-    return bootstrap_statistic(sample, restriction, "wald-lrv", kernel)
+def _stat_wald_im(kernel, fitted, restriction) -> float:
+    return bootstrap_statistic(fitted, restriction, "wald-lrv", kernel)
 
 
-def _stat_traditional(tag, kernel, sample, restriction) -> float:
-    return traditional_wald(tag, sample, restriction, kernel).statistic
+def _stat_traditional(tag, kernel, fitted, restriction) -> float:
+    return traditional_statistic(tag, fitted, restriction, kernel)
 
 
 def standard_statistics(
     names: Iterable[str], kernel: KernelSpec | None = None
 ) -> Mapping[str, object]:
-    """Statistic callables (sample, restriction) -> value for power studies."""
+    """Statistic callables (fitted, restriction) -> value for power studies,
+    where ``fitted`` is a :class:`~sncoint.estimators.FittedSample` or a
+    bare sample."""
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
     stats: dict[str, object] = {}
     for name in names:

@@ -44,7 +44,7 @@ from .selfnorm import (
     wald_batch,
     wald_statistic,
 )
-from .streams import replication_map, substream
+from .streams import chunk_map, substream
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
@@ -387,14 +387,10 @@ def bootstrap_draws(
     return draws, retry.size
 
 
-def _chunk(draw, rows: int, n_boot: int, index: int) -> tuple[np.ndarray, int]:
-    return draw(np.arange(index * rows, min(n_boot, (index + 1) * rows)))
-
-
 def _chunked_draws(draw, n_boot: int, rows: int, workers: int) -> tuple[np.ndarray, int]:
     """Draws 0..n_boot-1 of ``draw`` (a partial of :func:`bootstrap_draws`)
     in chunks of ``rows``, one chunk per :func:`replication_map` task."""
-    chunks = replication_map(partial(_chunk, draw, rows, n_boot), -(-n_boot // rows), workers)
+    chunks = chunk_map(draw, n_boot, rows, workers)
     return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
 

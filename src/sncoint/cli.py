@@ -303,7 +303,10 @@ def _cmd_simulate(args) -> int:
         "seed": seed,
         "reps": reps,
         "workers": workers,
-        "runtime_s": result.meta.get("runtime_s"),
+        "runtime_s": result.meta["runtime_s"],
+        "chunk_size": result.meta["chunk_size"],
+        "tasks": result.meta["tasks"],
+        "blas_pinned": result.meta["blas_pinned"],
         "version": __version__,
         "results_csv": out_path,
     }

@@ -418,16 +418,17 @@ class FittedSample:
     computed once, on first use.
 
     ``design`` is the static regressor matrix [d, x], ``static`` the OLS
-    of y on it, ``im`` the IM-OLS fit, and ``lrv(kernel)`` the long-run
-    covariance of w = [static residual, v], one per kernel specification.
-    :func:`fm_ols` and the tests in :mod:`sncoint.selfnorm` and
-    :mod:`sncoint.bootstrap` take one in place of a sample and read its
-    fits instead of refitting.
+    of y on it, ``im`` the IM-OLS fit, ``lrv(kernel)`` the long-run
+    covariance of w = [static residual, v] and ``fm(kernel)`` the FM-OLS
+    fit, one per kernel specification. :func:`fm_ols` and the tests in
+    :mod:`sncoint.selfnorm` and :mod:`sncoint.bootstrap` take one in place
+    of a sample and read its fits instead of refitting.
     """
 
     def __init__(self, sample: CointegrationSample) -> None:
         self.sample = sample
         self._lrv: dict[KernelSpec, LrvEstimate] = {}
+        self._fm: dict[KernelSpec, FmOlsFit] = {}
 
     @classmethod
     def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
@@ -452,3 +453,9 @@ class FittedSample:
             w = np.column_stack([self.static.resid, self.sample.innovations()])
             self._lrv[kernel] = estimate_lrv(w, kernel)
         return self._lrv[kernel]
+
+    def fm(self, kernel: KernelSpec) -> FmOlsFit:
+        """:func:`fm_ols` of the sample under ``kernel``."""
+        if kernel not in self._fm:
+            self._fm[kernel] = fm_ols(self, kernel)
+        return self._fm[kernel]

@@ -12,20 +12,30 @@ correlated GARCH(1,1) processes:
 with each xi a unit-variance GARCH(1,1). The first ``burn_in`` periods
 are discarded. Setting a1 = b1 = rho3 = 0 collapses the innovations to
 i.i.d. standard normals, which is the same code path.
+
+The drivers run replications in fixed chunks of ``_CHUNK_SIZE``, one
+:func:`~sncoint.streams.chunk_map` task each, so a study opens one
+process pool for all its phases. A chunk runs the GARCH recursion once
+over time for all its replications, each drawn from its own
+``substream(seed, phase, i)`` (:func:`generate_dgp` is the one-row
+case), and wraps each sample once in a
+:class:`~sncoint.estimators.FittedSample` that every test or statistic
+receives. ``ExperimentResult.meta`` records the chunk size, the task
+count and whether BLAS pinning was active.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .estimators import RestrictionSpec
-from .streams import replication_map, substream
+from .estimators import FittedSample, RestrictionSpec
+from .streams import BLAS_PINNED, chunk_map, substream
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = [
@@ -38,8 +48,12 @@ __all__ = [
     "size_adjusted_power",
 ]
 
-TestFn = Callable[[CointegrationSample, RestrictionSpec, int], bool]
-StatisticFn = Callable[[CointegrationSample, RestrictionSpec], float]
+TestFn = Callable[[FittedSample, RestrictionSpec, int], bool]
+StatisticFn = Callable[[FittedSample, RestrictionSpec], float]
+
+# Replications per replication_map task. Fixed, so that no result depends
+# on the worker count.
+_CHUNK_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,23 @@ class DgpConfig:
         return np.linalg.cholesky(P)
 
 
+def _garch(config: DgpConfig, eps: np.ndarray) -> np.ndarray:
+    """Mixed GARCH innovations from standard normals ``eps`` (..., length, 3),
+    one recursion over time for every leading index at once."""
+    if config.a1 == 0.0 and config.b1 == 0.0:
+        xi = eps
+    else:
+        a0 = 1.0 - config.a1 - config.b1
+        xi = np.empty_like(eps)
+        sigma2 = np.ones(eps.shape[:-2] + (3,))
+        xi_prev_sq = np.ones(eps.shape[:-2] + (3,))
+        for t in range(eps.shape[-2]):
+            sigma2 = a0 + config.a1 * xi_prev_sq + config.b1 * sigma2
+            xi[..., t, :] = np.sqrt(sigma2) * eps[..., t, :]
+            xi_prev_sq = xi[..., t, :] ** 2
+    return xi @ config.mixing_matrix().T
+
+
 def simulate_garch_innovations(config: DgpConfig, length: int, rng: np.random.Generator) -> np.ndarray:
     """Three correlated unit-variance GARCH(1,1) series, shape (length, 3).
 
@@ -84,42 +115,31 @@ def simulate_garch_innovations(config: DgpConfig, length: int, rng: np.random.Ge
     series are mixed by the Cholesky factor of the equicorrelation
     matrix at every date.
     """
-    eps = rng.standard_normal((length, 3))
-    if config.a1 == 0.0 and config.b1 == 0.0:
-        xi = eps
-    else:
-        a0 = 1.0 - config.a1 - config.b1
-        xi = np.empty((length, 3))
-        sigma2 = np.ones(3)
-        xi_prev_sq = np.ones(3)
-        for t in range(length):
-            sigma2 = a0 + config.a1 * xi_prev_sq + config.b1 * sigma2
-            xi[t] = np.sqrt(sigma2) * eps[t]
-            xi_prev_sq = xi[t] ** 2
-    return xi @ config.mixing_matrix().T
+    return _garch(config, rng.standard_normal((length, 3)))
 
 
-def generate_dgp(config: DgpConfig, rng: np.random.Generator) -> CointegrationSample:
-    """Draw one sample of length T from the Monte Carlo design.
+def _dgp_paths(config: DgpConfig, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regressor levels x (..., T, 2) and errors u (..., T) from mixed
+    innovations (..., burn_in + T, 3).
 
     Pre-sample values of the error recursions are zero; the regressors
     restart from zero after the burn-in is dropped.
     """
-    n = config.burn_in + config.T
-    mixed = simulate_garch_innovations(config, n, rng)
-    e = mixed[:, 0]
-    nu = mixed[:, 1:]
-    e_prev = np.concatenate([[0.0], e[:-1]])
-    nu_prev = np.vstack([np.zeros((1, 2)), nu[:-1]])
+    e = mixed[..., 0]
+    nu = mixed[..., 1:]
+    e_prev = np.concatenate([np.zeros(e.shape[:-1] + (1,)), e[..., :-1]], axis=-1)
+    nu_prev = np.concatenate([np.zeros(nu.shape[:-2] + (1, 2)), nu[..., :-1, :]], axis=-2)
 
-    forcing = e + config.phi * e_prev + config.rho2 * nu.sum(axis=1)
-    u = lfilter([1.0], [1.0, -config.rho1], forcing)
+    forcing = e + config.phi * e_prev + config.rho2 * nu.sum(axis=-1)
+    u = lfilter([1.0], [1.0, -config.rho1], forcing, axis=-1)
     v = nu + 0.5 * nu_prev
+    return np.cumsum(v[..., config.burn_in :, :], axis=-2), u[..., config.burn_in :]
 
-    u = u[config.burn_in :]
-    x = np.cumsum(v[config.burn_in :], axis=0)
-    y = x @ np.asarray(config.beta) + u
-    return CointegrationSample(y=y, x=x, det=Deterministics.NONE)
+
+def generate_dgp(config: DgpConfig, rng: np.random.Generator) -> CointegrationSample:
+    """Draw one sample of length T from the Monte Carlo design."""
+    x, u = _dgp_paths(config, simulate_garch_innovations(config, config.burn_in + config.T, rng))
+    return CointegrationSample(y=x @ np.asarray(config.beta, dtype=float) + u, x=x, det=Deterministics.NONE)
 
 
 def null_restriction(config: DgpConfig) -> RestrictionSpec:
@@ -149,9 +169,45 @@ def _test_seed(seed: int, phase: int, rep: int, test_index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(phase, rep, test_index)).generate_state(1)[0])
 
 
-def _size_rep(config: DgpConfig, tests: list, restriction: RestrictionSpec, seed: int, i: int):
-    sample = generate_dgp(config, substream(seed, 0, i))
-    return [bool(fn(sample, restriction, _test_seed(seed, 0, i, j))) for j, (_, fn) in enumerate(tests)]
+def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarray, betas) -> list[list[FittedSample]]:
+    """One :class:`FittedSample` per replication in ``indices`` and
+    coefficient pair in ``betas``.
+
+    The innovations of all the replications come from one GARCH
+    recursion; replication i keeps its own ``substream(seed, phase, i)``
+    draw, so every sample equals :func:`generate_dgp` on that stream with
+    the matching ``beta``. (x, u) are drawn once and y = x beta + u is
+    formed per coefficient pair.
+    """
+    n = config.burn_in + config.T
+    eps = np.stack([substream(seed, phase, int(i)).standard_normal((n, 3)) for i in indices])
+    x, u = _dgp_paths(config, _garch(config, eps))
+    betas = [np.asarray(beta, dtype=float) for beta in betas]
+    return [[FittedSample(CointegrationSample(y=x[r] @ beta + u[r], x=x[r])) for beta in betas] for r in range(len(x))]
+
+
+def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, seed: int, indices: np.ndarray):
+    """Decisions (rows, K) of each test on the replications ``indices``."""
+    samples = _fitted_samples(config, seed, 0, indices, [config.beta])
+    return np.array(
+        [[bool(fn(row[0], restriction, _test_seed(seed, 0, int(i), j))) for j, fn in enumerate(tests)]
+         for i, row in zip(indices, samples)],
+        dtype=float,
+    )  # fmt: skip
+
+
+def _run_chunks(task, reps: int, workers: int) -> tuple[np.ndarray, dict]:
+    """``task`` over the replications in chunks of ``_CHUNK_SIZE``, one
+    pool for the study; the stacked results and the run's metadata."""
+    start = time.perf_counter()
+    out = np.concatenate(chunk_map(task, reps, _CHUNK_SIZE, workers))
+    return out, {
+        "runtime_s": time.perf_counter() - start,
+        "workers": workers,
+        "chunk_size": _CHUNK_SIZE,
+        "tasks": -(-reps // _CHUNK_SIZE),
+        "blas_pinned": BLAS_PINNED,
+    }
 
 
 def size_experiment(
@@ -163,30 +219,32 @@ def size_experiment(
 ) -> ExperimentResult:
     """Null rejection frequency of each test over ``reps`` samples.
 
-    Each test is a callable (sample, restriction, seed) -> reject. The
+    Each test is a callable (fitted, restriction, seed) -> reject, with
+    ``fitted`` a :class:`~sncoint.estimators.FittedSample` shared by all
+    tests of one replication (``fitted.sample`` holds the data). The
     restriction fixes the coefficients at their true values, so rates
     estimate empirical size.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
     restriction = null_restriction(config)
-    items = list(tests.items())
-    start = time.perf_counter()
-    runner = partial(_size_rep, config, items, restriction, seed)
-    outcomes = np.asarray(replication_map(runner, reps, workers), dtype=float)
-    rates = {name: float(outcomes[:, j].mean()) for j, (name, _) in enumerate(items)}
+    task = partial(_size_chunk, config, list(tests.values()), restriction, seed)
+    outcomes, meta = _run_chunks(task, reps, workers)
     return ExperimentResult(
         kind="size",
-        rates=rates,
+        rates={name: float(outcomes[:, j].mean()) for j, name in enumerate(tests)},
         reps=reps,
         seed=seed,
-        meta={"config": config, "runtime_s": time.perf_counter() - start, "workers": workers},
+        meta={"config": config} | meta,
     )
 
 
-def _statistic_rep(config: DgpConfig, stats: list, restriction: RestrictionSpec, phase: int, seed: int, i: int):
-    sample = generate_dgp(config, substream(seed, phase, i))
-    return [float(fn(sample, restriction)) for _, fn in stats]
+def _power_chunk(config: DgpConfig, stats: list, restriction: RestrictionSpec, beta_grid, seed: int, indices):
+    """Statistics (rows, 1 + G, K) on the replications ``indices``: the
+    null draw, then each grid point."""
+    null = _fitted_samples(config, seed, 0, indices, [config.beta])
+    alternative = _fitted_samples(config, seed, 1, indices, [(b, b) for b in beta_grid])
+    return np.array([[[float(fn(f, restriction)) for fn in stats] for f in n + a] for n, a in zip(null, alternative)])
 
 
 def size_adjusted_power(
@@ -205,36 +263,23 @@ def size_adjusted_power(
     evaluates rejection rates over ``beta_grid`` (both coefficients set
     to the grid value) against those adjusted critical values. Grid
     points share innovation draws, so curves are smooth in the
-    coefficient.
+    coefficient. Each statistic is a callable (fitted, restriction) ->
+    value, with ``fitted`` a :class:`~sncoint.estimators.FittedSample`
+    shared by all statistics of one sample. Both phases of a replication
+    run in the same task, so the study opens one pool.
     """
+    if reps < 1:
+        raise ValueError("need at least one replication")
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)
-    items = list(statistics.items())
-    start = time.perf_counter()
-
-    runner = partial(_statistic_rep, config, items, restriction, 0, seed)
-    null_draws = np.asarray(replication_map(runner, reps, workers))
-    adjusted = {name: float(np.quantile(null_draws[:, j], 1.0 - alpha)) for j, (name, _) in enumerate(items)}
-
-    curves = {name: np.zeros(beta_grid.shape[0]) for name, _ in items}
-    for g, b in enumerate(beta_grid):
-        grid_config = replace(config, beta=(float(b), float(b)))
-        runner = partial(_statistic_rep, grid_config, items, restriction, 1, seed)
-        draws = np.asarray(replication_map(runner, reps, workers))
-        for j, (name, _) in enumerate(items):
-            curves[name][g] = float(np.mean(draws[:, j] > adjusted[name]))
-
+    task = partial(_power_chunk, config, list(statistics.values()), restriction, beta_grid, seed)
+    draws, meta = _run_chunks(task, reps, workers)
+    adjusted = {name: float(np.quantile(draws[:, 0, j], 1.0 - alpha)) for j, name in enumerate(statistics)}
     return ExperimentResult(
         kind="power",
-        rates=curves,
+        rates={name: (draws[:, 1:, j] > adjusted[name]).mean(axis=0) for j, name in enumerate(statistics)},
         reps=reps,
         seed=seed,
         beta_grid=beta_grid,
-        meta={
-            "config": config,
-            "alpha": alpha,
-            "adjusted_critical_values": adjusted,
-            "runtime_s": time.perf_counter() - start,
-            "workers": workers,
-        },
+        meta={"config": config, "alpha": alpha, "adjusted_critical_values": adjusted} | meta,
     )

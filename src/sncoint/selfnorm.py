@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .estimators import FittedSample, ImOlsFit, RestrictionSpec, d_ols, fm_ols, im_ols_batch
+from .estimators import FittedSample, ImOlsFit, RestrictionSpec, d_ols, im_ols_batch
 from .kernels import BARTLETT, KernelSpec, lrv_matrix
 from .tables import CriticalValueTable
 from .timeseries import CointegrationSample, Deterministics, first_difference
@@ -34,6 +34,7 @@ __all__ = [
     "WaldBatch",
     "wald_batch",
     "self_normalized_test",
+    "traditional_statistic",
     "traditional_wald",
     "diff_residual_lrv",
 ]
@@ -174,6 +175,36 @@ def self_normalized_test(
     )
 
 
+def traditional_statistic(
+    estimator: str,
+    sample: CointegrationSample | FittedSample,
+    restriction: RestrictionSpec,
+    kernel: KernelSpec,
+    max_leads_lags: int | None = None,
+) -> float:
+    """The kernel-based Wald statistic of :func:`traditional_wald`, without
+    its chi-square critical value and p-value."""
+    estimator = estimator.upper()
+    fitted = FittedSample.of(sample)
+    omega = fitted.lrv(kernel).conditional
+    if omega <= 0.0:
+        raise ValueError("conditional long-run variance must be positive")
+
+    if estimator == "IM":
+        return wald_statistic(fitted.im, restriction, omega)
+    if estimator == "FM":
+        est = fitted.fm(kernel)
+    elif estimator == "D":
+        if max_leads_lags is None:
+            max_leads_lags = max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25)))
+        est = d_ols(fitted.sample, max_leads_lags)
+    else:
+        raise ValueError(f"unknown estimator tag {estimator!r}")
+    gap = restriction.R @ est.beta - restriction.value
+    middle = omega * (restriction.R @ est.moment_inv_beta @ restriction.R.T)
+    return float(gap @ np.linalg.solve(middle, gap))
+
+
 def traditional_wald(
     estimator: str,
     sample: CointegrationSample | FittedSample,
@@ -190,37 +221,17 @@ def traditional_wald(
     the static-OLS residuals; ``diagnostics["bandwidth"]`` records its
     numeric bandwidth.
     """
-    estimator = estimator.upper()
-    s = restriction.n_restrictions
     fitted = FittedSample.of(sample)
-    lrv = fitted.lrv(kernel)
-    omega = lrv.conditional
-    if omega <= 0.0:
-        raise ValueError("conditional long-run variance must be positive")
-
-    if estimator == "IM":
-        statistic = wald_statistic(fitted.im, restriction, omega)
-    elif estimator in ("FM", "D"):
-        if estimator == "FM":
-            est = fm_ols(fitted, kernel)
-        else:
-            if max_leads_lags is None:
-                max_leads_lags = max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25)))
-            est = d_ols(fitted.sample, max_leads_lags)
-        gap = restriction.R @ est.beta - restriction.value
-        middle = omega * (restriction.R @ est.moment_inv_beta @ restriction.R.T)
-        statistic = float(gap @ np.linalg.solve(middle, gap))
-    else:
-        raise ValueError(f"unknown estimator tag {estimator!r}")
-
+    statistic = traditional_statistic(estimator, fitted, restriction, kernel, max_leads_lags)
+    s = restriction.n_restrictions
     critical = float(stats.chi2.ppf(1.0 - alpha, df=s))
     return TestOutcome(
         statistic=statistic,
         critical_value=critical,
         reject=statistic > critical,
-        method=f"Wald-{estimator}",
+        method=f"Wald-{estimator.upper()}",
         p_value=float(stats.chi2.sf(statistic, df=s)),
-        diagnostics={"bandwidth": lrv.bandwidth},
+        diagnostics={"bandwidth": fitted.lrv(kernel).bandwidth},
     )
 
 

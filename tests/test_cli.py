@@ -24,7 +24,7 @@ from sncoint import (
     run_analysis,
 )
 from sncoint.cli import UsageError, main, parse_matrix
-from sncoint.estimators import im_ols, ols
+from sncoint.estimators import fm_ols, im_ols, ols
 from sncoint.kernels import autocovariances
 from sncoint.streams import substream
 
@@ -180,43 +180,28 @@ class TestRunAnalysis:
             assert type(restored.outcomes[-1].diagnostics[key]) is type(value)
 
 
-def count_calls(monkeypatch, fn):
-    """Count calls of ``fn`` made through any ``sncoint`` module; returns
-    the list of their positional arguments."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "sncoint" or name.startswith("sncoint."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 class TestFitOnce:
     """One analysis fits its sample once: the static OLS of y on [d, x],
     the IM-OLS fit and the kernel autocovariance pass over [u, v]."""
 
-    def test_analysis_without_bootstrap(self, monkeypatch):
+    def test_analysis_without_bootstrap(self, count_calls):
         sample = make_sample()
         restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
-        ols_calls = count_calls(monkeypatch, ols)
-        im_calls = count_calls(monkeypatch, im_ols)
-        passes = count_calls(monkeypatch, autocovariances)
+        ols_calls = count_calls(ols)
+        im_calls = count_calls(im_ols)
+        passes = count_calls(autocovariances)
+        fm_calls = count_calls(fm_ols)
         run_analysis(sample, restriction, alpha=0.10, seed=5)
         static = [args for args in ols_calls if args[0] is sample.y]
         assert len(static) == 1 and static[0][1].shape == (sample.nobs, 2)
         assert len(im_calls) == 1 and im_calls[0][0] is sample
         assert len(passes) == 1
+        assert len(fm_calls) == 1
 
-    def test_bootstrap_does_not_refit_observed_sample(self, monkeypatch):
+    def test_bootstrap_does_not_refit_observed_sample(self, count_calls):
         sample = make_sample()
         restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
-        im_calls = count_calls(monkeypatch, im_ols)
+        im_calls = count_calls(im_ols)
         boot = BootstrapConfig(n_boot=19, alpha=0.10, seed=5)
         run_analysis(sample, restriction, alpha=0.10, boot=boot, seed=5)
         assert [args[0] for args in im_calls] == [sample]
@@ -334,6 +319,8 @@ class TestCommandLine:
         manifest = json.loads((tmp_path / "rates_manifest.json").read_text())
         assert manifest["seed"] == 2
         assert manifest["reps"] == 30
+        assert manifest["chunk_size"] == 8 and manifest["tasks"] == 4
+        assert manifest["blas_pinned"] is sncoint.streams.BLAS_PINNED
 
     def test_simulate_power_command(self, tmp_path):
         config = {
@@ -377,17 +364,26 @@ class TestCommandLine:
         assert main(["lrv", "--data", path, "--columns", "u,v"]) == 1
         assert "row 3, column 'v'" in capsys.readouterr().err
 
-    def test_module_entry_point(self, tmp_path):
+    @staticmethod
+    def run_module(module, tmp_path):
         data = substream(8, 0).standard_normal((40, 2))
         lines = ["u,v"] + [f"{float(a)!r},{float(b)!r}" for a, b in data]
         path = write_csv(tmp_path / "lrv.csv", "\n".join(lines) + "\n")
         src = str(Path(sncoint.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "sncoint", "lrv", "--data", path, "--columns", "u,v"],
+            [sys.executable, "-W", "error", "-m", module, "lrv", "--data", path, "--columns", "u,v"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )  # fmt: skip
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["kernel"] == BARTLETT
+
+    def test_module_entry_point(self, tmp_path):
+        self.run_module("sncoint", tmp_path)
+
+    def test_cli_module_entry_point(self, tmp_path):
+        # The package must not import its command-line module eagerly, or
+        # runpy warns that it found sncoint.cli already imported.
+        self.run_module("sncoint.cli", tmp_path)
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         path = synthetic_csv(tmp_path)

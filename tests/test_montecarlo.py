@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sncoint import (
+    BootstrapConfig,
     DgpConfig,
     generate_dgp,
     simulate_garch_innovations,
@@ -10,8 +13,9 @@ from sncoint import (
     standard_battery,
     standard_statistics,
 )
-from sncoint.montecarlo import null_restriction
-from sncoint.streams import substream
+from sncoint.estimators import fm_ols, im_ols, ols
+from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
+from sncoint.streams import BLAS_PINNED, replication_map, substream
 
 
 class TestGarchInnovations:
@@ -36,6 +40,13 @@ class TestGarchInnovations:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert corr[i, j] == pytest.approx(0.2, abs=0.02)
+
+    def test_batched_rows_match_single_draws(self):
+        config = DgpConfig(T=40, burn_in=30)
+        eps = np.stack([substream(3, 1, i).standard_normal((70, 3)) for i in range(5)])
+        batch = _garch(config, eps)
+        for i in range(5):
+            np.testing.assert_array_equal(batch[i], simulate_garch_innovations(config, 70, substream(3, 1, i)))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -87,6 +98,16 @@ class TestGenerateDgp:
         ac = lambda u: np.corrcoef(u[1:], u[:-1])[0, 1]
         assert ac(u_loud) > 0.8 > ac(u_quiet) + 0.5
 
+    def test_chunk_samples_match_single_draws(self):
+        config = DgpConfig(T=40, rho1=0.3, rho2=0.3, phi=0.2)
+        betas = [(1.0, 1.0), (1.5, 1.5)]
+        rows = _fitted_samples(config, 4, 1, np.arange(3, 6), betas)
+        for i, row in zip(range(3, 6), rows):
+            for beta, fitted in zip(betas, row):
+                single = generate_dgp(replace(config, beta=beta), substream(4, 1, i))
+                np.testing.assert_array_equal(fitted.sample.y, single.y)
+                np.testing.assert_array_equal(fitted.sample.x, single.x)
+
     def test_burn_in_insensitivity(self):
         battery = standard_battery(["SN-asymptotic"])
         r100 = size_experiment(DgpConfig(T=100, rho1=0.3, rho2=0.3, burn_in=100), battery, reps=400, seed=9)
@@ -122,6 +143,8 @@ class TestSizeExperiment:
         assert result.reps == 50
         assert result.seed == 14
         assert "runtime_s" in result.meta
+        assert result.meta["chunk_size"] == 8 and result.meta["tasks"] == 7
+        assert result.meta["blas_pinned"] is BLAS_PINNED
 
     def test_rates_validated(self):
         from sncoint import ExperimentResult
@@ -149,6 +172,77 @@ class TestSizeAdjustedPower:
         assert result.kind == "power"
         np.testing.assert_array_equal(result.beta_grid, [1.0])
 
+    def test_no_replications_rejected(self):
+        with pytest.raises(ValueError, match="at least one replication"):
+            size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=0)
+
+
+# Captured from the per-replication drivers that preceded the chunked
+# ones; the chunked drivers must reproduce them bit for bit.
+POWER_GOLDEN_RATES = {
+    "SN": [0.047619047619047616, 0.2857142857142857, 0.47619047619047616],
+    "Wald-IM": [0.047619047619047616, 0.2857142857142857, 0.47619047619047616],
+    "Wald-FM": [0.0, 0.14285714285714285, 0.42857142857142855],
+    "Wald-D": [0.0, 0.09523809523809523, 0.42857142857142855],
+}
+POWER_GOLDEN_ADJUSTED = {
+    "SN": 100.74848827970241,
+    "Wald-IM": 7.041761804170558,
+    "Wald-FM": 19.727886361655276,
+    "Wald-D": 20.93813649194859,
+}
+SIZE_GOLDEN_RATES = {
+    "SN-asymptotic": 0.13333333333333333,
+    "Wald-IM": 0.2,
+    "Wald-FM": 0.4,
+    "Wald-D": 0.3333333333333333,
+    "tau1-bootstrap": 0.16666666666666666,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestGoldenStudies:
+    def test_size_adjusted_power(self, workers):
+        stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
+        config = DgpConfig(T=60, rho1=0.3, rho2=0.3)
+        result = size_adjusted_power(config, stats, [1.0, 1.02, 1.05], reps=21, seed=21, workers=workers)
+        assert {k: list(v) for k, v in result.rates.items()} == POWER_GOLDEN_RATES
+        assert result.meta["adjusted_critical_values"] == POWER_GOLDEN_ADJUSTED
+
+    def test_size_experiment(self, workers):
+        battery = standard_battery(
+            ["SN-asymptotic", "Wald-IM", "Wald-FM", "Wald-D", "tau1-bootstrap"], boot=BootstrapConfig(n_boot=19)
+        )
+        result = size_experiment(DgpConfig(T=75, rho1=0.8, rho2=0.8), battery, reps=30, seed=22, workers=workers)
+        assert result.rates == SIZE_GOLDEN_RATES
+
+
+class TestFitOncePerSample:
+    """A study opens one pool and fits each (replication, grid point)
+    sample once, whatever number of statistics read it."""
+
+    def test_power_study(self, count_calls):
+        config = DgpConfig(T=40)
+        map_calls = count_calls(replication_map)
+        ols_calls = count_calls(ols)
+        im_calls = count_calls(im_ols)
+        fm_calls = count_calls(fm_ols)
+        stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
+        size_adjusted_power(config, stats, [1.0, 1.1], reps=10, seed=3)
+        samples = 10 * (1 + 2)
+        assert len(map_calls) == 1
+        assert sum(1 for args in ols_calls if args[1].shape == (config.T, 2)) == samples
+        assert len(im_calls) == samples
+        assert len(fm_calls) == samples
+
+    def test_size_study(self, count_calls):
+        map_calls = count_calls(replication_map)
+        im_calls = count_calls(im_ols)
+        battery = standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM"])
+        size_experiment(DgpConfig(T=40), battery, reps=10, seed=3)
+        assert len(map_calls) == 1
+        assert len(im_calls) == 10
+
 
 class TestStandardBattery:
     def test_unknown_tag_rejected(self):
@@ -158,8 +252,6 @@ class TestStandardBattery:
             standard_statistics(["SN-jackknife"])
 
     def test_all_tags_execute(self):
-        from sncoint import BootstrapConfig
-
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
         sample = generate_dgp(config, substream(17, 0))
         restriction = null_restriction(config)
