@@ -12,7 +12,6 @@ from .battery import AnalysisReport, ar1_persistence, run_analysis, standard_bat
 from .bootstrap import (
     BootstrapConfig,
     VarSieveModel,
-    bootstrap_statistic,
     bootstrap_test,
     generate_bootstrap_sample,
     select_order,
@@ -55,6 +54,7 @@ from .montecarlo import (
 )
 from .selfnorm import (
     TestOutcome,
+    bootstrap_statistic,
     diff_residual_lrv,
     self_normalized_test,
     self_normalizer,

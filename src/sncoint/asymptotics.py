@@ -30,7 +30,7 @@ from scipy import stats as _scipy_stats
 from .estimators import RestrictionSpec, batch_rows
 from .selfnorm import wald_batch
 from .streams import substream
-from .tables import CriticalValueTable, default_table
+from .tables import _PROBS, CriticalValueTable, default_table
 from .timeseries import Deterministics
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "simulate_limit_components",
     "local_power",
 ]
-
-_PROBS = (0.90, 0.95, 0.975, 0.99)
 
 
 def _chunk_size(n_grid: int, m: int) -> int:
@@ -143,8 +141,7 @@ def _random_walk_statistics(
         w = substream(seed, index).standard_normal((c, T, m + 1))
         for start in range(0, c, rows):
             sub = w[start : start + rows]
-            batch = wald_batch(sub[:, :, 0], np.cumsum(sub[:, :, 1:], axis=1), det, restriction)
-            out.append(batch.wald_unit / batch.kappa)
+            out.append(wald_batch(sub[:, :, 0], np.cumsum(sub[:, :, 1:], axis=1), det, restriction))
         done += c
         index += 1
     return np.concatenate(out)
@@ -169,7 +166,6 @@ def simulate_critical_values(
     n_grid: int = 10_000,
     reps: int = 10_000,
     seed: int = 0,
-    probs: tuple[float, ...] = _PROBS,
 ) -> CriticalValueTable:
     """Simulate upper quantiles of the limit law for (m, s, det).
 
@@ -181,7 +177,7 @@ def simulate_critical_values(
     if n_grid < 1_000 or reps < 1_000:
         raise ValueError("need n_grid >= 1000 and reps >= 1000")
     draws = simulate_limit_statistics(m, s, det, n_grid, reps, seed)
-    quantiles = {float(p): float(q) for p, q in zip(probs, np.quantile(draws, probs))}
+    quantiles = {float(p): float(q) for p, q in zip(_PROBS, np.quantile(draws, _PROBS))}
     return CriticalValueTable(
         m=m,
         s=s,

@@ -18,17 +18,24 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import simulate_critical_values
-from .bootstrap import BootstrapConfig, bootstrap_statistic, bootstrap_test
+from .bootstrap import BootstrapConfig, bootstrap_test
 from .estimators import FittedSample, RestrictionSpec, ols
 from .kernels import BARTLETT, KernelSpec
-from .selfnorm import TestOutcome, self_normalized_test, traditional_statistic, traditional_wald
+from .selfnorm import (
+    _METHOD_TAGS,
+    TestOutcome,
+    bootstrap_statistic,
+    self_normalized_test,
+    traditional_statistic,
+    traditional_wald,
+)
 from .tables import CriticalValueTable, default_table
 from .timeseries import CointegrationSample
 
 __all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
 
 _EST_TAGS = {"Wald-IM": "IM", "Wald-FM": "FM", "Wald-D": "D"}
-_BOOT_TAGS = {"SN-bootstrap": "sn", "Wald-IM-bootstrap": "wald-lrv", "tau1-bootstrap": "tau1"}
+_BOOT_TAGS = {tag: statistic for statistic, tag in _METHOD_TAGS.items()}
 
 
 def ar1_persistence(residuals: np.ndarray) -> float:
@@ -204,18 +211,6 @@ def standard_battery(
     return battery
 
 
-def _stat_selfnorm(fitted, restriction) -> float:
-    return bootstrap_statistic(fitted, restriction, "sn")
-
-
-def _stat_wald_im(kernel, fitted, restriction) -> float:
-    return bootstrap_statistic(fitted, restriction, "wald-lrv", kernel)
-
-
-def _stat_traditional(tag, kernel, fitted, restriction) -> float:
-    return traditional_statistic(tag, fitted, restriction, kernel)
-
-
 def standard_statistics(
     names: Iterable[str], kernel: KernelSpec | None = None
 ) -> Mapping[str, object]:
@@ -226,11 +221,11 @@ def standard_statistics(
     stats: dict[str, object] = {}
     for name in names:
         if name == "SN":
-            stats[name] = _stat_selfnorm
+            stats[name] = partial(bootstrap_statistic, statistic="sn")
         elif name == "Wald-IM":
-            stats[name] = partial(_stat_wald_im, kernel)
+            stats[name] = partial(bootstrap_statistic, statistic="wald-lrv", kernel=kernel)
         elif name in ("Wald-FM", "Wald-D"):
-            stats[name] = partial(_stat_traditional, _EST_TAGS[name], kernel)
+            stats[name] = partial(traditional_statistic, _EST_TAGS[name], kernel=kernel)
         else:
             raise ValueError(f"unknown statistic tag {name!r}")
     return stats

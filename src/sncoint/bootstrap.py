@@ -11,11 +11,11 @@ Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
 (about 2^17 elements per (draws, T, .) array), through
 :func:`~sncoint.streams.replication_map`. A chunk simulates its VAR with
 one loop over time and evaluates every draw at once with the batched
-kernel :func:`~sncoint.selfnorm.wald_batch`, which mirrors
-:func:`bootstrap_statistic` row by row. A degenerate draw (zero or
-non-finite column, rank deficiency, kappa <= 0, perfect fit, singular
-restricted block) is regenerated once from its retry substream and
-discarded if still degenerate. Every draw keeps its own substream keyed
+kernel :func:`~sncoint.selfnorm.wald_batch`, which is
+:func:`~sncoint.selfnorm.bootstrap_statistic` row by row. A degenerate
+draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
+fit, singular restricted block) is regenerated once from its retry
+substream and discarded if still degenerate. Every draw keeps its own substream keyed
 by (seed, replication index, attempt), and the chunking depends only on
 the sample shape, so results do not depend on the number of workers.
 """
@@ -37,13 +37,7 @@ from .estimators import (
     restricted_im_ols,
 )
 from .kernels import KernelSpec, autocovariances
-from .selfnorm import (
-    TestOutcome,
-    _degenerate_fit,
-    self_normalizer,
-    wald_batch,
-    wald_statistic,
-)
+from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic, wald_batch
 from .streams import chunk_map, substream
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
@@ -61,10 +55,6 @@ __all__ = [
     "bootstrap_draws",
     "bootstrap_test",
 ]
-
-_STATISTICS = ("sn", "tau1", "wald-lrv")
-_METHOD_TAGS = {"sn": "SN-bootstrap", "tau1": "tau1-bootstrap", "wald-lrv": "Wald-IM-bootstrap"}
-
 
 @dataclass(frozen=True)
 class VarSieveModel:
@@ -93,7 +83,6 @@ class BootstrapConfig:
     seed: int = 0
     burn_in: int = 100
     order_rule: str | int = "aic"
-    q_max: int | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -198,12 +187,13 @@ def yule_walker(w: np.ndarray, q: int) -> VarSieveModel:
     return VarSieveModel(order=q, coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
 
 
-def select_order(w: np.ndarray, rule: str | int = "aic", q_max: int | None = None) -> int:
+def select_order(w: np.ndarray, rule: str | int = "aic") -> int:
     """Order of the sieve: fixed, or the information-criterion minimizer.
 
-    Candidates q = 1..q_max are scored on the common evaluation window
-    t = q_max+1..T with ln det of the residual covariance plus penalty
-    2 q k^2 / n (AIC) or ln(n) q k^2 / n (BIC).
+    Candidates q = 1..q_max, with q_max = :func:`max_sieve_order` (T), are
+    scored on the common evaluation window t = q_max+1..T with ln det of
+    the residual covariance plus penalty 2 q k^2 / n (AIC) or
+    ln(n) q k^2 / n (BIC).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
@@ -218,9 +208,7 @@ def select_order(w: np.ndarray, rule: str | int = "aic", q_max: int | None = Non
                 stacklevel=2,
             )
         return rule
-    if q_max is None:
-        q_max = max_sieve_order(T)
-    q_max = max(1, min(q_max, (T - 2) // k))
+    q_max = max(1, min(max_sieve_order(T), (T - 2) // k))
     wd = w - w.mean(axis=0)
     gammas = autocovariances(wd, q_max)
     n_eval = T - q_max
@@ -298,63 +286,6 @@ def generate_bootstrap_sample(
     return CointegrationSample(y=y[0], x=x[0], det=det)
 
 
-def bootstrap_statistic(
-    star_sample: CointegrationSample | FittedSample,
-    restriction: RestrictionSpec,
-    statistic: str = "sn",
-    kernel: KernelSpec | None = None,
-) -> float:
-    """The configured Wald-type statistic on a (bootstrap) sample.
-
-    ``statistic`` picks the scale: 'sn' (self-normalizer), 'tau1'
-    (unscaled), or 'wald-lrv' (kernel long-run variance re-estimated on
-    the sample at hand). Raises :class:`ValueError` for degenerate
-    samples whose normalizer is zero.
-    """
-    fitted = FittedSample.of(star_sample)
-    fit = fitted.im
-    if statistic == "sn":
-        kappa = self_normalizer(fit)
-        if kappa <= 0.0 or _degenerate_fit(fit):
-            raise ValueError("degenerate normalizer")
-    elif statistic == "tau1":
-        kappa = 1.0
-    elif statistic == "wald-lrv":
-        if kernel is None:
-            raise ValueError("'wald-lrv' needs a kernel specification")
-        kappa = fitted.lrv(kernel).conditional
-        if kappa <= 0.0:
-            raise ValueError("degenerate long-run variance")
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}; expected one of {_STATISTICS}")
-    return wald_statistic(fit, restriction, kappa)
-
-
-def _batch_statistics(
-    y: np.ndarray,
-    x: np.ndarray,
-    det: Deterministics,
-    restriction: RestrictionSpec,
-    statistic: str,
-    kernel: KernelSpec | None,
-) -> np.ndarray:
-    """:func:`bootstrap_statistic` of each row; NaN where it raises."""
-    batch = wald_batch(y, x, det, restriction)
-    if statistic == "sn":
-        kappa = np.where(batch.perfect_fit, np.nan, batch.kappa)
-    elif statistic == "tau1":
-        return batch.wald_unit
-    else:
-        kappa = np.full(y.shape[0], np.nan)
-        for i in np.flatnonzero(~batch.degenerate):
-            try:
-                kappa[i] = FittedSample(CointegrationSample(y=y[i], x=x[i], det=det)).lrv(kernel).conditional
-            except (ValueError, np.linalg.LinAlgError):
-                continue
-        kappa[~(kappa > 0.0)] = np.nan
-    return batch.wald_unit / kappa
-
-
 def bootstrap_draws(
     model: VarSieveModel,
     T: int,
@@ -369,29 +300,18 @@ def bootstrap_draws(
 ) -> tuple[np.ndarray, int]:
     """Bootstrap statistics of the draws ``indices`` and the retry count.
 
-    A degenerate draw (see :class:`~sncoint.selfnorm.WaldBatch`) is
+    A degenerate draw (NaN in :func:`~sncoint.selfnorm.wald_batch`) is
     regenerated once from its attempt-1 substream; one still degenerate
     is NaN, for the caller to count as discarded.
     """
     indices = np.asarray(indices)
-    draws = _batch_statistics(
-        *generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices),
-        det, restriction, statistic, kernel,
-    )  # fmt: skip
+    y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices)
+    draws = wald_batch(y, x, det, restriction, statistic, kernel)
     retry = np.flatnonzero(np.isnan(draws))
     if retry.size:
-        draws[retry] = _batch_statistics(
-            *generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices[retry], 1),
-            det, restriction, statistic, kernel,
-        )  # fmt: skip
+        y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices[retry], 1)
+        draws[retry] = wald_batch(y, x, det, restriction, statistic, kernel)
     return draws, retry.size
-
-
-def _chunked_draws(draw, n_boot: int, rows: int, workers: int) -> tuple[np.ndarray, int]:
-    """Draws 0..n_boot-1 of ``draw`` (a partial of :func:`bootstrap_draws`)
-    in chunks of ``rows``, one chunk per :func:`replication_map` task."""
-    chunks = chunk_map(draw, n_boot, rows, workers)
-    return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
 
 def bootstrap_test(
@@ -409,14 +329,12 @@ def bootstrap_test(
     through the restricted coefficient vector. The outcome also carries
     the bootstrap p-value (1 + #{tau* >= tau}) / (B_eff + 1).
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; expected one of {_STATISTICS}")
     fitted = FittedSample.of(sample)
     sample, fit = fitted.sample, fitted.im
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
 
     w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
-    order = select_order(w_hat, config.order_rule, config.q_max)
+    order = select_order(w_hat, config.order_rule)
     model = yule_walker(w_hat, order)
     beta_restricted = restricted_im_ols(fit, restriction)
 
@@ -433,7 +351,9 @@ def bootstrap_test(
         kernel,
     )
     rows = batch_rows(sample.nobs, len(fit.params))
-    draws, n_retried = _chunked_draws(draw, config.n_boot, rows, config.workers)
+    chunks = chunk_map(draw, config.n_boot, rows, config.workers)
+    draws = np.concatenate([draws for draws, _ in chunks])
+    n_retried = sum(retried for _, retried in chunks)
     valid = draws[~np.isnan(draws)]
     n_discarded = config.n_boot - valid.shape[0]
     if valid.shape[0] == 0:

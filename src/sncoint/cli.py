@@ -118,14 +118,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    kind = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}[args.kernel]
-    if args.bandwidth == "andrews":
-        return KernelSpec(kind, "andrews")
+def _parse_kernel(name, bandwidth) -> KernelSpec:
+    """Kernel specification from a kernel name and an 'andrews' or
+    numeric bandwidth, as given on the command line or in a config."""
+    kinds = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}
+    if name not in kinds:
+        raise UsageError(f"kernel must be one of {', '.join(kinds)}, got {name!r}")
+    if bandwidth == "andrews":
+        return KernelSpec(kinds[name], "andrews")
     try:
-        return KernelSpec(kind, float(args.bandwidth))
-    except ValueError:
-        raise UsageError(f"bandwidth must be 'andrews' or a positive number, got {args.bandwidth!r}") from None
+        return KernelSpec(kinds[name], float(bandwidth))
+    except (TypeError, ValueError):
+        raise UsageError(f"bandwidth must be 'andrews' or a positive number, got {bandwidth!r}") from None
 
 
 def _order_from_args(text: str):
@@ -218,7 +222,7 @@ def _cmd_test(args) -> int:
         sample,
         restriction,
         alpha=args.alpha,
-        kernel=_kernel_from_args(args),
+        kernel=_parse_kernel(args.kernel, args.bandwidth),
         boot=boot,
         table=table,
         seed=args.seed,
@@ -270,9 +274,7 @@ def _cmd_simulate(args) -> int:
     seed = cfg.get("seed", args.seed)
     workers = cfg.get("workers", args.workers)
     alpha = cfg.get("alpha", 0.05)
-    kernel_kind = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}[cfg.get("kernel", "bartlett")]
-    bandwidth = cfg.get("bandwidth", "andrews")
-    kernel = KernelSpec(kernel_kind, bandwidth if bandwidth == "andrews" else float(bandwidth))
+    kernel = _parse_kernel(cfg.get("kernel", "bartlett"), cfg.get("bandwidth", "andrews"))
 
     if kind == "size":
         boot = BootstrapConfig(
@@ -321,7 +323,7 @@ def _cmd_lrv(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise UsageError("--columns must name at least one column")
-    est = estimate_lrv(_read_columns(args.data, columns), _kernel_from_args(args))
+    est = estimate_lrv(_read_columns(args.data, columns), _parse_kernel(args.kernel, args.bandwidth))
     payload = {
         "kernel": est.kind,
         "bandwidth": est.bandwidth,

@@ -10,7 +10,9 @@ kernel estimate of the conditional long-run variance gives the
 traditional chi-square test; plugging in the self-normalizer (a scaled
 sum of squared partial sums of the differenced residuals) gives the
 tuning-parameter-free statistic whose limit law is tabulated in
-:mod:`sncoint.tables`.
+:mod:`sncoint.tables`. :func:`bootstrap_statistic` is the one place that
+maps a statistic name to kappa and decides when a sample is degenerate;
+:func:`wald_batch` is the same statistic over the rows of a batch.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "TestOutcome",
     "self_normalizer",
     "wald_statistic",
-    "WaldBatch",
+    "bootstrap_statistic",
     "wald_batch",
     "self_normalized_test",
     "traditional_statistic",
@@ -113,36 +115,75 @@ def wald_statistic(fit: ImOlsFit, restriction: RestrictionSpec, kappa: float) ->
     return float(unit) / kappa
 
 
-@dataclass(frozen=True)
-class WaldBatch:
-    """Self-normalizer and Wald form of each row of a batch fit.
+_STATISTICS = ("sn", "tau1", "wald-lrv")
+_METHOD_TAGS = {"sn": "SN-bootstrap", "tau1": "tau1-bootstrap", "wald-lrv": "Wald-IM-bootstrap"}
 
-    ``wald_unit`` is tau(1), so the statistic at scale kappa is
-    ``wald_unit / kappa``. ``degenerate`` marks the rows where
-    :func:`im_ols` or :func:`wald_statistic` would raise, or the form is
-    not finite; ``wald_unit`` is NaN there. ``perfect_fit`` marks the rows
-    the self-normalized statistic rejects besides: kappa not positive, or
-    residuals negligible as in :func:`_degenerate_fit`.
+
+def _scale(fit: ImOlsFit, statistic: str, kernel: KernelSpec | None, conditional) -> np.ndarray:
+    """kappa of ``statistic`` for a fit, or for each row of a batch; NaN
+    where the statistic is degenerate. ``conditional()`` gives the kernel
+    conditional long-run variance of the sample, or of each row."""
+    if statistic == "sn":
+        kappa = _normalizer(fit.resid)
+        return np.where(~(kappa > 0.0) | _degenerate_fit(fit), np.nan, kappa)
+    if statistic == "tau1":
+        return np.ones(fit.resid.shape[:-1])
+    if statistic == "wald-lrv":
+        if kernel is None:
+            raise ValueError("'wald-lrv' needs a kernel specification")
+        kappa = conditional()
+        return np.where(kappa > 0.0, kappa, np.nan)
+    raise ValueError(f"unknown statistic {statistic!r}; expected one of {_STATISTICS}")
+
+
+def bootstrap_statistic(
+    star_sample: CointegrationSample | FittedSample,
+    restriction: RestrictionSpec,
+    statistic: str = "sn",
+    kernel: KernelSpec | None = None,
+) -> float:
+    """The Wald-type statistic tau(kappa) on a (bootstrap) sample.
+
+    ``statistic`` picks the scale: 'sn' (self-normalizer), 'tau1'
+    (unscaled), or 'wald-lrv' (kernel conditional long-run variance
+    estimated on the sample at hand). Raises :class:`ValueError` for a
+    degenerate sample: kappa not positive, or for 'sn' residuals
+    negligible against the fitted signal.
     """
+    fitted = FittedSample.of(star_sample)
+    fit = fitted.im
+    kappa = float(_scale(fit, statistic, kernel, lambda: fitted.lrv(kernel).conditional))
+    if math.isnan(kappa):
+        raise ValueError(f"degenerate normalizer for statistic {statistic!r}")
+    return wald_statistic(fit, restriction, kappa)
 
-    fit: ImOlsFit
-    kappa: np.ndarray
-    wald_unit: np.ndarray
-    degenerate: np.ndarray
-    perfect_fit: np.ndarray
 
-
-def wald_batch(y: np.ndarray, x: np.ndarray, det: Deterministics, restriction: RestrictionSpec) -> WaldBatch:
-    """Fit, sandwich, self-normalizer and Wald form for each row of
-    ``y`` (c, T) and ``x`` (c, T, m): row i is the per-sample path on
-    ``CointegrationSample(y[i], x[i], det)``."""
+def wald_batch(
+    y: np.ndarray,
+    x: np.ndarray,
+    det: Deterministics,
+    restriction: RestrictionSpec,
+    statistic: str = "sn",
+    kernel: KernelSpec | None = None,
+) -> np.ndarray:
+    """:func:`bootstrap_statistic` of each row of ``y`` (c, T) and ``x``
+    (c, T, m), row i being ``CointegrationSample(y[i], x[i], det)``, from
+    one batched fit and sandwich. NaN where it would raise, or the form is
+    not finite."""
     fit = im_ols_batch(y, x, det)
-    kappa = _normalizer(fit.resid)
-    wald_unit = _wald_unit(fit, restriction)
-    degenerate = ~np.isfinite(wald_unit)
-    wald_unit[degenerate] = np.nan
-    perfect_fit = ~(kappa > 0.0) | _degenerate_fit(fit)
-    return WaldBatch(fit=fit, kappa=kappa, wald_unit=wald_unit, degenerate=degenerate, perfect_fit=perfect_fit)
+    unit = _wald_unit(fit, restriction)
+    unit[~np.isfinite(unit)] = np.nan
+
+    def conditional() -> np.ndarray:
+        kappa = np.full(y.shape[0], np.nan)
+        for i in np.flatnonzero(~np.isnan(unit)):
+            try:
+                kappa[i] = FittedSample(CointegrationSample(y=y[i], x=x[i], det=det)).lrv(kernel).conditional
+            except (ValueError, np.linalg.LinAlgError):
+                continue
+        return kappa
+
+    return unit / _scale(fit, statistic, kernel, conditional)
 
 
 def self_normalized_test(
@@ -161,11 +202,7 @@ def self_normalized_test(
             f"table is for m={table.m}, s={table.s}, det={table.det.value}; "
             f"sample needs m={m}, s={s}, det={sample.det.value}"
         )
-    fit = fitted.im
-    kappa = self_normalizer(fit)
-    if kappa <= 0.0 or _degenerate_fit(fit):
-        raise ValueError("degenerate normalizer: residuals are negligible")
-    statistic = wald_statistic(fit, restriction, kappa)
+    statistic = bootstrap_statistic(fitted, restriction, "sn")
     critical = table.critical_value(alpha)
     return TestOutcome(
         statistic=statistic,
@@ -180,24 +217,20 @@ def traditional_statistic(
     sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     kernel: KernelSpec,
-    max_leads_lags: int | None = None,
 ) -> float:
     """The kernel-based Wald statistic of :func:`traditional_wald`, without
     its chi-square critical value and p-value."""
     estimator = estimator.upper()
     fitted = FittedSample.of(sample)
+    if estimator == "IM":
+        return bootstrap_statistic(fitted, restriction, "wald-lrv", kernel)
     omega = fitted.lrv(kernel).conditional
     if omega <= 0.0:
         raise ValueError("conditional long-run variance must be positive")
-
-    if estimator == "IM":
-        return wald_statistic(fitted.im, restriction, omega)
     if estimator == "FM":
         est = fitted.fm(kernel)
     elif estimator == "D":
-        if max_leads_lags is None:
-            max_leads_lags = max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25)))
-        est = d_ols(fitted.sample, max_leads_lags)
+        est = d_ols(fitted.sample, max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25))))
     else:
         raise ValueError(f"unknown estimator tag {estimator!r}")
     gap = restriction.R @ est.beta - restriction.value
@@ -211,7 +244,6 @@ def traditional_wald(
     restriction: RestrictionSpec,
     kernel: KernelSpec,
     alpha: float = 0.05,
-    max_leads_lags: int | None = None,
 ) -> TestOutcome:
     """Kernel-based Wald test against chi-square critical values.
 
@@ -222,7 +254,7 @@ def traditional_wald(
     numeric bandwidth.
     """
     fitted = FittedSample.of(sample)
-    statistic = traditional_statistic(estimator, fitted, restriction, kernel, max_leads_lags)
+    statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions
     critical = float(stats.chi2.ppf(1.0 - alpha, df=s))
     return TestOutcome(

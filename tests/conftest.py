@@ -1,6 +1,10 @@
+import os
 import sys
+import tempfile
 
+import hypothesis
 import pytest
+from hypothesis import settings
 
 
 @pytest.fixture
@@ -23,3 +27,12 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic. Hypothesis still caches the
+# constants it reads from source files; that cache goes to the temporary
+# directory, so no .hypothesis/ appears in the working tree.
+hypothesis.configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), ".hypothesis"))
+settings.register_profile("sncoint", derandomize=True, deadline=None, database=None)
+settings.load_profile("sncoint")

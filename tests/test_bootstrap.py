@@ -314,10 +314,12 @@ def _reference_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, 
 def _kernel_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, rows):
     from functools import partial
 
-    from sncoint.bootstrap import _chunked_draws, bootstrap_draws
+    from sncoint.bootstrap import bootstrap_draws
+    from sncoint.streams import chunk_map
 
     draw = partial(bootstrap_draws, model, T, beta_r, det, delta, cfg, restriction, statistic, kernel)
-    return _chunked_draws(draw, cfg.n_boot, rows, 1)
+    chunks = chunk_map(draw, cfg.n_boot, rows, 1)
+    return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
 
 class TestBatchedKernel:

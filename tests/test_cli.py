@@ -345,6 +345,20 @@ class TestCommandLine:
         assert float(first[0]) == 1.0
         assert 0.0 <= float(first[1]) <= 1.0
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"bandwidth": "abc"}, "bandwidth must be 'andrews' or a positive number, got 'abc'"),
+         ({"kernel": "parzen"}, "kernel must be one of bartlett, qs, got 'parzen'")],
+        ids=["bandwidth", "kernel"],
+    )  # fmt: skip
+    def test_simulate_rejects_bad_kernel(self, tmp_path, capsys, setting, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"kind": "size", "T": 75, "reps": 30, **setting}))
+        code = main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "rates.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "rates.csv").exists()
+
     def test_lrv_command(self, tmp_path, capsys):
         rng = substream(8, 0)
         data = rng.standard_normal((60, 2))

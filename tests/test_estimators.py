@@ -136,6 +136,24 @@ class TestImOls:
             im_ols(CointegrationSample(y=rng.standard_normal(30), x=x))
 
 
+class TestImOlsBatch:
+    def test_rows_match_im_ols(self):
+        from sncoint.estimators import im_ols_batch
+        from sncoint.streams import substream
+
+        rng = substream(130, 0)
+        samples = [random_sample(rng, T=70, endo=0.5) for _ in range(5)]
+        # a sixth row repeats the first regressor, so its design is collinear
+        y = np.stack([s.y for s in samples] + [samples[0].y])
+        x = np.stack([s.x for s in samples] + [np.column_stack([samples[0].x[:, 0]] * 2)])
+        batch = im_ols_batch(y, x, Deterministics.NONE)
+        for i, sample in enumerate(samples):
+            fit = im_ols(sample)
+            np.testing.assert_allclose(batch.params[i], fit.params, rtol=1e-9)
+            np.testing.assert_allclose(batch.scaled_cov[i], fit.scaled_cov, rtol=1e-9)
+        assert np.isnan(batch.params[-1]).all() and np.isnan(batch.scaled_cov[-1]).all()
+
+
 class TestScaledVariance:
     def test_matches_brute_force_tiny_case(self):
         # T=3, m=1: hand-enumerable regressor matrix
