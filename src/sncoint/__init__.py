@@ -30,7 +30,6 @@ from .estimators import (
     levels_residuals,
     ols,
     restricted_im_ols,
-    scaled_variance,
 )
 from .kernels import (
     BARTLETT,

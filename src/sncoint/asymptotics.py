@@ -1,23 +1,25 @@
 """Simulation of the self-normalized statistic's limit law.
 
-Two routes produce draws from the limiting null distribution:
+One draw loop, :func:`_normal_blocks`, draws the standard normals of
+every route, one ``substream(seed, index)`` call per ``_chunk_size``
+chunk, so a given (seed, n_grid, reps) triple always yields the same
+table. One fit kernel, ``estimators._fit_batch``, fits each row block,
+and :mod:`sncoint.selfnorm` turns the fit into the statistic. The
+routes differ only in the design they fit:
 
 * Without deterministic regressors the limit functionals are discretized
-  directly: standard Brownian motions are approximated by normalized sums
-  of i.i.d. normals on an ``n_grid`` lattice, ordinary integrals by
-  left-endpoint Riemann sums with step 1/n, and the stochastic integral
-  by the sum of increments weighted with the (smooth) integrand.
+  on an ``n_grid`` lattice: Brownian motions are normalized sums of the
+  normals, integrals left-endpoint Riemann sums with step 1/n. By
+  summation by parts these are exactly a partial-sum regression
+  (:func:`_lattice_fits`) of the lagged W_u on
+  Z_t = [sum_{s<=t-2} W_v,s / n, W_v,t-1], whose sandwich is n times the
+  limit covariance and whose self-normalizer is 1/n times the limit
+  denominator.
 
-* With deterministic regressors the full finite-sample statistic is
-  computed on pure-random-walk data of length ``n_grid`` with standard
-  normal innovations; the statistic converges to the corresponding limit
-  and this route avoids deriving projected-process formulas. It shares
-  the batched fit, sandwich and self-normalizer of the bootstrap
-  (:func:`~sncoint.selfnorm.wald_batch`), evaluated in sub-chunks of each
-  chunk's draws.
-
-Both routes are vectorized across replications in fixed-size chunks, so a
-given (seed, n_grid, reps) triple always yields the same table.
+* With deterministic regressors the finite-sample statistic is computed
+  on pure random walks of length ``n_grid`` with standard normal
+  innovations (:func:`_random_walk_statistics`); it converges to the
+  limit, and this route avoids deriving projected-process formulas.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .estimators import RestrictionSpec, batch_rows
-from .selfnorm import wald_batch
+from .estimators import RestrictionSpec, _fit_batch, batch_rows
+from .selfnorm import _normalizer, _wald_unit, wald_batch
 from .streams import substream
 from .tables import _PROBS, CriticalValueTable, default_table
 from .timeseries import Deterministics
@@ -47,54 +49,44 @@ def _chunk_size(n_grid: int, m: int) -> int:
     return max(4, int(5e6 / (n_grid * max(1, 2 * m))))
 
 
-def _limit_draw_chunks(m: int, n_grid: int, reps: int, seed: int):
-    """Yield (coeffs, sandwich, denominator) limit draws in chunks.
+def _normal_blocks(m: int, T: int, width: int, reps: int, seed: int):
+    """Yield the (rows, T, m + 1) standard normals of ``reps`` draws.
 
-    Per draw: ``coeffs`` is the 2m-vector solving the projected first-order
-    conditions, ``sandwich`` its conditional covariance, ``denominator``
-    the integrated squared residual process that the self-normalizer
-    converges to (up to scale).
+    Each ``_chunk_size`` chunk is one ``substream(seed, index)`` call,
+    which fixes the draws; it is yielded in ``batch_rows(T, width)`` row
+    blocks, ``width`` being the regressor count of the fit that follows.
     """
-    n = n_grid
-    chunk = _chunk_size(n, m)
+    chunk = _chunk_size(T, m)
+    rows = batch_rows(T, width)
     done = 0
     index = 0
     while done < reps:
         c = min(chunk, reps - done)
-        rng = substream(seed, index)
-        dW = rng.standard_normal((c, n, m + 1)) / np.sqrt(n)
-        W = np.cumsum(dW, axis=1)
-        Wu = W[:, :, 0]
-        Wv = W[:, :, 1:]
-
-        zeros_v = np.zeros((c, 1, m))
-        Wv_left = np.concatenate([zeros_v, Wv[:, :-1]], axis=1)
-        int_Wv = np.cumsum(Wv_left, axis=1) / n
-
-        g = np.concatenate([int_Wv, Wv], axis=2)
-        zeros_g = np.zeros((c, 1, 2 * m))
-        g_left = np.concatenate([zeros_g, g[:, :-1]], axis=1)
-
-        A = np.einsum("ctj,ctk->cjk", g_left, g_left) / n
-        G = np.cumsum(g_left, axis=1) / n
-        G1 = G[:, -1:, :]
-        H = G1 - G
-        S = np.einsum("ctj,ct->cj", H, dW[:, :, 0])
-        H_left = G1 - np.concatenate([zeros_g, G[:, :-1]], axis=1)
-        M = np.einsum("ctj,ctk->cjk", H_left, H_left) / n
-
-        coeffs = np.linalg.solve(A, S[:, :, None])[:, :, 0]
-        X = np.linalg.solve(A, M)
-        sandwich = np.linalg.solve(A, X.transpose(0, 2, 1)).transpose(0, 2, 1)
-        sandwich = 0.5 * (sandwich + sandwich.transpose(0, 2, 1))
-
-        Wu_left = np.concatenate([np.zeros((c, 1)), Wu[:, :-1]], axis=1)
-        resid = Wu_left - np.einsum("ctj,cj->ct", g_left, coeffs)
-        denominator = np.einsum("ct,ct->c", resid, resid) / n
-
-        yield coeffs, sandwich, denominator
+        w = substream(seed, index).standard_normal((c, T, m + 1))
+        for start in range(0, c, rows):
+            yield w[start : start + rows]
         done += c
         index += 1
+
+
+def _lag(a: np.ndarray) -> np.ndarray:
+    """``a`` shifted one step along axis 1, with a zero first row."""
+    return np.concatenate([np.zeros_like(a[:, :1]), a[:, :-1]], axis=1)
+
+
+def _lattice_fits(m: int, n_grid: int, reps: int, seed: int):
+    """Yield the lattice regression's fit of each row block of draws.
+
+    Per draw the coefficients, ordered (beta, gamma), are the discretized
+    (int g g')^{-1} int (G(1) - G) dW_u with g = [int W_v, W_v] and G its
+    integral; ``scaled_cov`` is n times their conditional covariance.
+    """
+    n = n_grid
+    for block in _normal_blocks(m, n, 2 * m, reps, seed):
+        W = _lag(np.cumsum(block / np.sqrt(n), axis=1))
+        Wv = W[:, :, 1:]
+        Z = np.concatenate([_lag(np.cumsum(Wv, axis=1)) / n, Wv], axis=2)
+        yield _fit_batch(Z, W[:, :, 0], 0, m)
 
 
 def simulate_limit_components(
@@ -108,14 +100,12 @@ def simulate_limit_components(
     """
     if not 1 <= s <= m:
         raise ValueError("need 1 <= s <= m")
+    restriction = RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
     nums: list[np.ndarray] = []
     dens: list[np.ndarray] = []
-    for coeffs, sandwich, denominator in _limit_draw_chunks(m, n_grid, reps, seed):
-        top = coeffs[:, :s]
-        Q = sandwich[:, :s, :s]
-        sol = np.linalg.solve(Q, top[:, :, None])[:, :, 0]
-        nums.append(np.einsum("cj,cj->c", top, sol))
-        dens.append(denominator)
+    for fit in _lattice_fits(m, n_grid, reps, seed):
+        nums.append(n_grid * _wald_unit(fit, restriction))
+        dens.append(n_grid * _normalizer(fit.resid))
     return np.concatenate(nums), np.concatenate(dens)
 
 
@@ -125,26 +115,11 @@ def _random_walk_statistics(
     """Self-normalized statistic on pure random walks, vectorized over reps.
 
     Innovations are i.i.d. standard normal, the true long-run coefficients
-    are zero, and the restriction fixes the first s of them at zero. Each
-    ``_chunk_size`` chunk draws its innovations in one call, which fixes
-    the table; :func:`~sncoint.selfnorm.wald_batch` then evaluates it in
-    :func:`~sncoint.estimators.batch_rows` sub-chunks.
+    are zero, and the restriction fixes the first s of them at zero.
     """
     restriction = RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
-    chunk = _chunk_size(T, m)
-    rows = batch_rows(T, det.n_columns + 2 * m)
-    out: list[np.ndarray] = []
-    done = 0
-    index = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        w = substream(seed, index).standard_normal((c, T, m + 1))
-        for start in range(0, c, rows):
-            sub = w[start : start + rows]
-            out.append(wald_batch(sub[:, :, 0], np.cumsum(sub[:, :, 1:], axis=1), det, restriction))
-        done += c
-        index += 1
-    return np.concatenate(out)
+    blocks = _normal_blocks(m, T, det.n_columns + 2 * m, reps, seed)
+    return np.concatenate([wald_batch(w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1), det, restriction) for w in blocks])
 
 
 def simulate_limit_statistics(
@@ -220,9 +195,10 @@ def local_power(
     hits_sn = np.zeros(c_grid.shape[0])
     hits_trad = np.zeros(c_grid.shape[0])
     total = 0
-    for coeffs, sandwich, denominator in _limit_draw_chunks(1, n_grid, reps, seed):
-        z1 = coeffs[:, 0]
-        v11 = sandwich[:, 0, 0]
+    for fit in _lattice_fits(1, n_grid, reps, seed):
+        z1 = fit.params[:, 0]
+        v11 = fit.scaled_cov[:, 0, 0] / n_grid
+        denominator = n_grid * _normalizer(fit.resid)
         total += z1.shape[0]
         for i, c in enumerate(c_grid):
             shifted = (c + z1) ** 2

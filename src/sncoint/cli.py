@@ -256,45 +256,64 @@ def _grid_from_config(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def _config_int(cfg: dict, key: str, default: int | None, minimum: int) -> int:
+    """Integer setting ``key`` of a ``simulate`` config, at least
+    ``minimum``; a ``default`` of None makes the setting required."""
+    if key not in cfg and default is None:
+        raise UsageError(f"config needs {key!r}")
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UsageError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     kind = cfg.get("kind", "size")
-    dgp = DgpConfig(
-        T=cfg["T"],
-        rho1=cfg.get("rho1", 0.0),
-        rho2=cfg.get("rho2", 0.0),
-        rho3=cfg.get("rho3", 0.2),
-        phi=cfg.get("phi", 0.0),
-        a1=cfg.get("a1", 0.05),
-        b1=cfg.get("b1", 0.94),
-        beta=tuple(cfg.get("beta", (1.0, 1.0))),
-    )
-    reps = cfg.get("reps", 1000)
-    seed = cfg.get("seed", args.seed)
-    workers = cfg.get("workers", args.workers)
+    if kind not in ("size", "power"):
+        raise UsageError(f"unknown experiment kind {kind!r}")
+    reps = _config_int(cfg, "reps", 1000, 1)
+    seed = _config_int(cfg, "seed", args.seed, 0)
+    workers = _config_int(cfg, "workers", args.workers, 1)
     alpha = cfg.get("alpha", 0.05)
     kernel = _parse_kernel(cfg.get("kernel", "bartlett"), cfg.get("bandwidth", "andrews"))
+    # Every setting is checked here, before the study runs and writes.
+    try:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+        dgp = DgpConfig(
+            T=_config_int(cfg, "T", None, 1),
+            rho1=cfg.get("rho1", 0.0),
+            rho2=cfg.get("rho2", 0.0),
+            rho3=cfg.get("rho3", 0.2),
+            phi=cfg.get("phi", 0.0),
+            a1=cfg.get("a1", 0.05),
+            b1=cfg.get("b1", 0.94),
+            beta=tuple(cfg.get("beta", (1.0, 1.0))),
+        )
+        if kind == "size":
+            boot = BootstrapConfig(
+                n_boot=cfg.get("B", 199),
+                alpha=alpha,
+                order_rule=_order_from_args(str(cfg.get("order", "aic"))),
+            )
+            tests = standard_battery(cfg.get("tests", ["SN-asymptotic"]), alpha=alpha, kernel=kernel, boot=boot)
+        else:
+            grid = _grid_from_config(cfg.get("beta_grid", {"start": 1.01, "stop": 1.2, "num": 20}))
+            stats = standard_statistics(cfg.get("statistics", ["SN"]), kernel=kernel)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad config: {exc}") from None
 
     if kind == "size":
-        boot = BootstrapConfig(
-            n_boot=cfg.get("B", 199),
-            alpha=alpha,
-            order_rule=_order_from_args(str(cfg.get("order", "aic"))),
-        )
-        tests = standard_battery(cfg.get("tests", ["SN-asymptotic"]), alpha=alpha, kernel=kernel, boot=boot)
         result = size_experiment(dgp, tests, reps=reps, seed=seed, workers=workers)
         rows = [("test", "rejection_rate")] + [(name, f"{rate!r}") for name, rate in result.rates.items()]
-    elif kind == "power":
-        grid = _grid_from_config(cfg.get("beta_grid", {"start": 1.01, "stop": 1.2, "num": 20}))
-        stats = standard_statistics(cfg.get("statistics", ["SN"]), kernel=kernel)
+    else:
         result = size_adjusted_power(dgp, stats, grid, reps=reps, seed=seed, alpha=alpha, workers=workers)
         header = ("beta",) + tuple(result.rates)
         rows = [header]
         for g, b in enumerate(result.beta_grid):
             rows.append((f"{float(b)!r}",) + tuple(f"{float(result.rates[name][g])!r}" for name in result.rates))
-    else:
-        raise UsageError(f"unknown experiment kind {kind!r}")
 
     out_path = args.output or f"{kind}_results.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -32,7 +32,6 @@ __all__ = [
     "im_ols",
     "im_ols_batch",
     "batch_rows",
-    "scaled_variance",
     "restricted_im_ols",
     "levels_residuals",
     "fm_ols",
@@ -90,8 +89,8 @@ class ImOlsFit:
     resid : ndarray, shape (T,)
         Partial-sum residuals cumsum(y)_t - Z_t' params.
     scaled_cov : ndarray
-        Sandwich matrix (Z'Z)^{-1} (sum_t c_t c_t') (Z'Z)^{-1} built from
-        the reversed partial sums of Z; see :func:`scaled_variance`.
+        Sandwich matrix (Z'Z)^{-1} (sum_t c_t c_t') (Z'Z)^{-1}, with c_t
+        the reversed partial sums sum_{s>=t} Z_s.
     n_det, n_reg : int
         Number of deterministic columns p and integrated regressors m.
 
@@ -188,12 +187,6 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     ``resid`` and ``scaled_cov``.
     """
     return _fit_batch(_augmented(x, det), np.cumsum(y, axis=1), det.n_columns, x.shape[2])
-
-
-def scaled_variance(fit: ImOlsFit) -> np.ndarray:
-    """Recompute the sandwich matrix of ``fit`` from its regressors (the
-    dependent column passed along does not enter it)."""
-    return _fit_batch(fit.regressors[None], fit.resid[None], fit.n_det, fit.n_reg).scaled_cov[0]
 
 
 def im_ols(sample: CointegrationSample) -> ImOlsFit:

@@ -73,6 +73,8 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.T < 10:
             raise ValueError("sample size too small")
+        if len(self.beta) != 2:
+            raise ValueError("beta needs one coefficient per regressor (two)")
         if abs(self.rho1) >= 1.0:
             raise ValueError("|rho1| must be below one")
         if self.a1 < 0 or self.b1 < 0 or self.a1 + self.b1 >= 1.0:

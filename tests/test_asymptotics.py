@@ -56,6 +56,17 @@ class TestSimulateCriticalValues:
         walk = _random_walk_statistics(2, 1, Deterministics.INTERCEPT, T=2000, reps=8, seed=3)
         np.testing.assert_allclose(walk, golden, rtol=1e-8)
 
+    def test_lattice_route_golden_values(self):
+        # values of the normal-equation implementation this route replaced,
+        # which solved the lattice functionals outside the IM-OLS kernel;
+        # the two agreed to 4e-12 relative here
+        golden = [
+            1.1145241353694129, 11.543328824210576, 0.04018716203613951, 94.13883354509832,
+            99.9942956707896, 40.689965821973786, 17.79890343608165, 39.613454409433906,
+        ]  # fmt: skip
+        lattice = simulate_limit_statistics(2, 1, Deterministics.NONE, n_grid=2000, reps=8, seed=3)
+        np.testing.assert_allclose(lattice, golden, rtol=1e-8)
+
     def test_quantiles_monotone_in_restrictions_and_regressors(self):
         q = {}
         for m, s in ((1, 1), (2, 1), (2, 2)):
@@ -156,6 +167,13 @@ class TestLocalPower:
         grid = np.array([4.0, 8.0, 12.0])
         curve = local_power(grid, reps=3000, seed=4, n_grid=2000)
         assert np.all(curve.power_sn <= curve.power_trad + 0.02)
+
+    def test_golden_values(self):
+        # rejection counts of the normal-equation implementation this route
+        # replaced, on the same draws
+        curve = local_power([0.0, 4.0, 8.0], reps=1000, seed=5, n_grid=1000)
+        assert curve.power_sn.tolist() == [0.059, 0.413, 0.66]
+        assert curve.power_trad.tolist() == [0.042, 0.446, 0.722]
 
     def test_meta_records_design(self):
         curve = local_power([0.0], reps=1000, seed=5, n_grid=1000)

@@ -359,6 +359,26 @@ class TestCommandLine:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "rates.csv").exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"kind": "size", "reps": 30}, "config needs 'T'"),
+         ({"kind": "size", "T": 75, "tests": ["SN-asymptotc"]}, "bad config: unknown test tag 'SN-asymptotc'"),
+         ({"kind": "power", "T": 75, "statistics": ["Wald-XX"]}, "bad config: unknown statistic tag 'Wald-XX'"),
+         ({"kind": "size", "T": 75, "workers": 1.5}, "'workers' must be an integer >= 1, got 1.5"),
+         ({"kind": "size", "T": 75, "workers": "2"}, "'workers' must be an integer >= 1, got '2'"),
+         ({"kind": "size", "T": 5}, "bad config: sample size too small"),
+         ({"kind": "size", "T": 75, "beta": [1.0]}, "bad config: beta needs one coefficient per regressor (two)"),
+         ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2")],
+        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "beta", "alpha"],
+    )  # fmt: skip
+    def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "rates.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_lrv_command(self, tmp_path, capsys):
         rng = substream(8, 0)
         data = rng.standard_normal((60, 2))

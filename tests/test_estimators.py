@@ -13,7 +13,6 @@ from sncoint import (
     ols,
     partial_sum,
     restricted_im_ols,
-    scaled_variance,
 )
 from sncoint.estimators import augmented_regressors
 
@@ -169,7 +168,6 @@ class TestScaledVariance:
             s = random_sample(rng, T=int(rng.integers(12, 30)), m=1)
             fit = im_ols(s)
             np.testing.assert_allclose(fit.scaled_cov, brute_force_sandwich(fit.regressors), rtol=1e-9)
-            np.testing.assert_allclose(scaled_variance(fit), fit.scaled_cov, rtol=1e-12)
 
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(8)

