@@ -1,25 +1,24 @@
 """Simulation of the self-normalized statistic's limit law.
 
-One draw loop, :func:`_normal_blocks`, draws the standard normals of
-every route, one ``substream(seed, index)`` call per ``_chunk_size``
-chunk, so a given (seed, n_grid, reps) triple always yields the same
-table. One fit kernel, ``estimators._fit_batch``, fits each row block,
-and :mod:`sncoint.selfnorm` turns the fit into the statistic. The
-routes differ only in the design they fit:
+The limit law is free of nuisance parameters, so it is simulated as the
+finite-sample statistic on pure random walks of length ``n_grid``: i.i.d.
+standard normal innovations, zero long-run coefficients, and the null
+that fixes the first s of them at zero. One generator, :func:`_walks`,
+draws the walks of every consumer, one ``substream(seed, index)`` call
+per ``_chunk_size`` chunk, so a (seed, n_grid, reps) triple always yields
+the same table. ``estimators.im_ols_batch`` fits each row block, and
+:mod:`sncoint.selfnorm` turns the fit into the statistic.
 
-* Without deterministic regressors the limit functionals are discretized
-  on an ``n_grid`` lattice: Brownian motions are normalized sums of the
-  normals, integrals left-endpoint Riemann sums with step 1/n. By
-  summation by parts these are exactly a partial-sum regression
-  (:func:`_lattice_fits`) of the lagged W_u on
-  Z_t = [sum_{s<=t-2} W_v,s / n, W_v,t-1], whose sandwich is n times the
-  limit covariance and whose self-normalizer is 1/n times the limit
-  denominator.
-
-* With deterministic regressors the finite-sample statistic is computed
-  on pure random walks of length ``n_grid`` with standard normal
-  innovations (:func:`_random_walk_statistics`); it converges to the
-  limit, and this route avoids deriving projected-process formulas.
+Without deterministic terms the walks start one step late (a zero first
+innovation, the last draw dropped), which reproduces the Brownian-lattice
+discretization exactly. With W_t = sum_{s<=t} draw_s / sqrt(n), the
+lattice functionals are, by summation by parts, the regression of
+W_u,t-1 on Z_t = [sum_{s<=t-2} W_v,s / n, W_v,t-1]. The shifted walks
+regress sqrt(n) W_u,t-1 on sqrt(n) [sum_{s<=t-1} W_v,s, W_v,t-1], a
+nonsingular linear map of Z, which leaves the residuals and tau(1) as
+they are. The factor sqrt(n) on the regressand scales tau(1) and the
+self-normalizer by n, the factor the lattice's functionals carried, so
+numerator, denominator and ratio all equal the lattice's.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .estimators import RestrictionSpec, _fit_batch, batch_rows
+from .estimators import RestrictionSpec, batch_rows, im_ols_batch
 from .selfnorm import _normalizer, _wald_unit, wald_batch
 from .streams import substream
 from .tables import _PROBS, CriticalValueTable, default_table
@@ -42,6 +41,28 @@ __all__ = [
     "simulate_limit_components",
     "local_power",
 ]
+
+
+def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: int) -> RestrictionSpec:
+    """The null beta_1 = ... = beta_s = 0 of an (m, s, det) simulation.
+
+    Raises ValueError unless 1 <= s <= m, reps >= 1, and n_grid is at
+    least the 2m + p + 3 observations the regression needs.
+    """
+    if not 1 <= s <= m:
+        raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
+    if n_grid < 2 * m + det.n_columns + 3:
+        raise ValueError(f"need n_grid >= {2 * m + det.n_columns + 3} for m={m} and det={det.value}, got {n_grid}")
+    return RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
+
+
+def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int) -> None:
+    """Raise ValueError unless the arguments make a critical-value table."""
+    _limit_restriction(m, s, det, n_grid, reps)
+    if n_grid < 1_000 or reps < 1_000:
+        raise ValueError(f"need n_grid >= 1000 and reps >= 1000, got n_grid={n_grid}, reps={reps}")
 
 
 def _chunk_size(n_grid: int, m: int) -> int:
@@ -58,15 +79,10 @@ def _normal_blocks(m: int, T: int, width: int, reps: int, seed: int):
     """
     chunk = _chunk_size(T, m)
     rows = batch_rows(T, width)
-    done = 0
-    index = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        w = substream(seed, index).standard_normal((c, T, m + 1))
-        for start in range(0, c, rows):
+    for index, done in enumerate(range(0, reps, chunk)):
+        w = substream(seed, index).standard_normal((min(chunk, reps - done), T, m + 1))
+        for start in range(0, w.shape[0], rows):
             yield w[start : start + rows]
-        done += c
-        index += 1
 
 
 def _lag(a: np.ndarray) -> np.ndarray:
@@ -74,92 +90,59 @@ def _lag(a: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros_like(a[:, :1]), a[:, :-1]], axis=1)
 
 
-def _lattice_fits(m: int, n_grid: int, reps: int, seed: int):
-    """Yield the lattice regression's fit of each row block of draws.
-
-    Per draw the coefficients, ordered (beta, gamma), are the discretized
-    (int g g')^{-1} int (G(1) - G) dW_u with g = [int W_v, W_v] and G its
-    integral; ``scaled_cov`` is n times their conditional covariance.
+def _walks(m: int, det: Deterministics, T: int, reps: int, seed: int):
+    """Yield (y, x) row blocks of ``reps`` samples: y (rows, T) the
+    innovations, x (rows, T, m) the random-walk regressors. Without
+    deterministic terms the draws start one step late (module docstring).
     """
-    n = n_grid
-    for block in _normal_blocks(m, n, 2 * m, reps, seed):
-        W = _lag(np.cumsum(block / np.sqrt(n), axis=1))
-        Wv = W[:, :, 1:]
-        Z = np.concatenate([_lag(np.cumsum(Wv, axis=1)) / n, Wv], axis=2)
-        yield _fit_batch(Z, W[:, :, 0], 0, m)
+    for w in _normal_blocks(m, T, det.n_columns + 2 * m, reps, seed):
+        if det is Deterministics.NONE:
+            w = _lag(w)
+        yield w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1)
 
 
-def simulate_limit_components(
-    m: int, s: int, n_grid: int, reps: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draws of (numerator, denominator) of the limit ratio, no deterministics.
 
     The numerator is distributed chi-square with s degrees of freedom; the
     ratio numerator/denominator is the limit of the self-normalized
     statistic.
     """
-    if not 1 <= s <= m:
-        raise ValueError("need 1 <= s <= m")
-    restriction = RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
-    nums: list[np.ndarray] = []
-    dens: list[np.ndarray] = []
-    for fit in _lattice_fits(m, n_grid, reps, seed):
-        nums.append(n_grid * _wald_unit(fit, restriction))
-        dens.append(n_grid * _normalizer(fit.resid))
+    restriction = _limit_restriction(m, s, Deterministics.NONE, n_grid, reps)
+    nums, dens = [], []
+    for y, x in _walks(m, Deterministics.NONE, n_grid, reps, seed):
+        fit = im_ols_batch(y, x, Deterministics.NONE)
+        nums.append(_wald_unit(fit, restriction))
+        dens.append(_normalizer(fit.resid))
     return np.concatenate(nums), np.concatenate(dens)
 
 
-def _random_walk_statistics(
-    m: int, s: int, det: Deterministics, T: int, reps: int, seed: int
-) -> np.ndarray:
-    """Self-normalized statistic on pure random walks, vectorized over reps.
-
-    Innovations are i.i.d. standard normal, the true long-run coefficients
-    are zero, and the restriction fixes the first s of them at zero.
-    """
-    restriction = RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
-    blocks = _normal_blocks(m, T, det.n_columns + 2 * m, reps, seed)
-    return np.concatenate([wald_batch(w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1), det, restriction) for w in blocks])
+def _random_walk_statistics(m: int, s: int, det: Deterministics, T: int, reps: int, seed: int) -> np.ndarray:
+    """Self-normalized statistic on the walks of :func:`_walks`, batched
+    over reps, with the restriction fixing the first s coefficients."""
+    restriction = _limit_restriction(m, s, det, T, reps)
+    return np.concatenate([wald_batch(y, x, det, restriction) for y, x in _walks(m, det, T, reps, seed)])
 
 
-def simulate_limit_statistics(
-    m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int
-) -> np.ndarray:
+def simulate_limit_statistics(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> np.ndarray:
     """Draws from the limiting null distribution for (m, s, det)."""
-    if not 1 <= s <= m:
-        raise ValueError("need 1 <= s <= m")
-    if det is Deterministics.NONE:
-        num, den = simulate_limit_components(m, s, n_grid, reps, seed)
-        return num / den
     return _random_walk_statistics(m, s, det, n_grid, reps, seed)
 
 
 def simulate_critical_values(
-    m: int,
-    s: int,
-    det: Deterministics,
-    n_grid: int = 10_000,
-    reps: int = 10_000,
-    seed: int = 0,
+    m: int, s: int, det: Deterministics, n_grid: int = 10_000, reps: int = 10_000, seed: int = 0
 ) -> CriticalValueTable:
     """Simulate upper quantiles of the limit law for (m, s, det).
 
-    ``n_grid`` is both the Brownian-motion lattice size and, for
-    deterministic panels, the length of the random-walk samples.
+    ``n_grid`` is the length of the random-walk samples; for the panel
+    without deterministic terms it is also the size of the Brownian
+    lattice whose functionals those walks reproduce exactly.
     """
-    if not 1 <= s <= m:
-        raise ValueError("need 1 <= s <= m")
-    if n_grid < 1_000 or reps < 1_000:
-        raise ValueError("need n_grid >= 1000 and reps >= 1000")
+    _check_table(m, s, det, n_grid, reps)
     draws = simulate_limit_statistics(m, s, det, n_grid, reps, seed)
     quantiles = {float(p): float(q) for p, q in zip(_PROBS, np.quantile(draws, _PROBS))}
-    return CriticalValueTable(
-        m=m,
-        s=s,
-        det=det,
-        quantiles=quantiles,
-        meta={"n_grid": n_grid, "reps": reps, "seed": seed},
-    )
+    meta = {"n_grid": n_grid, "reps": reps, "seed": seed}
+    return CriticalValueTable(m=m, s=s, det=det, quantiles=quantiles, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -183,9 +166,12 @@ def local_power(
     """Local asymptotic power of the traditional and self-normalized tests.
 
     Single-regressor, single-restriction case with the ratio of the
-    regressor-innovation to conditional error long-run scales set to one.
-    All grid points share the same draws, so the curves are smooth in c.
+    regressor-innovation to conditional error long-run scales set to one:
+    the null beta = 0 is tested on walks of length T = n_grid whose true
+    coefficient is c / T. All grid points share the same draws, so the
+    curves are smooth in c.
     """
+    _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps)
     c_grid = np.asarray(c_grid, dtype=float)
     if table is None:
         table = default_table(1, 1, Deterministics.NONE)
@@ -194,19 +180,17 @@ def local_power(
 
     hits_sn = np.zeros(c_grid.shape[0])
     hits_trad = np.zeros(c_grid.shape[0])
-    total = 0
-    for fit in _lattice_fits(1, n_grid, reps, seed):
-        z1 = fit.params[:, 0]
-        v11 = fit.scaled_cov[:, 0, 0] / n_grid
-        denominator = n_grid * _normalizer(fit.resid)
-        total += z1.shape[0]
+    for y, x in _walks(1, Deterministics.NONE, n_grid, reps, seed):
+        fit = im_ols_batch(y, x, Deterministics.NONE)
+        v11 = fit.scaled_cov[:, 0, 0]
+        denominator = _normalizer(fit.resid)
         for i, c in enumerate(c_grid):
-            shifted = (c + z1) ** 2
+            shifted = (c / n_grid + fit.params[:, 0]) ** 2
             hits_trad[i] += np.count_nonzero(shifted / v11 > chi2_crit)
             hits_sn[i] += np.count_nonzero(shifted / (denominator * v11) > sn_crit)
     return LocalPowerCurve(
         c_grid=c_grid,
-        power_sn=hits_sn / total,
-        power_trad=hits_trad / total,
-        meta={"reps": total, "seed": seed, "n_grid": n_grid, "alpha": alpha},
+        power_sn=hits_sn / reps,
+        power_trad=hits_trad / reps,
+        meta={"reps": reps, "seed": seed, "n_grid": n_grid, "alpha": alpha},
     )

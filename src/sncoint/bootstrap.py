@@ -93,7 +93,7 @@ class BootstrapConfig:
         rank = (self.n_boot + 1) * (1.0 - self.alpha)
         if abs(rank - round(rank)) > 1e-9:
             raise ValueError(
-                f"(n_boot + 1) * (1 - alpha) = {rank} must be an integer; "
+                f"(n_boot + 1) * (1 - alpha) = {rank:.6g} must be an integer; "
                 f"adjust n_boot (e.g. 199, 399, 999, 1499 for alpha = 0.05)"
             )
         if self.burn_in < 0:
@@ -102,6 +102,8 @@ class BootstrapConfig:
             raise ValueError("order_rule must be 'aic', 'bic', or a fixed order")
         if isinstance(self.order_rule, int) and self.order_rule < 1:
             raise ValueError("fixed order must be at least 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 def critical_rank(n: int, alpha: float) -> int:

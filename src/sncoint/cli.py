@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import simulate_critical_values
+from .asymptotics import _check_table, simulate_critical_values
 from .battery import AnalysisReport, run_analysis, standard_battery, standard_statistics
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
@@ -113,6 +113,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError a usage error: for the
+    library's own argument checks, which run before any work."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 1 instead of argparse's 2
         raise UsageError(message)
@@ -157,10 +166,7 @@ def _restriction_from_args(args, m: int) -> RestrictionSpec:
         if args.r0 is None:
             raise UsageError("--r0 is required when --R1 is given")
         value = parse_matrix(args.r0).ravel()
-    try:
-        return RestrictionSpec(R=R, value=value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _checked(RestrictionSpec, R=R, value=value)
 
 
 def _emit(payload: dict, args) -> None:
@@ -209,7 +215,8 @@ def _cmd_test(args) -> int:
     provenance = {"input": args.data, "input_sha256": _sha256(args.data)}
     boot = None
     if args.command == "boottest":
-        boot = BootstrapConfig(
+        boot = _checked(
+            BootstrapConfig,
             n_boot=args.B,
             alpha=args.alpha,
             seed=args.seed,
@@ -237,6 +244,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_critvals(args) -> int:
     det = Deterministics.from_alias(args.det)
+    _checked(_check_table, args.m, args.s, det, args.n_grid, args.reps)
     table = simulate_critical_values(
         args.m, args.s, det, n_grid=args.n_grid, reps=args.reps, seed=args.seed
     )

@@ -146,7 +146,12 @@ def batch_rows(T: int, width: int) -> int:
     return max(1, _BATCH_ELEMENTS // (T * width))
 
 
-def _fit_batch(Z: np.ndarray, Sy: np.ndarray, n_det: int, n_reg: int) -> ImOlsFit:
+def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
+    """IM-OLS of each row of ``y`` (c, T) on the levels ``x`` (c, T, m).
+
+    Rows :func:`im_ols` would reject as collinear have NaN ``params``,
+    ``resid`` and ``scaled_cov``.
+    """
     # One stacked Householder QR of the equilibrated [Z, Sy] yields R and
     # Q'Sy. The sandwich (Z'Z)^{-1} (C'C) (Z'Z)^{-1}, with C the reversed
     # partial sums of Z, is evaluated as R^{-1} (Y'Y) R^{-T}, Y = C R^{-1}:
@@ -155,6 +160,8 @@ def _fit_batch(Z: np.ndarray, Sy: np.ndarray, n_det: int, n_reg: int) -> ImOlsFi
     # for long samples. The rank check uses the singular values of R,
     # which are those of the equilibrated Z. Rows that fail it, or have a
     # zero or non-finite column, get NaN coefficients and sandwich.
+    Z = _augmented(x, det)
+    Sy = np.cumsum(y, axis=1)
     c, _, k = Z.shape
     norms = np.sqrt(np.einsum("ctj,ctj->cj", Z, Z))
     degenerate = ~(np.isfinite(norms).all(axis=1) & (norms > 0.0).all(axis=1) & np.isfinite(Sy[:, -1]))
@@ -177,16 +184,9 @@ def _fit_batch(Z: np.ndarray, Sy: np.ndarray, n_det: int, n_reg: int) -> ImOlsFi
     theta[degenerate] = np.nan
     V[degenerate] = np.nan
     resid = Sy - (Zs @ theta[:, :, None])[:, :, 0]
-    return ImOlsFit(params=theta / norms, regressors=Z, resid=resid, scaled_cov=V, n_det=n_det, n_reg=n_reg)
-
-
-def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
-    """IM-OLS of each row of ``y`` (c, T) on the levels ``x`` (c, T, m).
-
-    Rows :func:`im_ols` would reject as collinear have NaN ``params``,
-    ``resid`` and ``scaled_cov``.
-    """
-    return _fit_batch(_augmented(x, det), np.cumsum(y, axis=1), det.n_columns, x.shape[2])
+    return ImOlsFit(
+        params=theta / norms, regressors=Z, resid=resid, scaled_cov=V, n_det=det.n_columns, n_reg=x.shape[2]
+    )
 
 
 def im_ols(sample: CointegrationSample) -> ImOlsFit:

@@ -272,6 +272,8 @@ def size_adjusted_power(
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)
     task = partial(_power_chunk, config, list(statistics.values()), restriction, beta_grid, seed)

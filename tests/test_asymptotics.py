@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +14,95 @@ from sncoint import (
     simulate_critical_values,
     simulate_limit_statistics,
 )
-from sncoint.asymptotics import simulate_limit_components
+from sncoint.asymptotics import _walks, simulate_limit_components
+from sncoint.estimators import RestrictionSpec, im_ols_batch
+from sncoint.selfnorm import wald_batch
+from sncoint.streams import substream
+
+
+def lattice_fits(m, n_grid, reps, seed):
+    """Per draw the coefficients (beta, gamma), sandwich and residuals of
+    the Brownian-lattice regression the random-walk route replaced, in
+    plain numpy: the lagged W_u on Z_t = [sum_{s<=t-2} W_v,s / n, W_v,t-1],
+    W being the normalized partial sums of the route's normals (one
+    chunk, so one substream call)."""
+    fits = []
+    for draw in substream(seed, 0).standard_normal((reps, n_grid, m + 1)):
+        W = np.vstack([np.zeros(m + 1), np.cumsum(draw / np.sqrt(n_grid), axis=0)[:-1]])
+        Wv = W[:, 1:]
+        Z = np.hstack([np.vstack([np.zeros(m), np.cumsum(Wv, axis=0)[:-1]]) / n_grid, Wv])
+        theta = np.linalg.lstsq(Z, W[:, 0], rcond=None)[0]
+        C = np.cumsum(Z[::-1], axis=0)[::-1]
+        A = np.linalg.inv(Z.T @ Z)
+        fits.append((theta, A @ C.T @ C @ A, W[:, 0] - Z @ theta))
+    return fits
+
+
+class TestLatticeIdentity:
+    # The none panel's walks start one step late; by summation by parts
+    # their regression is a linear reparametrization of the lattice's.
+    @pytest.mark.parametrize("m, s", [(1, 1), (2, 1), (2, 2)])
+    def test_components_match_lattice(self, m, s):
+        n = 200
+        num, den = simulate_limit_components(m, s, n_grid=n, reps=6, seed=4)
+        lattice = lattice_fits(m, n, 6, 4)
+        lat_num = [n * th[:s] @ np.linalg.solve(V[:s, :s], th[:s]) for th, V, _ in lattice]
+        lat_den = [n * np.sum((r[1:] - r[0]) ** 2) / n**2 for _, _, r in lattice]
+        np.testing.assert_allclose(num, lat_num, rtol=1e-9)
+        np.testing.assert_allclose(den, lat_den, rtol=1e-9)
+
+    def test_local_power_mapping_matches_lattice(self):
+        # local_power tests beta = c / T on the walks, (c / n + beta)^2 / V11;
+        # on the lattice that was (c + z1)^2 / v11 with z1 = beta, v11 = V11 / n
+        n, c_grid = 200, np.array([0.0, 3.0, 8.0])
+        lattice = lattice_fits(1, n, 40, 6)
+        lat_trad = np.array([(c_grid + th[0]) ** 2 / (V[0, 0] / n) for th, V, _ in lattice])
+        lat_den = np.array([n * np.sum((r[1:] - r[0]) ** 2) / n**2 for _, _, r in lattice])
+        ((y, x),) = _walks(1, Deterministics.NONE, n, 40, 6)
+        fit = im_ols_batch(y, x, Deterministics.NONE)
+        walk_trad = (c_grid / n + fit.params[:, :1]) ** 2 / fit.scaled_cov[:, :1, 0]
+        np.testing.assert_allclose(walk_trad, lat_trad, rtol=1e-9)
+        curve = local_power(c_grid, reps=40, seed=6, n_grid=n)
+        chi2_crit = stats.chi2.ppf(0.95, df=1)
+        sn_crit = default_table(1, 1, Deterministics.NONE).critical_value(0.05)
+        np.testing.assert_array_equal(curve.power_trad, (lat_trad > chi2_crit).mean(axis=0))
+        np.testing.assert_array_equal(curve.power_sn, (lat_trad / lat_den[:, None] > sn_crit).mean(axis=0))
+
+
+class TestArgumentChecks:
+    # one rule for every limit-law entry point: 1 <= s <= m, reps >= 1,
+    # and n_grid at least the regression's 2m + p + 3 observations
+    @pytest.mark.parametrize(
+        "m, s, det, n_grid, reps, message",
+        [(1, 2, Deterministics.NONE, 100, 10, "need 1 <= s <= m, got m=1, s=2"),
+         (2, 0, Deterministics.NONE, 100, 10, "need 1 <= s <= m, got m=2, s=0"),
+         (1, 1, Deterministics.NONE, 100, 0, "need reps >= 1, got 0"),
+         (1, 1, Deterministics.NONE, 4, 10, "need n_grid >= 5 for m=1 and det=none, got 4"),
+         (2, 1, Deterministics.TREND, 8, 10, "need n_grid >= 9 for m=2 and det=intercept+trend, got 8")],
+        ids=["s-above-m", "s-zero", "no-reps", "short-none", "short-trend"],
+    )  # fmt: skip
+    def test_simulate_limit_statistics(self, m, s, det, n_grid, reps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_limit_statistics(m, s, det, n_grid=n_grid, reps=reps, seed=0)
+
+    @pytest.mark.parametrize("m, s, n_grid, reps", [(1, 2, 100, 10), (1, 1, 100, 0), (2, 2, 6, 10)])
+    def test_simulate_limit_components(self, m, s, n_grid, reps):
+        with pytest.raises(ValueError, match="^need "):
+            simulate_limit_components(m, s, n_grid=n_grid, reps=reps, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_grid, reps, message",
+        [(100, 0, "need reps >= 1, got 0"), (1, 10, "need n_grid >= 5 for m=1 and det=none, got 1")],
+    )
+    def test_local_power(self, n_grid, reps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            local_power([0.0], reps=reps, n_grid=n_grid)
+
+    @pytest.mark.parametrize("det", list(Deterministics))
+    def test_shortest_grid_is_accepted(self, det):
+        m = 2
+        draws = simulate_limit_statistics(m, 1, det, n_grid=2 * m + det.n_columns + 3, reps=5, seed=1)
+        assert draws.shape == (5,)
 
 
 class TestLimitComponents:
@@ -34,12 +124,16 @@ class TestLimitComponents:
 
 class TestSimulateCriticalValues:
     def test_direct_and_random_walk_routes_agree(self):
-        # the no-deterministics panel can also be produced by the
-        # finite-sample route; both discretize the same limit
-        from sncoint.asymptotics import _random_walk_statistics
-
+        # the no-deterministics panel, on walks shifted one step, agrees in
+        # distribution with the statistic on unshifted random walks; both
+        # discretize the same limit
         direct = simulate_limit_statistics(1, 1, Deterministics.NONE, n_grid=3000, reps=4000, seed=7)
-        walk = _random_walk_statistics(1, 1, Deterministics.NONE, T=3000, reps=4000, seed=8)
+        restriction = RestrictionSpec(R=np.eye(1), value=np.zeros(1))
+        walk = []
+        for index in range(40):
+            w = substream(8, index).standard_normal((100, 3000, 2))
+            walk.append(wald_batch(w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1), Deterministics.NONE, restriction))
+        walk = np.concatenate(walk)
         q_direct = np.quantile(direct, [0.5, 0.9, 0.95])
         q_walk = np.quantile(walk, [0.5, 0.9, 0.95])
         np.testing.assert_allclose(q_direct, q_walk, rtol=0.12)

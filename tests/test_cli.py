@@ -23,6 +23,7 @@ from sncoint import (
     ingest_csv,
     run_analysis,
 )
+from sncoint import cli
 from sncoint.cli import UsageError, main, parse_matrix
 from sncoint.estimators import fm_ols, im_ols, ols
 from sncoint.kernels import autocovariances
@@ -378,6 +379,29 @@ class TestCommandLine:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["critvals", "--m", "1", "--s", "2"], "need 1 <= s <= m, got m=1, s=2"),
+         (["critvals", "--m", "1", "--s", "1", "--n-grid", "500"], "need n_grid >= 1000 and reps >= 1000, got n_grid=500, reps=10000"),
+         (["critvals", "--m", "1", "--s", "1", "--reps", "10"], "need n_grid >= 1000 and reps >= 1000, got n_grid=10000, reps=10"),
+         (["boottest", "--B", "0"], "need at least one bootstrap replication"),
+         (["boottest", "--B", "100"], "(n_boot + 1) * (1 - alpha) = 95.95 must be an integer; adjust n_boot"),
+         (["boottest", "--order", "0"], "fixed order must be at least 1"),
+         (["boottest", "--workers", "0"], "workers must be at least 1, got 0")],
+        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0"],
+    )  # fmt: skip
+    def test_library_checks_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "simulate_critical_values", no_work)
+        monkeypatch.setattr(cli, "run_analysis", no_work)
+        if argv[0] == "boottest":
+            argv = argv + ["--data", synthetic_csv(tmp_path), "--y", "rate", "--x", "price"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
 
     def test_lrv_command(self, tmp_path, capsys):
         rng = substream(8, 0)

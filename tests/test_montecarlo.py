@@ -14,6 +14,7 @@ from sncoint import (
     standard_statistics,
 )
 from sncoint.estimators import fm_ols, im_ols, ols
+from sncoint import montecarlo
 from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, replication_map, substream
 
@@ -175,6 +176,15 @@ class TestSizeAdjustedPower:
     def test_no_replications_rejected(self):
         with pytest.raises(ValueError, match="at least one replication"):
             size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05])
+    def test_alpha_outside_unit_interval_rejected(self, monkeypatch, alpha):
+        def no_study(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", no_study)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=10, alpha=alpha)
 
 
 # Captured from the per-replication drivers that preceded the chunked
