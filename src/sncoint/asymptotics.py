@@ -3,10 +3,11 @@
 The limit law is free of nuisance parameters, so it is simulated as the
 finite-sample statistic on pure random walks of length ``n_grid``: i.i.d.
 standard normal innovations, zero long-run coefficients, and the null
-that fixes the first s of them at zero. One generator, :func:`_walks`,
-draws the walks of every consumer, one ``substream(seed, index)`` call
-per ``_chunk_size`` chunk, so a (seed, n_grid, reps) triple always yields
-the same table. ``estimators.im_ols_batch`` fits each row block, and
+that fixes the first s of them at zero. One chunk task, :func:`_walk_chunk`,
+run by :func:`~sncoint.streams.replication_map`, draws the walks of every
+consumer, one ``substream(seed, chunk)`` call per ``_chunk_size`` chunk,
+so a (seed, n_grid, reps) triple always yields the same table.
+``estimators.im_ols_batch`` fits each row block, and
 :mod:`sncoint.selfnorm` turns the fit into the statistic.
 
 Without deterministic terms the walks start one step late (a zero first
@@ -24,13 +25,14 @@ numerator, denominator and ratio all equal the lattice's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from .estimators import RestrictionSpec, batch_rows, im_ols_batch
 from .selfnorm import _normalizer, _wald_unit, wald_batch
-from .streams import substream
+from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
 from .timeseries import Deterministics
 
@@ -70,35 +72,36 @@ def _chunk_size(n_grid: int, m: int) -> int:
     return max(4, int(5e6 / (n_grid * max(1, 2 * m))))
 
 
-def _normal_blocks(m: int, T: int, width: int, reps: int, seed: int):
-    """Yield the (rows, T, m + 1) standard normals of ``reps`` draws.
-
-    Each ``_chunk_size`` chunk is one ``substream(seed, index)`` call,
-    which fixes the draws; it is yielded in ``batch_rows(T, width)`` row
-    blocks, ``width`` being the regressor count of the fit that follows.
-    """
-    chunk = _chunk_size(T, m)
-    rows = batch_rows(T, width)
-    for index, done in enumerate(range(0, reps, chunk)):
-        w = substream(seed, index).standard_normal((min(chunk, reps - done), T, m + 1))
-        for start in range(0, w.shape[0], rows):
-            yield w[start : start + rows]
-
-
 def _lag(a: np.ndarray) -> np.ndarray:
     """``a`` shifted one step along axis 1, with a zero first row."""
     return np.concatenate([np.zeros_like(a[:, :1]), a[:, :-1]], axis=1)
 
 
-def _walks(m: int, det: Deterministics, T: int, reps: int, seed: int):
-    """Yield (y, x) row blocks of ``reps`` samples: y (rows, T) the
-    innovations, x (rows, T, m) the random-walk regressors. Without
+def _walk_chunk(fn, m: int, det: Deterministics, T: int, seed: int, size: int, indices: np.ndarray) -> list:
+    """``fn(y, x)`` on each ``batch_rows(T, p + 2m)`` block of the walks
+    ``indices``, one ``size`` chunk drawn by one substream call: y (rows, T)
+    the innovations, x (rows, T, m) the random-walk regressors. Without
     deterministic terms the draws start one step late (module docstring).
     """
-    for w in _normal_blocks(m, T, det.n_columns + 2 * m, reps, seed):
-        if det is Deterministics.NONE:
-            w = _lag(w)
-        yield w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1)
+    w = substream(seed, indices[0] // size).standard_normal((len(indices), T, m + 1))
+    rows = batch_rows(T, det.n_columns + 2 * m)
+    blocks = (w[start : start + rows] for start in range(0, len(w), rows))
+    if det is Deterministics.NONE:
+        blocks = map(_lag, blocks)
+    return [fn(block[:, :, 0], np.cumsum(block[:, :, 1:], axis=1)) for block in blocks]
+
+
+def _on_walks(fn, m: int, det: Deterministics, T: int, reps: int, seed: int) -> list:
+    """``fn(y, x)`` of every row block of ``reps`` walks, in draw order,
+    through one :func:`~sncoint.streams.replication_map` call."""
+    size = _chunk_size(T, m)
+    chunks = replication_map(partial(_walk_chunk, fn, m, det, T, seed, size), reps, size)
+    return [out for chunk in chunks for out in chunk]
+
+
+def _components(restriction: RestrictionSpec, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    fit = im_ols_batch(y, x, Deterministics.NONE)
+    return _wald_unit(fit, restriction), _normalizer(fit.resid)
 
 
 def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,19 +112,15 @@ def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int)
     statistic.
     """
     restriction = _limit_restriction(m, s, Deterministics.NONE, n_grid, reps)
-    nums, dens = [], []
-    for y, x in _walks(m, Deterministics.NONE, n_grid, reps, seed):
-        fit = im_ols_batch(y, x, Deterministics.NONE)
-        nums.append(_wald_unit(fit, restriction))
-        dens.append(_normalizer(fit.resid))
+    nums, dens = zip(*_on_walks(partial(_components, restriction), m, Deterministics.NONE, n_grid, reps, seed))
     return np.concatenate(nums), np.concatenate(dens)
 
 
 def _random_walk_statistics(m: int, s: int, det: Deterministics, T: int, reps: int, seed: int) -> np.ndarray:
-    """Self-normalized statistic on the walks of :func:`_walks`, batched
-    over reps, with the restriction fixing the first s coefficients."""
+    """Self-normalized statistic on the walks of :func:`_walk_chunk`,
+    batched over reps, with the restriction fixing the first s coefficients."""
     restriction = _limit_restriction(m, s, det, T, reps)
-    return np.concatenate([wald_batch(y, x, det, restriction) for y, x in _walks(m, det, T, reps, seed)])
+    return np.concatenate(_on_walks(partial(wald_batch, det=det, restriction=restriction), m, det, T, reps, seed))
 
 
 def simulate_limit_statistics(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> np.ndarray:
@@ -155,15 +154,21 @@ class LocalPowerCurve:
     meta: dict = field(default_factory=dict)
 
 
-def local_power(
-    c_grid,
-    reps: int = 20_000,
-    seed: int = 0,
-    n_grid: int = 10_000,
-    alpha: float = 0.05,
-    table: CriticalValueTable | None = None,
-) -> LocalPowerCurve:
-    """Local asymptotic power of the traditional and self-normalized tests.
+def _local_hits(c_grid: np.ndarray, n_grid: int, sn_crit: float, chi2_crit: float, y: np.ndarray, x: np.ndarray):
+    """Rejection counts (2, G) of the traditional and self-normalized
+    tests of beta = 0 on the walks (y, x), true coefficient c / n_grid."""
+    fit = im_ols_batch(y, x, Deterministics.NONE)
+    v11 = fit.scaled_cov[:, 0, 0]
+    shifted = (c_grid[:, None] / n_grid + fit.params[:, 0]) ** 2
+    return np.stack(
+        [np.count_nonzero(shifted / v11 > chi2_crit, axis=1),
+         np.count_nonzero(shifted / (_normalizer(fit.resid) * v11) > sn_crit, axis=1)]
+    )  # fmt: skip
+
+
+def local_power(c_grid, reps: int = 20_000, seed: int = 0, n_grid: int = 10_000) -> LocalPowerCurve:
+    """Local asymptotic power of the traditional and self-normalized tests
+    at the 5% level, the self-normalized one with the packaged table.
 
     Single-regressor, single-restriction case with the ratio of the
     regressor-innovation to conditional error long-run scales set to one:
@@ -173,24 +178,13 @@ def local_power(
     """
     _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps)
     c_grid = np.asarray(c_grid, dtype=float)
-    if table is None:
-        table = default_table(1, 1, Deterministics.NONE)
-    sn_crit = table.critical_value(alpha)
-    chi2_crit = float(_scipy_stats.chi2.ppf(1.0 - alpha, df=1))
-
-    hits_sn = np.zeros(c_grid.shape[0])
-    hits_trad = np.zeros(c_grid.shape[0])
-    for y, x in _walks(1, Deterministics.NONE, n_grid, reps, seed):
-        fit = im_ols_batch(y, x, Deterministics.NONE)
-        v11 = fit.scaled_cov[:, 0, 0]
-        denominator = _normalizer(fit.resid)
-        for i, c in enumerate(c_grid):
-            shifted = (c / n_grid + fit.params[:, 0]) ** 2
-            hits_trad[i] += np.count_nonzero(shifted / v11 > chi2_crit)
-            hits_sn[i] += np.count_nonzero(shifted / (denominator * v11) > sn_crit)
+    sn_crit = default_table(1, 1, Deterministics.NONE).critical_value(0.05)
+    chi2_crit = float(_scipy_stats.chi2.ppf(0.95, df=1))
+    hit = partial(_local_hits, c_grid, n_grid, sn_crit, chi2_crit)
+    hits_trad, hits_sn = np.sum(_on_walks(hit, 1, Deterministics.NONE, n_grid, reps, seed), axis=0)
     return LocalPowerCurve(
         c_grid=c_grid,
         power_sn=hits_sn / reps,
         power_trad=hits_trad / reps,
-        meta={"reps": reps, "seed": seed, "n_grid": n_grid, "alpha": alpha},
+        meta={"reps": reps, "seed": seed, "n_grid": n_grid, "alpha": 0.05},
     )

@@ -162,10 +162,10 @@ def run_analysis(
     )
 
 
-def _run_sn_asymptotic(table, alpha, fitted, restriction, seed) -> bool:
+def _run_sn_asymptotic(alpha, fitted, restriction, seed) -> bool:
     fitted = FittedSample.of(fitted)
-    resolved = _resolve_table(table, fitted.sample, restriction, seed)
-    return self_normalized_test(fitted, restriction, resolved, alpha).reject
+    table = _resolve_table(None, fitted.sample, restriction, seed)
+    return self_normalized_test(fitted, restriction, table, alpha).reject
 
 
 def _run_traditional(tag, kernel, alpha, fitted, restriction, seed) -> bool:
@@ -179,7 +179,6 @@ def _run_bootstrap(statistic, kernel, config, fitted, restriction, seed) -> bool
 
 def standard_battery(
     names: Iterable[str],
-    table: CriticalValueTable | None = None,
     alpha: float = 0.05,
     kernel: KernelSpec | None = None,
     boot: BootstrapConfig | None = None,
@@ -191,14 +190,15 @@ def standard_battery(
 
     Recognized tags: ``SN-asymptotic``, ``SN-bootstrap``, ``Wald-IM``,
     ``Wald-FM``, ``Wald-D``, ``Wald-IM-bootstrap``, ``tau1-bootstrap``.
-    ``table`` defaults to the packaged quantiles matching each sample;
-    ``kernel`` defaults to Bartlett with the plug-in bandwidth.
+    ``SN-asymptotic`` reads the packaged quantiles matching each sample
+    (simulated from the test's seed outside them); ``kernel`` defaults to
+    Bartlett with the plug-in bandwidth.
     """
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
     battery: dict[str, object] = {}
     for name in names:
         if name == "SN-asymptotic":
-            battery[name] = partial(_run_sn_asymptotic, table, alpha)
+            battery[name] = partial(_run_sn_asymptotic, alpha)
         elif name in _EST_TAGS:
             battery[name] = partial(_run_traditional, _EST_TAGS[name], kernel, alpha)
         elif name in _BOOT_TAGS:

@@ -8,16 +8,16 @@ statistic is compared against the (B+1)(1-alpha)-th smallest of the B
 bootstrap statistics.
 
 Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
-(about 2^17 elements per (draws, T, .) array), through
-:func:`~sncoint.streams.replication_map`. A chunk simulates its VAR with
-one loop over time and evaluates every draw at once with the batched
-kernel :func:`~sncoint.selfnorm.wald_batch`, which is
+(about 2^17 elements per (draws, T, .) array), through the package's one
+driver, :func:`~sncoint.streams.replication_map`. A chunk simulates its
+VAR with one loop over time and evaluates every draw at once with
+:func:`~sncoint.selfnorm.wald_batch`, which is
 :func:`~sncoint.selfnorm.bootstrap_statistic` row by row. A degenerate
 draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
 fit, singular restricted block) is regenerated once from its retry
-substream and discarded if still degenerate. Every draw keeps its own substream keyed
-by (seed, replication index, attempt), and the chunking depends only on
-the sample shape, so results do not depend on the number of workers.
+substream and discarded if still degenerate. Every draw keeps its own
+substream keyed by (seed, replication index, attempt), and the chunking
+depends only on the sample shape, so results match at any worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .estimators import (
 )
 from .kernels import KernelSpec, autocovariances
 from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic, wald_batch
-from .streams import chunk_map, substream
+from .streams import replication_map, substream
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
@@ -353,7 +353,7 @@ def bootstrap_test(
         kernel,
     )
     rows = batch_rows(sample.nobs, len(fit.params))
-    chunks = chunk_map(draw, config.n_boot, rows, config.workers)
+    chunks = replication_map(draw, config.n_boot, rows, config.workers)
     draws = np.concatenate([draws for draws, _ in chunks])
     n_retried = sum(retried for _, retried in chunks)
     valid = draws[~np.isnan(draws)]

@@ -28,7 +28,7 @@ from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
 from .kernels import BARTLETT, QUADRATIC_SPECTRAL, KernelSpec, estimate_lrv
 from .montecarlo import DgpConfig, size_adjusted_power, size_experiment
-from .tables import load_table, save_table
+from .tables import _PROBS, _level, load_table, save_table
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
@@ -114,12 +114,12 @@ def _sha256(path: str) -> str:
 
 
 def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError a usage error: for the
-    library's own argument checks, which run before any work."""
+    """``build(*args, **kwargs)``, its ValueError or KeyError a usage error:
+    for the library's own argument checks, which run before any work."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes it
+        raise UsageError(exc.args[0]) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +166,9 @@ def _restriction_from_args(args, m: int) -> RestrictionSpec:
         if args.r0 is None:
             raise UsageError("--r0 is required when --R1 is given")
         value = parse_matrix(args.r0).ravel()
-    return _checked(RestrictionSpec, R=R, value=value)
+    restriction = _checked(RestrictionSpec, R=R, value=value)
+    _checked(restriction.padded, 0, m)  # one column per regressor
+    return restriction
 
 
 def _emit(payload: dict, args) -> None:
@@ -225,6 +227,10 @@ def _cmd_test(args) -> int:
         )
         provenance["B"] = args.B
     table = load_table(args.table) if args.table else None
+    if table is not None:
+        _checked(table.require, sample.n_regressors, restriction.n_restrictions, sample.det)
+    # a table simulated on demand has the packaged levels too
+    _checked(_level, _PROBS if table is None else table.quantiles, args.alpha)
     report = run_analysis(
         sample,
         restriction,
@@ -290,16 +296,8 @@ def _cmd_simulate(args) -> int:
     try:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-        dgp = DgpConfig(
-            T=_config_int(cfg, "T", None, 1),
-            rho1=cfg.get("rho1", 0.0),
-            rho2=cfg.get("rho2", 0.0),
-            rho3=cfg.get("rho3", 0.2),
-            phi=cfg.get("phi", 0.0),
-            a1=cfg.get("a1", 0.05),
-            b1=cfg.get("b1", 0.94),
-            beta=tuple(cfg.get("beta", (1.0, 1.0))),
-        )
+        design = {key: cfg[key] for key in ("rho1", "rho2", "rho3", "phi", "a1", "b1", "beta") if key in cfg}
+        dgp = DgpConfig(T=_config_int(cfg, "T", None, 1), **design)
         if kind == "size":
             boot = BootstrapConfig(
                 n_boot=cfg.get("B", 199),

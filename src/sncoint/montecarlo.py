@@ -13,10 +13,10 @@ with each xi a unit-variance GARCH(1,1). The first ``burn_in`` periods
 are discarded. Setting a1 = b1 = rho3 = 0 collapses the innovations to
 i.i.d. standard normals, which is the same code path.
 
-The drivers run replications in fixed chunks of ``_CHUNK_SIZE``, one
-:func:`~sncoint.streams.chunk_map` task each, so a study opens one
-process pool for all its phases. A chunk runs the GARCH recursion once
-over time for all its replications, each drawn from its own
+The drivers run replications in fixed chunks of ``_CHUNK_SIZE``, all
+through one :func:`~sncoint.streams.replication_map` call, so a study
+opens one process pool for all its phases. A chunk runs the GARCH
+recursion once over time for all its replications, each drawn from its own
 ``substream(seed, phase, i)`` (:func:`generate_dgp` is the one-row
 case), and wraps each sample once in a
 :class:`~sncoint.estimators.FittedSample` that every test or statistic
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .estimators import FittedSample, RestrictionSpec
-from .streams import BLAS_PINNED, chunk_map, substream
+from .streams import BLAS_PINNED, replication_map, substream
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = [
@@ -71,6 +71,7 @@ class DgpConfig:
     burn_in: int = 100
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "beta", tuple(self.beta))
         if self.T < 10:
             raise ValueError("sample size too small")
         if len(self.beta) != 2:
@@ -202,7 +203,7 @@ def _run_chunks(task, reps: int, workers: int) -> tuple[np.ndarray, dict]:
     """``task`` over the replications in chunks of ``_CHUNK_SIZE``, one
     pool for the study; the stacked results and the run's metadata."""
     start = time.perf_counter()
-    out = np.concatenate(chunk_map(task, reps, _CHUNK_SIZE, workers))
+    out = np.concatenate(replication_map(task, reps, _CHUNK_SIZE, workers))
     return out, {
         "runtime_s": time.perf_counter() - start,
         "workers": workers,

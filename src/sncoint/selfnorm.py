@@ -195,13 +195,7 @@ def self_normalized_test(
     """Self-normalized Wald test against simulated asymptotic quantiles."""
     fitted = FittedSample.of(sample)
     sample = fitted.sample
-    m = sample.n_regressors
-    s = restriction.n_restrictions
-    if not table.covers(m, s, sample.det):
-        raise KeyError(
-            f"table is for m={table.m}, s={table.s}, det={table.det.value}; "
-            f"sample needs m={m}, s={s}, det={sample.det.value}"
-        )
+    table.require(sample.n_regressors, restriction.n_restrictions, sample.det)
     statistic = bootstrap_statistic(fitted, restriction, "sn")
     critical = table.critical_value(alpha)
     return TestOutcome(

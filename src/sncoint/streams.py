@@ -1,8 +1,9 @@
-"""Reproducible random number streams and replication-parallel mapping.
+"""Reproducible random number streams and the one replication driver.
 
 Every randomized routine in this package derives its generator from a
 master seed plus an integer key path. Replication ``i`` always sees the
-same stream regardless of how many workers execute the loop. When
+same stream regardless of how many workers execute the loop, which
+:func:`replication_map`, the one driver, runs in fixed chunks. When
 ``threadpoolctl`` is installed, BLAS is also pinned to one thread inside
 replication work (threaded kernels can round differently from the
 single-threaded ones forked workers fall back to); ``BLAS_PINNED`` says
@@ -37,7 +38,7 @@ except ImportError:  # pragma: no cover
         yield
 
 
-__all__ = ["BLAS_PINNED", "substream", "replication_map", "chunk_map"]
+__all__ = ["BLAS_PINNED", "substream", "replication_map"]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -54,38 +55,24 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def _call_indexed(args):
-    fn, i = args
+def _call_chunk(fn, n: int, size: int, chunk: int):
     with _single_threaded_blas():
-        return fn(i)
+        return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
 
 
-def replication_map(fn: Callable[[int], object], n: int, workers: int = 1) -> list:
-    """Evaluate ``fn(i)`` for i = 0..n-1, optionally on a process pool.
+def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, workers: int = 1) -> list:
+    """Evaluate ``fn(indices)`` over consecutive chunks of ``size`` indices
+    of 0..n-1, optionally on a process pool.
 
-    Results are returned in index order, so the output is independent of
-    scheduling. ``fn`` must be picklable when workers > 1 (module-level
+    Results are returned in chunk order, so the output is independent of
+    scheduling. ``size`` should depend on the problem only, never on
+    ``workers``, so that results do not depend on the worker count
+    either. ``fn`` must be picklable when workers > 1 (module-level
     function or functools.partial of one).
     """
-    if workers <= 1 or n <= 1:
-        with _single_threaded_blas():
-            return [fn(i) for i in range(n)]
-    workers = min(workers, n, os.cpu_count() or 1)
+    task, chunks = partial(_call_chunk, fn, n, size), -(-n // size)
+    if workers <= 1 or chunks <= 1:
+        return [task(chunk) for chunk in range(chunks)]
+    workers = min(workers, chunks, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(_call_indexed, ((fn, i) for i in range(n)), chunksize=max(1, n // (8 * workers)))
-        )
-
-
-def _call_chunk(fn, n: int, size: int, chunk: int):
-    return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
-
-
-def chunk_map(fn: Callable[[np.ndarray], object], n: int, size: int, workers: int = 1) -> list:
-    """Evaluate ``fn(indices)`` over consecutive chunks of ``size`` indices
-    of 0..n-1, one :func:`replication_map` task per chunk, in chunk order.
-
-    ``size`` should depend on the problem only, never on ``workers``, so
-    that results do not depend on the worker count either.
-    """
-    return replication_map(partial(_call_chunk, fn, n, size), -(-n // size), workers)
+        return list(pool.map(task, range(chunks), chunksize=max(1, chunks // (8 * workers))))

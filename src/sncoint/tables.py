@@ -46,14 +46,24 @@ class CriticalValueTable:
 
     def critical_value(self, alpha: float) -> float:
         """Quantile at probability 1 - alpha; raises if not tabulated."""
-        target = 1.0 - alpha
-        for prob, value in self.quantiles.items():
-            if abs(prob - target) < 1e-9:
-                return value
-        raise KeyError(f"no tabulated quantile at probability {target}")
+        return self.quantiles[_level(self.quantiles, alpha)]
 
-    def covers(self, m: int, s: int, det: Deterministics) -> bool:
-        return self.m == m and self.s == s and self.det == det
+    def require(self, m: int, s: int, det: Deterministics) -> None:
+        """Raise KeyError unless the table is for (m, s, det)."""
+        if (self.m, self.s, self.det) != (m, s, det):
+            raise KeyError(
+                f"table is for m={self.m}, s={self.s}, det={self.det.value}; "
+                f"sample needs m={m}, s={s}, det={det.value}"
+            )
+
+
+def _level(probs, alpha: float) -> float:
+    """The probability 1 - alpha among ``probs``; KeyError if it is not there."""
+    target = 1.0 - alpha
+    for prob in probs:
+        if abs(prob - target) < 1e-9:
+            return prob
+    raise KeyError(f"no tabulated quantile at probability {target}")
 
 
 # Simulated quantiles, indexed (m, s) within each deterministic panel and

@@ -14,10 +14,10 @@ from sncoint import (
     simulate_critical_values,
     simulate_limit_statistics,
 )
-from sncoint.asymptotics import _walks, simulate_limit_components
+from sncoint.asymptotics import _chunk_size, _walk_chunk, simulate_limit_components
 from sncoint.estimators import RestrictionSpec, im_ols_batch
 from sncoint.selfnorm import wald_batch
-from sncoint.streams import substream
+from sncoint.streams import replication_map, substream
 
 
 def lattice_fits(m, n_grid, reps, seed):
@@ -58,7 +58,7 @@ class TestLatticeIdentity:
         lattice = lattice_fits(1, n, 40, 6)
         lat_trad = np.array([(c_grid + th[0]) ** 2 / (V[0, 0] / n) for th, V, _ in lattice])
         lat_den = np.array([n * np.sum((r[1:] - r[0]) ** 2) / n**2 for _, _, r in lattice])
-        ((y, x),) = _walks(1, Deterministics.NONE, n, 40, 6)
+        ((y, x),) = _walk_chunk(lambda y, x: (y, x), 1, Deterministics.NONE, n, 6, _chunk_size(n, 1), np.arange(40))
         fit = im_ols_batch(y, x, Deterministics.NONE)
         walk_trad = (c_grid / n + fit.params[:, :1]) ** 2 / fit.scaled_cov[:, :1, 0]
         np.testing.assert_allclose(walk_trad, lat_trad, rtol=1e-9)
@@ -273,3 +273,22 @@ class TestLocalPower:
         curve = local_power([0.0], reps=1000, seed=5, n_grid=1000)
         assert curve.meta["reps"] == 1000
         assert curve.meta["n_grid"] == 1000
+        assert curve.meta["alpha"] == 0.05
+
+
+class TestOneDriver:
+    """Each limit-law routine runs all its chunks, several here, through
+    one streams.replication_map call keyed by the (n_grid, m) chunk size."""
+
+    @pytest.mark.parametrize(
+        "run, m, n_grid, reps",
+        [(lambda: simulate_critical_values(2, 1, Deterministics.INTERCEPT, 1000, 1300, 1), 2, 1000, 1300),
+         (lambda: simulate_limit_components(2, 1, 1000, 1300, 1), 2, 1000, 1300),
+         (lambda: local_power([0.0, 5.0], reps=3000, seed=1, n_grid=1000), 1, 1000, 3000)],
+        ids=["critical-values", "components", "local-power"],
+    )  # fmt: skip
+    def test_one_map_call(self, count_calls, run, m, n_grid, reps):
+        map_calls = count_calls(replication_map)
+        run()
+        assert [args[1:] for args in map_calls] == [(reps, _chunk_size(n_grid, m))]
+        assert reps > _chunk_size(n_grid, m)

@@ -315,10 +315,10 @@ def _kernel_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, ker
     from functools import partial
 
     from sncoint.bootstrap import bootstrap_draws
-    from sncoint.streams import chunk_map
+    from sncoint.streams import replication_map
 
     draw = partial(bootstrap_draws, model, T, beta_r, det, delta, cfg, restriction, statistic, kernel)
-    chunks = chunk_map(draw, cfg.n_boot, rows, 1)
+    chunks = replication_map(draw, cfg.n_boot, rows, 1)
     return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
 

@@ -14,6 +14,7 @@ from sncoint import (
     AnalysisReport,
     BootstrapConfig,
     CointegrationSample,
+    CriticalValueTable,
     DgpConfig,
     Deterministics,
     KernelSpec,
@@ -22,12 +23,14 @@ from sncoint import (
     generate_dgp,
     ingest_csv,
     run_analysis,
+    save_table,
 )
 from sncoint import cli
 from sncoint.cli import UsageError, main, parse_matrix
 from sncoint.estimators import fm_ols, im_ols, ols
 from sncoint.kernels import autocovariances
 from sncoint.streams import substream
+from sncoint.tables import _PROBS
 
 
 def write_csv(path, text):
@@ -388,8 +391,17 @@ class TestCommandLine:
          (["boottest", "--B", "0"], "need at least one bootstrap replication"),
          (["boottest", "--B", "100"], "(n_boot + 1) * (1 - alpha) = 95.95 must be an integer; adjust n_boot"),
          (["boottest", "--order", "0"], "fixed order must be at least 1"),
-         (["boottest", "--workers", "0"], "workers must be at least 1, got 0")],
-        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0"],
+         (["boottest", "--workers", "0"], "workers must be at least 1, got 0"),
+         (["test", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
+         (["test", "--alpha", "2"], "no tabulated quantile at probability -1.0"),
+         (["boottest", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
+         (["test", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
+         (["boottest", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
+         (["test", "--R1", "1,0", "--r0", "1"], "restriction is on 2 coefficients but the model has 1"),
+         (["boottest", "--R1", "1,0", "--r0", "1"], "restriction is on 2 coefficients but the model has 1")],
+        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0",
+             "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated", "table-mismatch",
+             "boot-table-mismatch", "R1-width", "boot-R1-width"],
     )  # fmt: skip
     def test_library_checks_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
@@ -397,7 +409,11 @@ class TestCommandLine:
 
         monkeypatch.setattr(cli, "simulate_critical_values", no_work)
         monkeypatch.setattr(cli, "run_analysis", no_work)
-        if argv[0] == "boottest":
+        if "TABLE" in argv:
+            quantiles = dict(zip(_PROBS, (1.0, 2.0, 3.0, 4.0)))
+            save_table(CriticalValueTable(m=2, s=1, det=Deterministics.NONE, quantiles=quantiles), tmp_path / "table.txt")
+            argv = [str(tmp_path / "table.txt") if arg == "TABLE" else arg for arg in argv]
+        if argv[0] in ("test", "boottest"):
             argv = argv + ["--data", synthetic_csv(tmp_path), "--y", "rate", "--x", "price"]
         assert main(argv) == 1
         err = capsys.readouterr().err
