@@ -226,7 +226,7 @@ def _cmd_test(args) -> int:
             workers=args.workers,
         )
         provenance["B"] = args.B
-    table = load_table(args.table) if args.table else None
+    table = _checked(load_table, args.table) if args.table else None
     if table is not None:
         _checked(table.require, sample.n_regressors, restriction.n_restrictions, sample.det)
     # a table simulated on demand has the packaged levels too
@@ -423,10 +423,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a missing input, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, ValueError, KeyError, RuntimeError) as exc:

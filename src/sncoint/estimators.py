@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _RANK_RCOND = 1e-10
+_DEFICIENT = "regressor matrix is rank deficient"
 # Larger batches raise peak memory faster than they cut time per draw.
 _BATCH_ELEMENTS = 1 << 17
 
@@ -52,15 +53,16 @@ class OlsFit:
     resid: np.ndarray
 
 
-def _scaled_lstsq(y: np.ndarray, X: np.ndarray, label: str) -> np.ndarray:
-    """Solve min ||y - Xb|| with column equilibration and a rank check."""
+def _full_rank(sv: np.ndarray, k: int) -> np.ndarray:
+    """The rank rule of every solve here, on the singular values of k equilibrated columns
+    (of one design or each of a stack): k of them, the least above _RANK_RCOND times the largest."""
+    return (sv.shape[-1] == k) & (sv[..., -1] > _RANK_RCOND * sv[..., 0])
+
+
+def _unit_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` with its columns scaled to unit norm (a zero column stays zero), and the norms."""
     norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0.0):
-        raise np.linalg.LinAlgError(label)
-    coef, _, rank, _ = np.linalg.lstsq(X / norms, y, rcond=_RANK_RCOND)
-    if rank < X.shape[1]:
-        raise np.linalg.LinAlgError(label)
-    return coef / norms
+    return X / np.where(norms > 0.0, norms, 1.0), norms
 
 
 def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
@@ -70,9 +72,12 @@ def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    params = _scaled_lstsq(y, X, "regressor matrix is rank deficient")
+    X = X[:, None] if X.ndim == 1 else X
+    Xs, norms = _unit_columns(X)
+    coef, _, _, sv = np.linalg.lstsq(Xs, y, rcond=_RANK_RCOND)
+    if not _full_rank(sv, X.shape[1]):
+        raise np.linalg.LinAlgError(_DEFICIENT)
+    params = coef / norms
     return OlsFit(params=params, resid=y - X @ params)
 
 
@@ -171,7 +176,7 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     Raug = np.linalg.qr(np.concatenate([Zs, Sy[:, :, None]], axis=2), mode="r")
     R = Raug[:, :k, :k]
     sv = np.linalg.svd(R, compute_uv=False)
-    degenerate |= ~(sv[:, -1] > _RANK_RCOND * sv[:, 0])
+    degenerate |= ~_full_rank(sv, k)
     R[degenerate] = np.eye(k)
     Rinv = np.linalg.inv(R)
     theta = (Rinv @ Raug[:, :k, k:])[:, :, 0]
@@ -274,10 +279,7 @@ def restricted_im_ols(fit: ImOlsFit, restriction: RestrictionSpec) -> np.ndarray
 
 def levels_residuals(sample: CointegrationSample, fit: ImOlsFit) -> np.ndarray:
     """Residuals y_t - d_t' delta - x_t' beta implied by a partial-sum fit."""
-    resid = sample.y - sample.x @ fit.beta
-    if fit.n_det:
-        resid = resid - sample.deterministics() @ fit.delta
-    return resid
+    return sample.y - sample.x @ fit.beta - sample.deterministics() @ fit.delta
 
 
 def _beta_block_inverse(norms: np.ndarray, A: np.ndarray, n_det: int) -> np.ndarray:
@@ -359,13 +361,10 @@ class DOlsFit:
 
 def _dols_design(sample: CointegrationSample, K: int, lo: int, hi: int):
     """Regressor matrix [d, x, v_{t-K}..v_{t+K}] over 1-based rows lo..hi."""
-    d = sample.deterministics()
-    v = sample.innovations()
     rows = slice(lo - 1, hi)
-    blocks = [d[rows], sample.x[rows]]
-    for j in range(-K, K + 1):
-        blocks.append(v[lo - 1 + j : hi + j])
-    return sample.y[rows], np.column_stack(blocks)
+    windows = np.lib.stride_tricks.sliding_window_view(sample.innovations(), 2 * K + 1, axis=0)
+    leads_lags = windows[lo - 1 - K : hi - K].transpose(0, 2, 1).reshape(hi - lo + 1, -1)  # j-major
+    return sample.y[rows], np.column_stack([sample.deterministics()[rows], sample.x[rows], leads_lags])
 
 
 def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
@@ -378,22 +377,23 @@ def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
     """
     T, m, p = sample.nobs, sample.n_regressors, sample.det.n_columns
     kmax = int(max_leads_lags)
-    n_common = T - 2 * kmax
-    widest = p + m + m * (2 * kmax + 1)
-    if kmax < 0 or n_common <= widest:
+    n = T - 2 * kmax
+    widths = p + m + m * (2 * np.arange(kmax + 1) + 1)  # regressors of each K
+    if kmax < 0 or n <= widths[-1]:
         raise ValueError("leads/lags range infeasible for this sample size")
 
-    best = (np.inf, 0)
-    for K in range(kmax + 1):
-        y_c, X_c = _dols_design(sample, K, kmax + 1, T - kmax)
-        fit = ols(y_c, X_c)
-        n = y_c.shape[0]
-        sigma2 = float(fit.resid @ fit.resid) / n
-        bic = np.log(sigma2) + X_c.shape[1] * np.log(n) / n
-        if bic < best[0]:
-            best = (bic, K)
+    # Ordered v_t, v_{t-1}, v_{t+1}, ..., each K's regressors are a prefix of the
+    # widest design: one QR of [X, y], X equilibrated, gives every SSR as a tail sum of
+    # squares of R's last column; column subsets interlace, so one rank check covers all.
+    y_c, X_c = _dols_design(sample, kmax, kmax + 1, T - kmax)
+    blocks = np.argsort(np.abs(np.arange(-kmax, kmax + 1)), kind="stable")
+    X_c = np.column_stack([X_c[:, : p + m], X_c[:, p + m :].reshape(n, -1, m)[:, blocks].reshape(n, -1)])
+    R = np.linalg.qr(np.column_stack([_unit_columns(X_c)[0], y_c]), mode="r")
+    if not _full_rank(np.linalg.svd(R[:-1, :-1], compute_uv=False), widths[-1]):
+        raise np.linalg.LinAlgError(_DEFICIENT)
+    ssr = np.cumsum(R[::-1, -1] ** 2)[::-1][widths]
+    K = int(np.argmin(np.log(ssr / n) + widths * np.log(n) / n))
 
-    K = best[1]
     y_f, X_f = _dols_design(sample, K, K + 1, T - K)
     fit = ols(y_f, X_f)
     return DOlsFit(

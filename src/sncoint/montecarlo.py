@@ -202,6 +202,8 @@ def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, se
 def _run_chunks(task, reps: int, workers: int) -> tuple[np.ndarray, dict]:
     """``task`` over the replications in chunks of ``_CHUNK_SIZE``, one
     pool for the study; the stacked results and the run's metadata."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     out = np.concatenate(replication_map(task, reps, _CHUNK_SIZE, workers))
     return out, {

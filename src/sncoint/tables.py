@@ -168,23 +168,26 @@ def save_table(table: CriticalValueTable, path: str) -> None:
 
 
 def load_table(path: str) -> CriticalValueTable:
-    """Read a table written by :func:`save_table`."""
+    """Read a table written by :func:`save_table`; a malformed file raises
+    :class:`ValueError` naming it."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _FORMAT_HEADER:
         raise ValueError(f"{path}: not a sncoint critical value file")
-    fields = dict(item.split("=", 1) for item in lines[1].split())
-    quantiles = {}
-    for ln in lines[2:]:
-        prob, value = ln.split()
-        quantiles[float(prob)] = float(value)
-    meta = {"n_grid": int(fields["n_grid"]), "reps": int(fields["reps"])}
-    if fields.get("seed"):
-        meta["seed"] = int(fields["seed"])
-    return CriticalValueTable(
-        m=int(fields["m"]),
-        s=int(fields["s"]),
-        det=Deterministics(fields["det"]),
-        quantiles=quantiles,
-        meta=meta,
-    )
+    try:
+        fields = dict(item.split("=", 1) for item in lines[1].split())
+        quantiles = {float(prob): float(value) for prob, value in (ln.split() for ln in lines[2:])}
+        meta = {"n_grid": int(fields["n_grid"]), "reps": int(fields["reps"])}
+        if fields.get("seed"):
+            meta["seed"] = int(fields["seed"])
+        return CriticalValueTable(
+            m=int(fields["m"]),
+            s=int(fields["s"]),
+            det=Deterministics(fields["det"]),
+            quantiles=quantiles,
+            meta=meta,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: header has no {exc.args[0]}= field") from None
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed critical value file: {exc}") from None

@@ -281,6 +281,17 @@ class TestCommandLine:
         assert payload["provenance"]["input_sha256"]
         assert payload["outcomes"][0]["method"] == "SN-asymptotic"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["lrv", "--columns", "rate,price"],
+         ["test", "--y", "rate", "--x", "price", "--out", "json"]],
+        ids=["lrv", "test"],
+    )  # fmt: skip
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--data", synthetic_csv(tmp_path), "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
     def test_boottest_command(self, tmp_path, capsys):
         path = synthetic_csv(tmp_path)
         code = main(
@@ -398,10 +409,16 @@ class TestCommandLine:
          (["test", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
          (["boottest", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
          (["test", "--R1", "1,0", "--r0", "1"], "restriction is on 2 coefficients but the model has 1"),
-         (["boottest", "--R1", "1,0", "--r0", "1"], "restriction is on 2 coefficients but the model has 1")],
+         (["boottest", "--R1", "1,0", "--r0", "1"], "restriction is on 2 coefficients but the model has 1"),
+         (["test", "--table", "TEXT:m=1 s=1\n"], "PATH: not a sncoint critical value file"),
+         (["test", "--table", "TEXT:# sncoint critical values v1\nm=1 s=1 det=none n_grid=1000 reps=1000\n0.9 abc\n"],
+          "PATH: malformed critical value file: could not convert string to float: 'abc'"),
+         (["boottest", "--table", "TEXT:# sncoint critical values v1\ns=1 det=none n_grid=1000 reps=1000\n0.9 1.0\n"],
+          "PATH: header has no m= field")],
         ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0",
              "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated", "table-mismatch",
-             "boot-table-mismatch", "R1-width", "boot-R1-width"],
+             "boot-table-mismatch", "R1-width", "boot-R1-width", "table-header", "table-quantile-line",
+             "table-no-m"],
     )  # fmt: skip
     def test_library_checks_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
@@ -413,6 +430,12 @@ class TestCommandLine:
             quantiles = dict(zip(_PROBS, (1.0, 2.0, 3.0, 4.0)))
             save_table(CriticalValueTable(m=2, s=1, det=Deterministics.NONE, quantiles=quantiles), tmp_path / "table.txt")
             argv = [str(tmp_path / "table.txt") if arg == "TABLE" else arg for arg in argv]
+        bad = tmp_path / "bad.txt"
+        for arg in argv:
+            if arg.startswith("TEXT:"):
+                bad.write_text(arg[len("TEXT:"):])
+        argv = [str(bad) if arg.startswith("TEXT:") else arg for arg in argv]
+        message = message.replace("PATH", str(bad))
         if argv[0] in ("test", "boottest"):
             argv = argv + ["--data", synthetic_csv(tmp_path), "--y", "rate", "--x", "price"]
         assert main(argv) == 1

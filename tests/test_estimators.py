@@ -6,6 +6,7 @@ from sncoint import (
     Deterministics,
     KernelSpec,
     RestrictionSpec,
+    build_deterministics,
     d_ols,
     fm_ols,
     im_ols,
@@ -364,6 +365,79 @@ class TestDOls:
         s = random_sample(rng, T=12, m=2)
         with pytest.raises(ValueError, match="infeasible"):
             d_ols(s, max_leads_lags=4)
+
+    @staticmethod
+    def leads_lags_sample(rng, T, m, det):
+        """Errors that load on up to four leads and lags of v, so that BIC
+        picks a spread of K."""
+        v = rng.standard_normal((T + 8, m))
+        load = rng.uniform(-1.0, 1.0, size=9)
+        u = rng.standard_normal(T + 8) + sum(a * np.roll(v.sum(axis=1), j - 4) for j, a in enumerate(load))
+        x = np.cumsum(v[4:-4], axis=0) * rng.uniform(0.01, 100.0)
+        y = x.sum(axis=1) + u[4:-4] + build_deterministics(det, T) @ np.arange(1.0, det.n_columns + 1)
+        return CointegrationSample(y=y, x=x, det=det)
+
+    def test_design_matches_loop_transcription(self):
+        from sncoint.estimators import _dols_design
+
+        rng = np.random.default_rng(25)
+        for T, m, det, K in [(20, 1, Deterministics.NONE, 0), (60, 2, Deterministics.INTERCEPT, 2),
+                             (101, 3, Deterministics.TREND, 1), (60, 3, Deterministics.NONE, 2)]:  # fmt: skip
+            s = random_sample(rng, T=T, m=m, det=det)
+            v = s.innovations()
+            for lo, hi in [(K + 1, T - K), (3 + 1, T - 3)]:
+                rows = slice(lo - 1, hi)
+                blocks = [s.deterministics()[rows], s.x[rows]] + [v[lo - 1 + j : hi + j] for j in range(-K, K + 1)]
+                y_c, X_c = _dols_design(s, K, lo, hi)
+                np.testing.assert_array_equal(y_c, s.y[rows])
+                np.testing.assert_array_equal(X_c, np.column_stack(blocks))
+
+    def test_matches_per_candidate_refits(self):
+        """Transcription of the search that fits every candidate: the same K,
+        and the winner's estimate and moment block bit for bit."""
+        from sncoint.estimators import _dols_design
+
+        rng = np.random.default_rng(26)
+        chosen = set()
+        for T in (60, 150):
+            for m in (1, 2, 3):
+                for det in (Deterministics.NONE, Deterministics.INTERCEPT, Deterministics.TREND):
+                    for kmax in (0, 1, 2, 4):
+                        s = self.leads_lags_sample(rng, T, m, det)
+                        best = (np.inf, 0)
+                        for K in range(kmax + 1):
+                            y_c, X_c = _dols_design(s, K, kmax + 1, T - kmax)
+                            resid, n = ols(y_c, X_c).resid, y_c.shape[0]
+                            bic = np.log(float(resid @ resid) / n) + X_c.shape[1] * np.log(n) / n
+                            if bic < best[0]:
+                                best = (bic, K)
+                        K = best[1]
+                        y_f, X_f = _dols_design(s, K, K + 1, T - K)
+                        norms = np.linalg.norm(X_f, axis=0)
+                        inv = np.linalg.inv((X_f / norms).T @ (X_f / norms)) / np.outer(norms, norms)
+                        p = det.n_columns
+                        fit = d_ols(s, kmax)
+                        assert fit.leads_lags == K
+                        assert fit.params.tobytes() == ols(y_f, X_f).params.tobytes()
+                        assert fit.moment_inv_beta.tobytes() == inv[p : p + m, p : p + m].tobytes()
+                        chosen.add(K)
+        assert chosen == {0, 1, 2, 3, 4}
+
+    def test_one_ols_call(self, count_calls):
+        s = self.leads_lags_sample(np.random.default_rng(27), 100, 2, Deterministics.INTERCEPT)
+        calls = count_calls(ols)
+        d_ols(s, max_leads_lags=4)
+        assert len(calls) == 1
+
+    def test_rank_deficient_designs_raise(self):
+        rng = np.random.default_rng(28)
+        x1 = np.cumsum(rng.standard_normal(60))
+        x2 = np.cumsum(rng.standard_normal(60))
+        x2[1:58] = x2[1]  # v_2 vanishes on the common sample t = 3..58
+        for x in (np.column_stack([x1, 2.0 * x1]), np.column_stack([x1, x2])):
+            s = CointegrationSample(y=x1 + rng.standard_normal(60), x=x)
+            with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
+                d_ols(s, max_leads_lags=2)
 
 
 class TestAugmentedRegressors:

@@ -147,6 +147,17 @@ class TestSizeExperiment:
         assert result.meta["chunk_size"] == 8 and result.meta["tasks"] == 7
         assert result.meta["blas_pinned"] is BLAS_PINNED
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        def no_study(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "replication_map", no_study)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            size_experiment(DgpConfig(T=50), {"coin": coin_flip_test}, reps=10, workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=10, workers=workers)
+
     def test_rates_validated(self):
         from sncoint import ExperimentResult
 
