@@ -14,7 +14,6 @@ from .bootstrap import (
     VarSieveModel,
     bootstrap_test,
     generate_bootstrap_sample,
-    select_order,
     yule_walker,
 )
 from .estimators import (

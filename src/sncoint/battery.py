@@ -29,7 +29,7 @@ from .selfnorm import (
     traditional_statistic,
     traditional_wald,
 )
-from .tables import CriticalValueTable, default_table
+from .tables import _PROBS, CriticalValueTable, _level, default_table
 from .timeseries import CointegrationSample
 
 __all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
@@ -192,12 +192,15 @@ def standard_battery(
     ``Wald-FM``, ``Wald-D``, ``Wald-IM-bootstrap``, ``tau1-bootstrap``.
     ``SN-asymptotic`` reads the packaged quantiles matching each sample
     (simulated from the test's seed outside them); ``kernel`` defaults to
-    Bartlett with the plug-in bandwidth.
+    Bartlett with the plug-in bandwidth. ``alpha`` is checked here, before any test runs.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
     battery: dict[str, object] = {}
     for name in names:
         if name == "SN-asymptotic":
+            _level(_PROBS, alpha)
             battery[name] = partial(_run_sn_asymptotic, alpha)
         elif name in _EST_TAGS:
             battery[name] = partial(_run_traditional, _EST_TAGS[name], kernel, alpha)

@@ -45,7 +45,6 @@ __all__ = [
     "VarSieveModel",
     "BootstrapConfig",
     "yule_walker",
-    "select_order",
     "max_sieve_order",
     "critical_rank",
     "companion_spectral_radius",
@@ -96,12 +95,11 @@ class BootstrapConfig:
                 f"(n_boot + 1) * (1 - alpha) = {rank:.6g} must be an integer; "
                 f"adjust n_boot (e.g. 199, 399, 999, 1499 for alpha = 0.05)"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        if isinstance(self.order_rule, str) and self.order_rule not in ("aic", "bic"):
-            raise ValueError("order_rule must be 'aic', 'bic', or a fixed order")
-        if isinstance(self.order_rule, int) and self.order_rule < 1:
-            raise ValueError("fixed order must be at least 1")
+        _check_order_rule(self.order_rule)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
@@ -136,24 +134,23 @@ def companion_spectral_radius(coefs: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(F))))
 
 
-def _solve_yule_walker(gammas: np.ndarray, q: int) -> np.ndarray:
-    """Coefficient stack solving the block-Toeplitz moment equations, given
-    :func:`autocovariances` of the demeaned series up to lag q or beyond."""
-    gammas = gammas.transpose(0, 2, 1)  # gammas[h] = T^{-1} sum_t w_{t+h} w_t'
-    k = gammas[0].shape[0]
-    G = np.empty((q * k, q * k))
-    for a in range(q):
-        for b in range(q):
-            block = gammas[b - a] if b >= a else gammas[a - b].T
-            G[a * k : (a + 1) * k, b * k : (b + 1) * k] = block
-    C = np.hstack(gammas[1 : q + 1])
+def _solve_yule_walker(gammas: np.ndarray, orders) -> list[np.ndarray]:
+    """Coefficient stacks solving the moment equations of each order q in
+    ``orders``, given :func:`autocovariances` of the demeaned series up to
+    the largest. The block-Toeplitz system, block (a, b) Gamma(b - a), is
+    assembled once at that order; every lower order's is a leading block."""
+    q, k = gammas.shape[0] - 1, gammas.shape[1]
+    lead = gammas.transpose(0, 2, 1)  # lead[h] = Gamma(h) = T^{-1} sum_t w_{t+h} w_t'
+    blocks = np.concatenate([gammas[q - 1 : 0 : -1], lead[:q]])  # Gamma(1-q), ..., Gamma(q-1)
+    G = blocks[np.arange(q) - np.arange(q)[:, None] + q - 1].transpose(0, 2, 1, 3).reshape(q * k, q * k)
+    C = np.hstack(lead[1:])
     try:
-        stacked = np.linalg.solve(G, C.T).T
+        stacks = [np.linalg.solve(G[: p * k, : p * k], C[:, : p * k].T).T for p in orders]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("moment equations singular: collinear inputs") from exc
-    # C-contiguous so the stack computes identically after a pickle
+    # C-contiguous so each stack computes identically after a pickle
     # round-trip (memory layout selects the BLAS accumulation order).
-    return np.ascontiguousarray(stacked.reshape(k, q, k).swapaxes(0, 1))
+    return [np.ascontiguousarray(stacked.reshape(k, -1, k).swapaxes(0, 1)) for stacked in stacks]
 
 
 def _var_residuals(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -166,67 +163,64 @@ def _var_residuals(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     return resid
 
 
-def yule_walker(w: np.ndarray, q: int) -> VarSieveModel:
-    """Fit a VAR(q) by the sample moment equations.
+def _check_order_rule(rule: str | int) -> str | int:
+    """The rule 'aic' or 'bic', or a fixed order as a Python int."""
+    if isinstance(rule, str) and rule in ("aic", "bic"):
+        return rule
+    if isinstance(rule, (int, np.integer)) and not isinstance(rule, bool) and rule >= 1:
+        return int(rule)
+    raise ValueError(f"fixed order must be at least 1 and an integer, or the rule 'aic' or 'bic'; got {rule!r}")
 
-    The estimate is stable by construction; the companion spectral radius
-    is verified after every fit.
+
+def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
+    """Fit the VAR sieve by the sample moment equations.
+
+    ``order`` is a fixed order q (an integer of at least 1, NumPy integers
+    included, bools not), or the rule 'aic' or 'bic'. A rule scores the
+    candidates q = 1..q_max, with q_max = :func:`max_sieve_order` (T), on
+    the common evaluation window t = q_max+1..T with ln det of the
+    residual covariance plus penalty 2 q k^2 / n (AIC) or ln(n) q k^2 / n
+    (BIC), and keeps the minimizer (q = 1 if no candidate has a positive
+    determinant). One autocovariance pass and one system at the largest
+    order serve every candidate. The estimate is stable by construction;
+    the companion spectral radius is verified after every fit.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    T, k = w.shape
-    if q < 1:
-        raise ValueError("order must be at least 1")
-    if T <= q * k + 1:
-        raise ValueError(f"sample of length {T} too short for a VAR({q}) in {k} series")
-    coefs = _solve_yule_walker(autocovariances(w - w.mean(axis=0), q), q)
-    radius = companion_spectral_radius(coefs)
-    if radius >= 1.0:
-        raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {radius:.6f})")
-    resid = _var_residuals(w, coefs)
-    pool = resid - resid.mean(axis=0)
-    return VarSieveModel(order=q, coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
-
-
-def select_order(w: np.ndarray, rule: str | int = "aic") -> int:
-    """Order of the sieve: fixed, or the information-criterion minimizer.
-
-    Candidates q = 1..q_max, with q_max = :func:`max_sieve_order` (T), are
-    scored on the common evaluation window t = q_max+1..T with ln det of
-    the residual covariance plus penalty 2 q k^2 / n (AIC) or
-    ln(n) q k^2 / n (BIC).
-    """
+    rule = _check_order_rule(order)
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
     T, k = w.shape
     if isinstance(rule, int):
+        q_max, orders = rule, [rule]
         cap = int(math.floor((T / math.log(T)) ** (1.0 / 3.0))) + 2
-        if rule > cap:
+        if q_max > cap:
             warnings.warn(
-                f"fixed sieve order {rule} exceeds the growth-rate cap {cap} for T={T}",
+                f"fixed sieve order {q_max} exceeds the growth-rate cap {cap} for T={T}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return rule
-    q_max = max(1, min(max_sieve_order(T), (T - 2) // k))
+    else:
+        q_max = max(1, min(max_sieve_order(T), (T - 2) // k))
+        orders = range(1, q_max + 1)
+    if T <= q_max * k + 1:
+        raise ValueError(f"sample of length {T} too short for a VAR({q_max}) in {k} series")
     wd = w - w.mean(axis=0)
-    gammas = autocovariances(wd, q_max)
-    n_eval = T - q_max
-    best_q, best_ic = 1, np.inf
-    for q in range(1, q_max + 1):
-        coefs = _solve_yule_walker(gammas, q)
-        resid = _var_residuals(wd[q_max - q :], coefs)  # rows q_max+1..T
-        sigma = resid.T @ resid / n_eval
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            continue
+    candidates = _solve_yule_walker(autocovariances(wd, q_max), orders)
+    coefs, best_ic, n_eval = candidates[0], np.inf, T - q_max  # a fixed order, or the fallback q = 1
+    if isinstance(rule, str):
         penalty = 2.0 if rule == "aic" else math.log(n_eval)
-        ic = logdet + penalty * q * k**2 / n_eval
-        if ic < best_ic:
-            best_q, best_ic = q, ic
-    return best_q
+        for q, fit in zip(orders, candidates):
+            resid = _var_residuals(wd[q_max - q :], fit)  # rows q_max+1..T
+            sign, logdet = np.linalg.slogdet(resid.T @ resid / n_eval)
+            ic = logdet + penalty * q * k**2 / n_eval
+            if sign > 0 and ic < best_ic:
+                coefs, best_ic = fit, ic
+    radius = companion_spectral_radius(coefs)
+    if radius >= 1.0:
+        raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {radius:.6f})")
+    resid = _var_residuals(w, coefs)
+    pool = resid - resid.mean(axis=0)
+    return VarSieveModel(order=len(coefs), coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
 
 
 def generate_bootstrap_batch(
@@ -336,8 +330,7 @@ def bootstrap_test(
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
 
     w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
-    order = select_order(w_hat, config.order_rule)
-    model = yule_walker(w_hat, order)
+    model = yule_walker(w_hat, config.order_rule)
     beta_restricted = restricted_im_ols(fit, restriction)
 
     draw = partial(

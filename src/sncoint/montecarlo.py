@@ -95,17 +95,14 @@ class DgpConfig:
 def _garch(config: DgpConfig, eps: np.ndarray) -> np.ndarray:
     """Mixed GARCH innovations from standard normals ``eps`` (..., length, 3),
     one recursion over time for every leading index at once."""
-    if config.a1 == 0.0 and config.b1 == 0.0:
-        xi = eps
-    else:
-        a0 = 1.0 - config.a1 - config.b1
-        xi = np.empty_like(eps)
-        sigma2 = np.ones(eps.shape[:-2] + (3,))
-        xi_prev_sq = np.ones(eps.shape[:-2] + (3,))
-        for t in range(eps.shape[-2]):
-            sigma2 = a0 + config.a1 * xi_prev_sq + config.b1 * sigma2
-            xi[..., t, :] = np.sqrt(sigma2) * eps[..., t, :]
-            xi_prev_sq = xi[..., t, :] ** 2
+    a0 = 1.0 - config.a1 - config.b1
+    xi = np.empty_like(eps)
+    sigma2 = np.ones(eps.shape[:-2] + (3,))
+    xi_prev_sq = np.ones(eps.shape[:-2] + (3,))
+    for t in range(eps.shape[-2]):
+        sigma2 = a0 + config.a1 * xi_prev_sq + config.b1 * sigma2
+        xi[..., t, :] = np.sqrt(sigma2) * eps[..., t, :]
+        xi_prev_sq = xi[..., t, :] ** 2
     return xi @ config.mixing_matrix().T
 
 

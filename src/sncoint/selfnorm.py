@@ -247,6 +247,8 @@ def traditional_wald(
     the static-OLS residuals; ``diagnostics["bandwidth"]`` records its
     numeric bandwidth.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     fitted = FittedSample.of(sample)
     statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions

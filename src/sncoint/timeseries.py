@@ -137,6 +137,11 @@ class CointegrationSample:
             )
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+        # v_t and the deterministic matrix, computed once and shared read-only
+        v = np.diff(x, axis=0, prepend=np.zeros((1, m)))
+        for name, array in (("_innovations", v), ("_deterministics", build_deterministics(self.det, T))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def nobs(self) -> int:
@@ -147,9 +152,9 @@ class CointegrationSample:
         return self.x.shape[1]
 
     def innovations(self) -> np.ndarray:
-        """Regressor innovations v_t = x_t - x_{t-1} with v_1 = x_1."""
-        return np.diff(self.x, axis=0, prepend=np.zeros((1, self.x.shape[1])))
+        """Regressor innovations v_t = x_t - x_{t-1} with v_1 = x_1 (read-only)."""
+        return self._innovations
 
     def deterministics(self) -> np.ndarray:
-        """The T x p deterministic regressor matrix for this sample."""
-        return build_deterministics(self.det, self.nobs)
+        """The T x p deterministic regressor matrix for this sample (read-only)."""
+        return self._deterministics

@@ -14,12 +14,12 @@ from sncoint import (
     bootstrap_test,
     generate_bootstrap_sample,
     im_ols,
-    select_order,
     self_normalizer,
     wald_statistic,
     yule_walker,
 )
-from sncoint.bootstrap import companion_spectral_radius, critical_rank, max_sieve_order
+from sncoint.bootstrap import _var_residuals, companion_spectral_radius, critical_rank, max_sieve_order
+from sncoint.kernels import autocovariances
 from sncoint.streams import substream
 
 
@@ -80,7 +80,44 @@ class TestYuleWalker:
             yule_walker(np.random.default_rng(0).standard_normal((7, 2)), 3)
 
 
+def loop_yule_walker(w, rule):
+    """Loop transcription of the sieve fit: assemble and solve the
+    block-Toeplitz system of each candidate order from its own
+    autocovariances, score the candidates, and refit the winner."""
+    w = np.asarray(w, dtype=float).reshape(len(w), -1)
+    T, k = w.shape
+    wd = w - w.mean(axis=0)
+
+    def solve(q):
+        gammas = autocovariances(wd, q).transpose(0, 2, 1)
+        G = np.empty((q * k, q * k))
+        for a in range(q):
+            for b in range(q):
+                G[a * k : (a + 1) * k, b * k : (b + 1) * k] = gammas[b - a] if b >= a else gammas[a - b].T
+        stacked = np.linalg.solve(G, np.hstack(gammas[1 : q + 1]).T).T
+        return np.ascontiguousarray(stacked.reshape(k, q, k).swapaxes(0, 1))
+
+    order = rule
+    if isinstance(rule, str):
+        q_max = max(1, min(max_sieve_order(T), (T - 2) // k))
+        n_eval = T - q_max
+        order, best_ic = 1, np.inf
+        for q in range(1, q_max + 1):
+            resid = _var_residuals(wd[q_max - q :], solve(q))
+            sign, logdet = np.linalg.slogdet(resid.T @ resid / n_eval)
+            penalty = 2.0 if rule == "aic" else np.log(n_eval)
+            if sign > 0 and logdet + penalty * q * k**2 / n_eval < best_ic:
+                order, best_ic = q, logdet + penalty * q * k**2 / n_eval
+    coefs = solve(order)
+    resid = _var_residuals(w, coefs)
+    pool = resid - resid.mean(axis=0)
+    return order, coefs, pool, pool.T @ pool / pool.shape[0]
+
+
 class TestSelectOrder:
+    """Order selection inside :func:`yule_walker`: a fixed order, or the
+    AIC or BIC minimizer from one system at the largest candidate order."""
+
     def test_max_order_rule(self):
         assert max_sieve_order(100) == 4
         assert max_sieve_order(75) == 4
@@ -89,24 +126,60 @@ class TestSelectOrder:
 
     def test_fixed_order_passthrough(self):
         w = np.random.default_rng(1).standard_normal((200, 2))
-        assert select_order(w, 3) == 3
+        assert yule_walker(w, 3).order == 3
 
     def test_fixed_order_above_growth_cap_warns(self):
         w = np.random.default_rng(2).standard_normal((100, 2))
         with pytest.warns(RuntimeWarning, match="growth-rate cap"):
-            select_order(w, 9)
+            yule_walker(w, 9)
 
     def test_selection_consistency_var1(self):
         hits = 0
         for seed in range(200):
             w = simulate_var1(substream(105, seed), 2000, np.array([[0.8, 0.0], [0.3, 0.5]]), k=2)
-            hits += select_order(w, "aic") == 1
+            hits += yule_walker(w, "aic").order == 1
         assert hits >= 160
 
     def test_bic_never_larger_than_sample_allows(self):
         w = np.random.default_rng(3).standard_normal((40, 3))
-        q = select_order(w, "bic")
+        q = yule_walker(w, "bic").order
         assert 1 <= q <= max_sieve_order(40)
+
+    @pytest.mark.parametrize("T", [40, 150, 1000])
+    def test_matches_loop_transcription(self, T):
+        for k in (1, 2, 3):
+            for seed in range(4):
+                w = simulate_var1(substream(106, T, k, seed), T, 0.3 * seed * np.eye(k), k=k)
+                for rule in ("aic", "bic", 1, 3):
+                    model = yule_walker(w, rule)
+                    order, coefs, pool, sigma = loop_yule_walker(w, rule)
+                    assert model.order == order
+                    assert model.coefs.tobytes() == coefs.tobytes()
+                    assert model.resid_pool.tobytes() == pool.tobytes()
+                    assert model.sigma.tobytes() == sigma.tobytes()
+
+    def test_numpy_integer_order(self):
+        w = np.random.default_rng(4).standard_normal((200, 2))
+        assert yule_walker(w, np.int64(3)).order == 3
+        config = BootstrapConfig(n_boot=19, alpha=0.05, order_rule=np.int64(3))
+        out = bootstrap_test(mild_sample(substream(108, 0)), RestrictionSpec(R=np.eye(2), value=np.ones(2)), config)
+        assert out.diagnostics["sieve_order"] == 3
+
+    @pytest.mark.parametrize("rule", [2.0, True, 0, "AIC"])
+    def test_bad_rules_rejected_with_one_message(self, rule):
+        w = np.random.default_rng(5).standard_normal((200, 2))
+        with pytest.raises(ValueError, match="fixed order must be at least 1") as by_config:
+            BootstrapConfig(order_rule=rule)
+        with pytest.raises(ValueError) as by_fit:
+            yule_walker(w, rule)
+        assert str(by_fit.value) == str(by_config.value)
+
+    def test_one_autocovariance_pass_per_test(self, count_calls):
+        sample = mild_sample(substream(107, 0))
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        passes = count_calls(autocovariances)
+        bootstrap_test(sample, restriction, BootstrapConfig(n_boot=19, alpha=0.05, seed=1), statistic="sn")
+        assert len(passes) == 1
 
 
 class TestGenerateBootstrapSample:

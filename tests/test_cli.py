@@ -383,8 +383,11 @@ class TestCommandLine:
          ({"kind": "size", "T": 75, "workers": "2"}, "'workers' must be an integer >= 1, got '2'"),
          ({"kind": "size", "T": 5}, "bad config: sample size too small"),
          ({"kind": "size", "T": 75, "beta": [1.0]}, "bad config: beta needs one coefficient per regressor (two)"),
-         ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2")],
-        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "beta", "alpha"],
+         ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2"),
+         ({"kind": "size", "T": 75, "alpha": 0.2, "tests": ["SN-asymptotic"]},
+          "bad config: 'no tabulated quantile at probability 0.8'")],
+        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "beta", "alpha",
+             "alpha-untabulated"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -403,6 +406,7 @@ class TestCommandLine:
          (["boottest", "--B", "100"], "(n_boot + 1) * (1 - alpha) = 95.95 must be an integer; adjust n_boot"),
          (["boottest", "--order", "0"], "fixed order must be at least 1"),
          (["boottest", "--workers", "0"], "workers must be at least 1, got 0"),
+         (["boottest", "--seed", "-1"], "seed must be nonnegative, got -1"),
          (["test", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
          (["test", "--alpha", "2"], "no tabulated quantile at probability -1.0"),
          (["boottest", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
@@ -415,7 +419,7 @@ class TestCommandLine:
           "PATH: malformed critical value file: could not convert string to float: 'abc'"),
          (["boottest", "--table", "TEXT:# sncoint critical values v1\ns=1 det=none n_grid=1000 reps=1000\n0.9 1.0\n"],
           "PATH: header has no m= field")],
-        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0",
+        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0", "negative-seed",
              "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated", "table-mismatch",
              "boot-table-mismatch", "R1-width", "boot-R1-width", "table-header", "table-quantile-line",
              "table-no-m"],

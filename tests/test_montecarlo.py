@@ -272,6 +272,15 @@ class TestStandardBattery:
         with pytest.raises(ValueError, match="unknown statistic tag"):
             standard_statistics(["SN-jackknife"])
 
+    def test_alpha_checked_before_any_test(self):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 2.0"):
+            standard_battery(["Wald-FM"], alpha=2.0)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0"):
+            standard_battery(["SN-bootstrap"], alpha=0)
+        with pytest.raises(KeyError, match="no tabulated quantile at probability 0.8"):
+            standard_battery(["Wald-FM", "SN-asymptotic"], alpha=0.2)
+        assert set(standard_battery(["Wald-FM"], alpha=0.2)) == {"Wald-FM"}
+
     def test_all_tags_execute(self):
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
         sample = generate_dgp(config, substream(17, 0))

@@ -199,6 +199,13 @@ class TestTraditionalWald:
         with pytest.raises(ValueError, match="unknown estimator"):
             traditional_wald("CCR", s, r, KernelSpec(BARTLETT, "andrews"))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        s = make_sample(np.random.default_rng(15))
+        r = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            traditional_wald("FM", s, r, KernelSpec(BARTLETT, "andrews"), alpha=alpha)
+
 
 class TestDiffResidualLrv:
     @staticmethod

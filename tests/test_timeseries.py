@@ -86,6 +86,16 @@ class TestCointegrationSample:
         np.testing.assert_array_equal(v[0], x[0])
         np.testing.assert_allclose(np.cumsum(v, axis=0), x, atol=1e-12)
 
+    def test_innovations_and_deterministics_computed_once(self):
+        x = np.cumsum(np.random.default_rng(4).standard_normal((30, 2)), axis=0)
+        s = CointegrationSample(y=x.sum(axis=1), x=x, det=Deterministics.TREND)
+        for arrays in (s.innovations, s.deterministics):
+            assert arrays() is arrays()
+            assert not arrays().flags.writeable
+            with pytest.raises(ValueError):
+                arrays()[0] = 0.0
+        np.testing.assert_array_equal(s.deterministics(), build_deterministics(Deterministics.TREND, 30))
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="same number"):
             CointegrationSample(y=np.zeros(5), x=np.zeros((6, 1)))
