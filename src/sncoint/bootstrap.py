@@ -192,18 +192,15 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
     T, k = w.shape
     if isinstance(rule, int):
         q_max, orders = rule, [rule]
-        cap = int(math.floor((T / math.log(T)) ** (1.0 / 3.0))) + 2
-        if q_max > cap:
-            warnings.warn(
-                f"fixed sieve order {q_max} exceeds the growth-rate cap {cap} for T={T}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     else:
         q_max = max(1, min(max_sieve_order(T), (T - 2) // k))
         orders = range(1, q_max + 1)
     if T <= q_max * k + 1:
         raise ValueError(f"sample of length {T} too short for a VAR({q_max}) in {k} series")
+    if isinstance(rule, int) and q_max > (cap := int(math.floor((T / math.log(T)) ** (1.0 / 3.0))) + 2):
+        warnings.warn(
+            f"fixed sieve order {q_max} exceeds the growth-rate cap {cap} for T={T}", RuntimeWarning, stacklevel=2
+        )
     wd = w - w.mean(axis=0)
     candidates = _solve_yule_walker(autocovariances(wd, q_max), orders)
     coefs, best_ic, n_eval = candidates[0], np.inf, T - q_max  # a fixed order, or the fallback q = 1

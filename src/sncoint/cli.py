@@ -308,8 +308,8 @@ def _cmd_simulate(args) -> int:
         else:
             grid = _grid_from_config(cfg.get("beta_grid", {"start": 1.01, "stop": 1.2, "num": 20}))
             stats = standard_statistics(cfg.get("statistics", ["SN"]), kernel=kernel)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad config: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # str() of a KeyError quotes it, as in _checked
+        raise UsageError(f"bad config: {exc.args[0] if isinstance(exc, KeyError) else exc}") from None
 
     if kind == "size":
         result = size_experiment(dgp, tests, reps=reps, seed=seed, workers=workers)
@@ -393,7 +393,10 @@ def _build_parser() -> _Parser:
     p_crit.add_argument("--m", type=int, required=True)
     p_crit.add_argument("--s", type=int, required=True)
     p_crit.add_argument("--det", default="none", choices=["none", "const", "trend", "quad", "cubic"])
-    p_crit.add_argument("--n-grid", type=int, default=10_000, dest="n_grid")
+    p_crit.add_argument(
+        "--n-grid", type=int, default=10_000, dest="n_grid",
+        help="random-walk length (default 10000); 1000 gives quantiles biased low, by a median of about 5.6%%",
+    )  # fmt: skip
     p_crit.add_argument("--reps", type=int, default=10_000)
     p_crit.add_argument("--seed", type=int, default=0)
     p_crit.add_argument("--output", default=None)

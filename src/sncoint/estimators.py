@@ -7,9 +7,14 @@ deterministic columns and m integrated regressors,
     cumsum(y)_t  on  Z_t = [cumsum(d)_t', cumsum(x)_t', x_t']',
 
 so the coefficient vector has length p + 2m and is ordered
-(deterministic block, beta, gamma). All linear solves rank-check at
-1e-10 relative to the leading singular value after column equilibration;
-the partial-sum columns are otherwise badly scaled for large T.
+(deterministic block, beta, gamma).
+
+Every least-squares fit goes through one kernel, :func:`_qr_solve`: it
+equilibrates the columns (partial sums and trends are otherwise badly
+scaled for large T), runs one Householder QR of [X, y], and applies one
+rank rule, :func:`_full_rank`. A fit keeps ``root`` = D^{-1} R^{-1}, D the
+column norms, so (X'X)^{-1} = root root'. FM-OLS, D-OLS and the
+restricted projection read their inverse moments from it.
 """
 
 from __future__ import annotations
@@ -47,10 +52,11 @@ _BATCH_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares coefficients and residuals."""
+    """Least-squares coefficients, residuals and ``root``, with (X'X)^{-1} = root root'."""
 
     params: np.ndarray
     resid: np.ndarray
+    root: np.ndarray
 
 
 def _full_rank(sv: np.ndarray, k: int) -> np.ndarray:
@@ -65,20 +71,45 @@ def _unit_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X / np.where(norms > 0.0, norms, 1.0), norms
 
 
-def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
-    """Ordinary least squares of ``y`` on the columns of ``X``.
+def _qr_solve(y: np.ndarray, X: np.ndarray):
+    """Least squares of each row of ``y`` (c, T) on ``X`` (c, T, k) by one stacked
+    QR of the equilibrated [X, y]. Returns the equilibrated columns Xs, their norms,
+    R^{-1}, the coefficients theta on Xs (X's are theta / norms) and the mask of
+    degenerate rows: a zero or non-finite column, a non-finite y, or an R (whose
+    singular values are those of Xs) that fails :func:`_full_rank`. Such rows get
+    R = I and NaN theta."""
+    k = X.shape[2]
+    norms = np.sqrt(np.einsum("ctj,ctj->cj", X, X))
+    degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(y).all(axis=1))
+    if degenerate.any():  # masking costs more than the QR of one short row, so only when needed
+        norms[degenerate] = 1.0
+        X = np.where(degenerate[:, None, None], 0.0, X)
+    Xs = X / norms[:, None, :]
+    Raug = np.linalg.qr(np.concatenate([Xs, y[:, :, None]], axis=2), mode="r")
+    R = Raug[:, :k, :k]
+    degenerate |= ~_full_rank(np.linalg.svd(R, compute_uv=False), k)
+    if masked := degenerate.any():
+        R[degenerate] = np.eye(k)
+    Rinv = np.linalg.inv(R)
+    theta = (Rinv @ Raug[:, :k, k:])[:, :, 0]
+    if masked:
+        theta[degenerate] = np.nan
+    return Xs, norms, Rinv, theta, degenerate
 
-    Raises :class:`numpy.linalg.LinAlgError` when ``X`` is rank deficient.
+
+def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
+    """Ordinary least squares of ``y`` on the columns of ``X``: the kernel's one-row case.
+
+    Raises :class:`numpy.linalg.LinAlgError` when ``X`` is rank deficient or the data are not finite.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     X = X[:, None] if X.ndim == 1 else X
-    Xs, norms = _unit_columns(X)
-    coef, _, _, sv = np.linalg.lstsq(Xs, y, rcond=_RANK_RCOND)
-    if not _full_rank(sv, X.shape[1]):
+    _, norms, Rinv, theta, degenerate = _qr_solve(y[None], X[None])
+    if degenerate[0]:
         raise np.linalg.LinAlgError(_DEFICIENT)
-    params = coef / norms
-    return OlsFit(params=params, resid=y - X @ params)
+    params = theta[0] / norms[0]
+    return OlsFit(params=params, resid=y - X @ params, root=Rinv[0] / norms[0][:, None])
 
 
 @dataclass(frozen=True)
@@ -96,6 +127,8 @@ class ImOlsFit:
     scaled_cov : ndarray
         Sandwich matrix (Z'Z)^{-1} (sum_t c_t c_t') (Z'Z)^{-1}, with c_t
         the reversed partial sums sum_{s>=t} Z_s.
+    root : ndarray, shape (p + 2m, p + 2m)
+        Factor of the inverse moments: (Z'Z)^{-1} = root root'.
     n_det, n_reg : int
         Number of deterministic columns p and integrated regressors m.
 
@@ -107,6 +140,7 @@ class ImOlsFit:
     regressors: np.ndarray
     resid: np.ndarray
     scaled_cov: np.ndarray
+    root: np.ndarray
     n_det: int
     n_reg: int
 
@@ -140,11 +174,6 @@ def _augmented(x: np.ndarray, det: Deterministics) -> np.ndarray:
     return np.concatenate([Sd, np.cumsum(x, axis=-2), x], axis=-1)
 
 
-def augmented_regressors(sample: CointegrationSample) -> np.ndarray:
-    """Build Z = [cumsum(d), cumsum(x), x] for the partial-sum regression."""
-    return _augmented(sample.x, sample.det)
-
-
 def batch_rows(T: int, width: int) -> int:
     """Rows per batch so that one (rows, T, width) array holds about 2^17
     elements (1 MiB); depends on the shape only, never on workers."""
@@ -155,43 +184,28 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     """IM-OLS of each row of ``y`` (c, T) on the levels ``x`` (c, T, m).
 
     Rows :func:`im_ols` would reject as collinear have NaN ``params``,
-    ``resid`` and ``scaled_cov``.
+    ``resid``, ``scaled_cov`` and ``root``.
     """
-    # One stacked Householder QR of the equilibrated [Z, Sy] yields R and
-    # Q'Sy. The sandwich (Z'Z)^{-1} (C'C) (Z'Z)^{-1}, with C the reversed
-    # partial sums of Z, is evaluated as R^{-1} (Y'Y) R^{-T}, Y = C R^{-1}:
-    # the error then scales with the condition number of R rather than of
-    # the Gram matrix, which raw partial-sum columns push beyond float64
-    # for long samples. The rank check uses the singular values of R,
-    # which are those of the equilibrated Z. Rows that fail it, or have a
-    # zero or non-finite column, get NaN coefficients and sandwich.
+    # The kernel's stacked QR of the equilibrated [Z, Sy] yields R^{-1}.
+    # The sandwich (Z'Z)^{-1} (C'C) (Z'Z)^{-1}, with C the reversed partial
+    # sums of Z, is evaluated as R^{-1} (Y'Y) R^{-T}, Y = C R^{-1}: the
+    # error then scales with the condition number of R rather than of the
+    # Gram matrix, which raw partial-sum columns push beyond float64 for
+    # long samples. Degenerate rows get a NaN sandwich.
     Z = _augmented(x, det)
     Sy = np.cumsum(y, axis=1)
+    Zs, norms, Rinv, theta, degenerate = _qr_solve(Sy, Z)
     c, _, k = Z.shape
-    norms = np.sqrt(np.einsum("ctj,ctj->cj", Z, Z))
-    degenerate = ~(np.isfinite(norms).all(axis=1) & (norms > 0.0).all(axis=1) & np.isfinite(Sy[:, -1]))
-    norms[degenerate] = 1.0
-    Zs = Z / norms[:, None, :]
-    Zs[degenerate] = 0.0
-    Raug = np.linalg.qr(np.concatenate([Zs, Sy[:, :, None]], axis=2), mode="r")
-    R = Raug[:, :k, :k]
-    sv = np.linalg.svd(R, compute_uv=False)
-    degenerate |= ~_full_rank(sv, k)
-    R[degenerate] = np.eye(k)
-    Rinv = np.linalg.inv(R)
-    theta = (Rinv @ Raug[:, :k, k:])[:, :, 0]
-
     SZ = np.cumsum(Zs, axis=1)
     C = SZ[:, -1:] - np.concatenate([np.zeros((c, 1, k)), SZ[:, :-1]], axis=1)
     Y = C @ Rinv
     V = Rinv @ (Y.transpose(0, 2, 1) @ Y) @ Rinv.transpose(0, 2, 1)
     V = 0.5 * (V + V.transpose(0, 2, 1)) / (norms[:, :, None] * norms[:, None, :])
-    theta[degenerate] = np.nan
+    root = Rinv / norms[:, :, None]
     V[degenerate] = np.nan
+    root[degenerate] = np.nan
     resid = Sy - (Zs @ theta[:, :, None])[:, :, 0]
-    return ImOlsFit(
-        params=theta / norms, regressors=Z, resid=resid, scaled_cov=V, n_det=det.n_columns, n_reg=x.shape[2]
-    )
+    return ImOlsFit(theta / norms, Z, resid, V, root, n_det=det.n_columns, n_reg=x.shape[2])
 
 
 def im_ols(sample: CointegrationSample) -> ImOlsFit:
@@ -204,7 +218,8 @@ def im_ols(sample: CointegrationSample) -> ImOlsFit:
     fit = im_ols_batch(sample.y[None], sample.x[None], sample.det)
     if np.isnan(fit.params).any():
         raise np.linalg.LinAlgError("augmented regression singular")
-    return ImOlsFit(fit.params[0], fit.regressors[0], fit.resid[0], fit.scaled_cov[0], fit.n_det, fit.n_reg)
+    row = (fit.params[0], fit.regressors[0], fit.resid[0], fit.scaled_cov[0], fit.root[0])
+    return ImOlsFit(*row, fit.n_det, fit.n_reg)
 
 
 @dataclass(frozen=True)
@@ -246,14 +261,6 @@ class RestrictionSpec:
         return np.hstack([np.zeros((s, n_det)), self.R, np.zeros((s, n_reg))])
 
 
-def _equilibrated_gram(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column norms of ``Z`` and the Gram matrix of its equilibrated columns,
-    in which normal equations are solved: partial sums and trends make the
-    raw Gram matrix badly scaled."""
-    norms = np.linalg.norm(Z, axis=0)
-    return norms, (Z / norms).T @ (Z / norms)
-
-
 def restricted_im_ols(fit: ImOlsFit, restriction: RestrictionSpec) -> np.ndarray:
     """Project the fitted coefficients onto the null set R beta = value.
 
@@ -261,9 +268,7 @@ def restricted_im_ols(fit: ImOlsFit, restriction: RestrictionSpec) -> np.ndarray
     restriction to machine precision.
     """
     R2 = restriction.padded(fit.n_det, fit.n_reg)
-    norms, A = _equilibrated_gram(fit.regressors)
-    # G = (Z'Z)^{-1} R2' computed through the equilibrated system.
-    G = np.linalg.solve(A, (R2 / norms).T) / norms[:, None]
+    G = fit.root @ (R2 @ fit.root).T  # (Z'Z)^{-1} R2'
     middle = R2 @ G
     params = fit.params
     # Projection is idempotent; a second pass refines the constraint
@@ -280,13 +285,6 @@ def restricted_im_ols(fit: ImOlsFit, restriction: RestrictionSpec) -> np.ndarray
 def levels_residuals(sample: CointegrationSample, fit: ImOlsFit) -> np.ndarray:
     """Residuals y_t - d_t' delta - x_t' beta implied by a partial-sum fit."""
     return sample.y - sample.x @ fit.beta - sample.deterministics() @ fit.delta
-
-
-def _beta_block_inverse(norms: np.ndarray, A: np.ndarray, n_det: int) -> np.ndarray:
-    """The block of (Z'Z)^{-1} past the deterministic columns, from the
-    output of :func:`_equilibrated_gram`."""
-    inv = np.linalg.inv(A) / np.outer(norms, norms)
-    return inv[n_det:, n_det:]
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def fm_ols(sample: CointegrationSample | FittedSample, kernel: KernelSpec) -> Fm
     static OLS residual paired with v_t = x_t - x_{t-1}.
     """
     fitted = FittedSample.of(sample)
-    sample, Z = fitted.sample, fitted.design
+    sample, Z, root = fitted.sample, fitted.design, fitted.static.root
     est = fitted.lrv(kernel)
     v = sample.innovations()
 
@@ -331,15 +329,13 @@ def fm_ols(sample: CointegrationSample | FittedSample, kernel: KernelSpec) -> Fm
     bias = np.zeros(Z.shape[1])
     bias[n_det:] = lam_plus
 
-    norms, A = _equilibrated_gram(Z)
-    rhs = (Z.T @ y_plus - sample.nobs * bias) / norms
-    params = np.linalg.solve(A, rhs) / norms
+    params = root @ (root.T @ (Z.T @ y_plus - sample.nobs * bias))
     return FmOlsFit(
         params=params,
         resid=sample.y - Z @ params,
         n_det=n_det,
         conditional_lrv=est.conditional,
-        moment_inv_beta=_beta_block_inverse(norms, A, n_det),
+        moment_inv_beta=(root @ root.T)[n_det:, n_det:],
     )
 
 
@@ -402,7 +398,7 @@ def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
         n_det=p,
         n_reg=m,
         leads_lags=K,
-        moment_inv_beta=_beta_block_inverse(*_equilibrated_gram(X_f), p)[:m, :m],
+        moment_inv_beta=(fit.root @ fit.root.T)[p : p + m, p : p + m],
     )
 
 

@@ -143,6 +143,9 @@ class CointegrationSample:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    def __reduce__(self):  # unpickling rebuilds the sample: validation and the read-only caches run again
+        return type(self), (self.y, self.x, self.det)
+
     @property
     def nobs(self) -> int:
         return self.y.shape[0]

@@ -78,6 +78,8 @@ class TestYuleWalker:
     def test_too_short_sample(self):
         with pytest.raises(ValueError, match="too short"):
             yule_walker(np.random.default_rng(0).standard_normal((7, 2)), 3)
+        with pytest.raises(ValueError, match="too short"):  # before the growth cap, which divides by log T
+            yule_walker(np.ones((1, 1)), 1)
 
 
 def loop_yule_walker(w, rule):

@@ -15,7 +15,7 @@ from sncoint import (
     partial_sum,
     restricted_im_ols,
 )
-from sncoint.estimators import augmented_regressors
+from sncoint.estimators import FittedSample
 
 
 def random_sample(rng, T=60, m=2, det=Deterministics.NONE, beta=None, endo=0.0):
@@ -74,8 +74,14 @@ class TestOls:
 
     def test_rank_deficient(self):
         X = np.column_stack([np.ones(10), np.ones(10)])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
             ols(np.arange(10.0), X)
+
+    def test_root_factors_inverse_moments(self):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 3)) * [1.0, 1e3, 1e-3]
+        root = ols(rng.standard_normal(30), X).root
+        np.testing.assert_allclose(root @ root.T @ (X.T @ X), np.eye(3), atol=1e-10)
 
 
 class TestImOls:
@@ -151,7 +157,9 @@ class TestImOlsBatch:
             fit = im_ols(sample)
             np.testing.assert_allclose(batch.params[i], fit.params, rtol=1e-9)
             np.testing.assert_allclose(batch.scaled_cov[i], fit.scaled_cov, rtol=1e-9)
+            np.testing.assert_allclose(batch.root[i], fit.root, rtol=1e-9)
         assert np.isnan(batch.params[-1]).all() and np.isnan(batch.scaled_cov[-1]).all()
+        assert np.isnan(batch.root[-1]).all()
 
 
 class TestScaledVariance:
@@ -413,13 +421,13 @@ class TestDOls:
                                 best = (bic, K)
                         K = best[1]
                         y_f, X_f = _dols_design(s, K, K + 1, T - K)
-                        norms = np.linalg.norm(X_f, axis=0)
-                        inv = np.linalg.inv((X_f / norms).T @ (X_f / norms)) / np.outer(norms, norms)
-                        p = det.n_columns
+                        refit, p = ols(y_f, X_f), det.n_columns
                         fit = d_ols(s, kmax)
                         assert fit.leads_lags == K
-                        assert fit.params.tobytes() == ols(y_f, X_f).params.tobytes()
-                        assert fit.moment_inv_beta.tobytes() == inv[p : p + m, p : p + m].tobytes()
+                        assert fit.params.tobytes() == refit.params.tobytes()
+                        block = (refit.root @ refit.root.T)[p : p + m, p : p + m]
+                        assert fit.moment_inv_beta.tobytes() == block.tobytes()
+                        assert_relative(fit.moment_inv_beta, gram_inverse(X_f)[p : p + m, p : p + m])
                         chosen.add(K)
         assert chosen == {0, 1, 2, 3, 4}
 
@@ -444,9 +452,95 @@ class TestAugmentedRegressors:
     def test_block_layout(self):
         rng = np.random.default_rng(24)
         s = random_sample(rng, T=20, m=2, det=Deterministics.TREND)
-        Z = augmented_regressors(s)
+        Z = im_ols(s).regressors
         assert Z.shape == (20, 2 + 4)
         d = s.deterministics()
         np.testing.assert_array_equal(Z[:, :2], np.cumsum(d, axis=0))
         np.testing.assert_array_equal(Z[:, 2:4], np.cumsum(s.x, axis=0))
         np.testing.assert_array_equal(Z[:, 4:], s.x)
+
+
+def assert_relative(actual, expected, tol=1e-10):
+    """Agreement to ``tol`` relative to the largest entry of ``expected``."""
+    assert np.abs(actual - expected).max() <= tol * np.abs(expected).max()
+
+
+def gram_inverse(Z):
+    """(Z'Z)^{-1} by normal equations on the equilibrated Gram matrix."""
+    norms = np.linalg.norm(Z, axis=0)
+    return np.linalg.inv((Z / norms).T @ (Z / norms)) / np.outer(norms, norms)
+
+
+ORACLE_CASES = [(T, m, det) for T in (50, 1000, 100_000) for m in (1, 3)
+                for det in (Deterministics.NONE, Deterministics.CUBIC)]  # fmt: skip
+
+
+class TestNormalEquationOracles:
+    """FM-OLS, the D-OLS moment block and the restricted projection read the
+    QR factor ``root``; the normal-equation formulas they replaced are the
+    oracles here, on designs up to a cubic trend over 100,000 rows."""
+
+    @staticmethod
+    def sample(T, m, det):
+        """A trend of the same order as the regressors: coefficient (j + 1) / T^j on t^j."""
+        rng = np.random.default_rng(T + 10 * m + det.n_columns)
+        s = random_sample(rng, T=T, m=m, endo=0.5)
+        p = det.n_columns
+        trend = build_deterministics(det, T) @ (np.arange(1.0, p + 1) / float(T) ** np.arange(p))
+        return CointegrationSample(y=s.y + trend, x=s.x, det=det)
+
+    @pytest.mark.parametrize("T,m,det", ORACLE_CASES)
+    def test_fm_ols(self, T, m, det):
+        fitted = FittedSample(self.sample(T, m, det))
+        kernel = KernelSpec("bartlett", "andrews")
+        fm, est, Z, p = fm_ols(fitted, kernel), fitted.lrv(kernel), fitted.design, det.n_columns
+        vv_inv_vu = np.linalg.solve(est.vv, est.uv)
+        y_plus = fitted.sample.y - fitted.sample.innovations() @ vv_inv_vu
+        bias = np.concatenate([np.zeros(p), est.one_sided[1:, 0] - est.one_sided[1:, 1:] @ vv_inv_vu])
+        norms = np.linalg.norm(Z, axis=0)
+        A = (Z / norms).T @ (Z / norms)
+        params = np.linalg.solve(A, (Z.T @ y_plus - T * bias) / norms) / norms
+        assert_relative(fm.params, params)
+        np.testing.assert_allclose(fm.beta, params[p:], rtol=1e-10)
+        assert_relative(fm.moment_inv_beta, gram_inverse(Z)[p:, p:])
+
+    @pytest.mark.parametrize("T,m,det", ORACLE_CASES)
+    def test_d_ols_moment_block(self, T, m, det):
+        from sncoint.estimators import _dols_design
+
+        s, p = self.sample(T, m, det), det.n_columns
+        fit = d_ols(s, 2)
+        _, X_f = _dols_design(s, fit.leads_lags, fit.leads_lags + 1, T - fit.leads_lags)
+        assert_relative(fit.moment_inv_beta, gram_inverse(X_f)[p : p + m, p : p + m])
+
+    @pytest.mark.parametrize("T,m,det", ORACLE_CASES)
+    def test_restricted_vector(self, T, m, det):
+        fit = im_ols(self.sample(T, m, det))
+        restriction = RestrictionSpec(R=np.ones((1, m)), value=np.array([m + 0.5]))
+        R2 = restriction.padded(fit.n_det, fit.n_reg)
+        norms = np.linalg.norm(fit.regressors, axis=0)
+        A = (fit.regressors / norms).T @ (fit.regressors / norms)
+        G = np.linalg.solve(A, (R2 / norms).T) / norms[:, None]
+        params = fit.params
+        for _ in range(2):
+            params = params - G @ np.linalg.solve(R2 @ G, R2 @ params - restriction.value)
+        np.testing.assert_allclose(restricted_im_ols(fit, restriction), params[fit.beta_slice()], rtol=1e-10)
+
+
+def test_no_fit_reaches_lstsq(monkeypatch):
+    """Every least-squares fit runs through the one QR kernel: an analysis
+    with a bootstrap, a D-OLS fit and a Monte Carlo chunk never call numpy's
+    SVD-based lstsq."""
+    from sncoint import BootstrapConfig, DgpConfig, run_analysis, size_adjusted_power, standard_statistics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    s = random_sample(np.random.default_rng(29), T=80, m=1, det=Deterministics.INTERCEPT, endo=0.5)
+    restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
+    report = run_analysis(s, restriction, boot=BootstrapConfig(n_boot=19, seed=5))
+    assert [o.method for o in report.outcomes] == ["SN-asymptotic", "Wald-FM", "SN-bootstrap"]
+    d_ols(s, max_leads_lags=2)
+    stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
+    size_adjusted_power(DgpConfig(T=60), stats, [1.0], reps=5, seed=1, workers=1)

@@ -208,9 +208,9 @@ POWER_GOLDEN_RATES = {
 }
 POWER_GOLDEN_ADJUSTED = {
     "SN": 100.74848827970241,
-    "Wald-IM": 7.041761804170558,
-    "Wald-FM": 19.727886361655276,
-    "Wald-D": 20.93813649194859,
+    "Wald-IM": 7.0417618041705685,
+    "Wald-FM": 19.727886361655354,
+    "Wald-D": 20.93813649194853,
 }
 SIZE_GOLDEN_RATES = {
     "SN-asymptotic": 0.13333333333333333,

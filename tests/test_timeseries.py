@@ -96,6 +96,18 @@ class TestCointegrationSample:
                 arrays()[0] = 0.0
         np.testing.assert_array_equal(s.deterministics(), build_deterministics(Deterministics.TREND, 30))
 
+    def test_pickle_round_trip_keeps_caches_read_only(self):
+        import pickle
+
+        x = np.cumsum(np.random.default_rng(5).standard_normal((30, 2)), axis=0)
+        s = CointegrationSample(y=x.sum(axis=1), x=x, det=Deterministics.INTERCEPT)
+        back = pickle.loads(pickle.dumps(s))
+        assert back.innovations().flags.writeable is False
+        assert back.deterministics().flags.writeable is False
+        np.testing.assert_array_equal(back.innovations(), s.innovations())
+        np.testing.assert_array_equal(back.y, s.y)
+        assert back.det is Deterministics.INTERCEPT
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="same number"):
             CointegrationSample(y=np.zeros(5), x=np.zeros((6, 1)))
