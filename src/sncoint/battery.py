@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterable, Mapping
@@ -102,14 +103,17 @@ class AnalysisReport:
 def _resolve_table(
     table: CriticalValueTable | None, sample: CointegrationSample, restriction: RestrictionSpec, seed: int
 ) -> CriticalValueTable:
-    """``table``, else the packaged quantiles, else a table simulated from ``seed``."""
+    """``table``, else the packaged quantiles, else a table simulated from ``seed``, with a warning."""
     if table is not None:
         return table
     m, s = sample.n_regressors, restriction.n_restrictions
     try:
         return default_table(m, s, sample.det)
     except KeyError:
-        return simulate_critical_values(m, s, sample.det, seed=seed)
+        n_grid = reps = 10_000
+        warnings.warn(f"no packaged critical values for m={m}, s={s}, det={sample.det.value}: simulating a table "
+                      f"with n_grid={n_grid}, reps={reps} in one process", RuntimeWarning, stacklevel=3)  # fmt: skip
+        return simulate_critical_values(m, s, sample.det, n_grid=n_grid, reps=reps, seed=seed)
 
 
 def run_analysis(

@@ -10,8 +10,8 @@ bootstrap statistics.
 Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
 (about 2^17 elements per (draws, T, .) array), through the package's one
 driver, :func:`~sncoint.streams.replication_map`. A chunk simulates its
-VAR with one loop over time and evaluates every draw at once with
-:func:`~sncoint.selfnorm.wald_batch`, which is
+VAR in fixed blocks of steps, one matrix product each, and evaluates
+every draw at once with :func:`~sncoint.selfnorm.wald_batch`, which is
 :func:`~sncoint.selfnorm.bootstrap_statistic` row by row. A degenerate
 draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
 fit, singular restricted block) is regenerated once from its retry
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -55,6 +55,11 @@ __all__ = [
     "bootstrap_test",
 ]
 
+# VAR steps per matrix product: fixed, so sums run alike at any chunk size, and
+# small, so BLAS does not thread the product and oversubscribe a worker pool.
+_BLOCK = 8
+
+
 @dataclass(frozen=True)
 class VarSieveModel:
     """Yule-Walker VAR(q) fit: coefficient stack and centered residual pool."""
@@ -63,6 +68,10 @@ class VarSieveModel:
     coefs: np.ndarray  # (q, k, k)
     resid_pool: np.ndarray  # (n_resid, k), column means zero
     sigma: np.ndarray  # (k, k) residual covariance
+    block_map: np.ndarray = field(init=False, repr=False, compare=False)  # _block_map(coefs), once per fit
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "block_map", _block_map(self.coefs))
 
     @property
     def n_series(self) -> int:
@@ -153,6 +162,22 @@ def _solve_yule_walker(gammas: np.ndarray, orders) -> list[np.ndarray]:
     return [np.ascontiguousarray(stacked.reshape(k, -1, k).swapaxes(0, 1)) for stacked in stacks]
 
 
+def _block_map(coefs: np.ndarray) -> np.ndarray:
+    """Companion-form map of L = _BLOCK VAR steps: [w_{t-q}, ..., w_{t-1},
+    e_t, ..., e_{t+L-1}] flattened, times the map, is [w_t, ..., w_{t+L-1}].
+    It stacks the state's propagation P over the innovations' triangular
+    impulse response Psi (n < L steps: the leading (q + n) k rows, n k
+    columns), and is the per-step recursion run on (q + L) k unit inputs."""
+    q, k, _ = coefs.shape
+    n = (q + _BLOCK) * k
+    w = np.eye(n).reshape(n, q + _BLOCK, k)
+    # Lag-ordered [A_q, ..., A_1]', matching the window w[:, t : t + q] = [w_{t-q}, ..., w_{t-1}].
+    lagged = np.vstack([a.T for a in coefs[::-1]])
+    for t in range(_BLOCK):
+        w[:, q + t] += w[:, t : t + q].reshape(n, q * k) @ lagged
+    return np.ascontiguousarray(w[:, q:].reshape(n, _BLOCK * k))
+
+
 def _var_residuals(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """One-step prediction errors on t = q+1..T."""
     q = coefs.shape[0]
@@ -232,27 +257,26 @@ def generate_bootstrap_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regenerate the null-imposed samples ``indices`` from the fitted sieve.
 
-    Draw i takes ``burn_in + order + T`` innovations i.i.d. with
-    replacement from the centered residual pool, from its own substream
-    (seed, i, attempt). The recursion starts from zeros and runs once over
-    time for all draws, with a (draws, order * series) state; the last T
-    observations are kept. The regressors are partial sums of the
-    simulated innovations and the dependent variable uses the restricted
-    coefficient vector, so the null holds exactly. Returns ``y`` (c, T)
-    and ``x`` (c, T, m).
+    Draw i takes ``burn_in + order + T`` innovations i.i.d. with replacement
+    from the centered residual pool, from its own substream (seed, i,
+    attempt). The recursion starts from zeros and advances all draws L =
+    _BLOCK steps per product with the model's ``block_map``; L is fixed, so
+    no draw's bits depend on the chunk size or worker count. The last T
+    steps are kept: the regressors are partial sums of the simulated
+    innovations and y uses the restricted coefficient vector, so the null
+    holds exactly. Returns ``y`` (c, T) and ``x`` (c, T, m).
     """
     q, k = model.order, model.n_series
     pool = model.resid_pool
     n_steps = config.burn_in + q + T
     picks = [substream(config.seed, int(i), attempt).integers(0, pool.shape[0], size=n_steps) for i in indices]
     # w[:, q + t] holds step t; the q leading zeros are the initial values.
-    w = np.zeros((len(picks), q + n_steps, k))
+    w = np.zeros((c := len(picks), q + n_steps, k))
     w[:, q:] = pool[np.stack(picks)]
-    # Lag-ordered coefficients [A_q, ..., A_1]', matching the window
-    # w[:, t : t + q] = [w_{t-q}, ..., w_{t-1}] flattened.
-    lagged = np.ascontiguousarray(np.vstack([a.T for a in model.coefs[::-1]]))
-    for t in range(n_steps):
-        w[:, q + t] += w[:, t : t + q].reshape(-1, q * k) @ lagged
+    for t in range(0, n_steps, _BLOCK):
+        n = min(_BLOCK, n_steps - t)
+        block = w[:, t : t + q + n].reshape(c, -1) @ model.block_map[: (q + n) * k, : n * k]
+        w[:, q + t : q + t + n] = block.reshape(c, n, k)
     w = w[:, -T:]
     x = np.cumsum(w[:, :, 1:], axis=1)
     y = x @ beta_restricted + w[:, :, 0]

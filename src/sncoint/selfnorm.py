@@ -47,7 +47,7 @@ class TestOutcome:
     """Decision record: statistic, critical value, optional p-value.
 
     ``diagnostics`` holds the tuning choices a test actually used, e.g.
-    the bootstrap's sieve order and retried or discarded draws.
+    the sieve order, discarded draws, or the asymptotic table's reps.
     """
 
     statistic: float
@@ -192,7 +192,8 @@ def self_normalized_test(
     table: CriticalValueTable,
     alpha: float = 0.05,
 ) -> TestOutcome:
-    """Self-normalized Wald test against simulated asymptotic quantiles."""
+    """Self-normalized Wald test against simulated asymptotic quantiles;
+    ``diagnostics`` holds the table's ``n_grid`` and ``reps`` from its meta."""
     fitted = FittedSample.of(sample)
     sample = fitted.sample
     table.require(sample.n_regressors, restriction.n_restrictions, sample.det)
@@ -203,6 +204,7 @@ def self_normalized_test(
         critical_value=critical,
         reject=statistic > critical,
         method="SN-asymptotic",
+        diagnostics={key: int(table.meta[key]) for key in ("n_grid", "reps") if key in table.meta},
     )
 
 

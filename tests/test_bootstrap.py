@@ -18,7 +18,15 @@ from sncoint import (
     wald_statistic,
     yule_walker,
 )
-from sncoint.bootstrap import _var_residuals, companion_spectral_radius, critical_rank, max_sieve_order
+from sncoint.bootstrap import (
+    _BLOCK,
+    _block_map,
+    _var_residuals,
+    companion_spectral_radius,
+    critical_rank,
+    generate_bootstrap_batch,
+    max_sieve_order,
+)
 from sncoint.kernels import autocovariances
 from sncoint.streams import substream
 
@@ -254,6 +262,73 @@ class TestGenerateBootstrapSample:
         se1 = np.std(draws1, axis=0) / np.sqrt(len(draws1))
         assert np.all(np.abs(mean0 - implied0) <= 3 * se0 + 0.02)
         assert np.all(np.abs(mean1 - implied1) <= 3 * se1 + 0.02)
+
+
+def _per_step_w(model, cfg, indices, n_steps):
+    """The VAR recursion one step per Python iteration: draw i's innovations
+    from its substream, zero initial values, all n_steps steps."""
+    q, k = model.order, model.n_series
+    pool = model.resid_pool
+    picks = [substream(cfg.seed, int(i), 0).integers(0, pool.shape[0], size=n_steps) for i in indices]
+    w = np.zeros((len(indices), q + n_steps, k))
+    w[:, q:] = pool[np.stack(picks)]
+    lagged = np.vstack([a.T for a in model.coefs[::-1]])
+    for t in range(n_steps):
+        w[:, q + t] += w[:, t : t + q].reshape(-1, q * k) @ lagged
+    return w
+
+
+def _blocked_w(model, cfg, indices, T):
+    """A chunk's simulated series w = [u, v], read back from
+    :func:`generate_bootstrap_batch` with a zero coefficient vector."""
+    y, x = generate_bootstrap_batch(
+        model, T, np.zeros(model.n_series - 1), Deterministics.NONE, np.array([]), cfg, indices
+    )
+    return np.concatenate([y[..., None], np.diff(x, axis=1, prepend=0.0)], axis=2)
+
+
+class TestBlockedRecursion:
+    """The blocked recursion against the per-step one it replaces."""
+
+    @pytest.mark.parametrize("q", [1, 3, 10])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("offset", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_matches_per_step_recursion(self, q, k, offset):
+        # n_steps = q + T needs T >= 1: shift by whole blocks where offset <= q
+        n_steps = offset + _BLOCK * max(0, -(-(q + 1 - offset) // _BLOCK))
+        rng = substream(130, q, k, n_steps)
+        coefs = rng.standard_normal((q, k, k))
+        coefs *= 0.9 / companion_spectral_radius(coefs)
+        model = VarSieveModel(order=q, coefs=coefs, resid_pool=rng.standard_normal((40, k)), sigma=np.eye(k))
+        cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=9, burn_in=0)
+        T = n_steps - q
+        expected = _per_step_w(model, cfg, np.arange(5), n_steps)[:, -T:]
+        w = _blocked_w(model, cfg, np.arange(5), T)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    def test_persistent_var1(self):
+        # spectral radius 0.98: a rotation scaled so every eigenvalue has modulus 0.98
+        rng = substream(131, 0)
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        model = VarSieveModel(
+            order=1, coefs=0.98 * rotation[None], resid_pool=rng.standard_normal((60, 3)), sigma=np.eye(3)
+        )
+        assert companion_spectral_radius(model.coefs) == pytest.approx(0.98)
+        cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=10, burn_in=100)
+        T = 400
+        expected = _per_step_w(model, cfg, np.arange(8), 100 + 1 + T)[:, -T:]
+        w = _blocked_w(model, cfg, np.arange(8), T)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    def test_map_built_once_per_sieve_fit(self, count_calls):
+        from sncoint.estimators import batch_rows
+
+        T = 600
+        sample = mild_sample(substream(132, 0), T=T)
+        assert -(-199 // batch_rows(T, 4)) == 4
+        builds = count_calls(_block_map)
+        bootstrap_test(sample, RestrictionSpec(R=np.eye(2), value=np.ones(2)), BootstrapConfig(n_boot=199, seed=2))
+        assert len(builds) == 1
 
 
 class TestBootstrapStatistic:

@@ -170,6 +170,11 @@ class TestRunAnalysis:
         bandwidth = report.outcomes[1].diagnostics["bandwidth"]
         assert type(bandwidth) is float and bandwidth > 0
         assert restored.outcomes[1].diagnostics["bandwidth"] == bandwidth
+        # the asymptotic test names its table
+        assert dict(report.outcomes[0].diagnostics) == {"n_grid": 10_000, "reps": 10_000}
+        for key in ("n_grid", "reps"):
+            assert type(restored.outcomes[0].diagnostics[key]) is int
+            assert restored.outcomes[0].diagnostics[key] == report.outcomes[0].diagnostics[key]
 
     def test_round_trip_keeps_bootstrap_diagnostics(self):
         sample = make_sample()
@@ -182,6 +187,27 @@ class TestRunAnalysis:
         assert restored.outcomes == report.outcomes
         for key, value in diagnostics.items():
             assert type(restored.outcomes[-1].diagnostics[key]) is type(value)
+
+    def test_unpackaged_table_simulated_with_warning(self, monkeypatch):
+        from sncoint import battery
+
+        calls = []
+
+        def stub(m, s, det, n_grid, reps, seed):
+            calls.append((m, s, det, n_grid, reps, seed))
+            quantiles = dict(zip(_PROBS, (1.0, 2.0, 3.0, 4.0)))
+            return CriticalValueTable(m=m, s=s, det=det, quantiles=quantiles, meta={"n_grid": n_grid, "reps": reps})
+
+        monkeypatch.setattr(battery, "simulate_critical_values", stub)
+        rng = substream(4, 0)
+        x = np.cumsum(rng.standard_normal((120, 5)), axis=0)
+        sample = CointegrationSample(y=x.sum(axis=1) + rng.standard_normal(120), x=x)
+        restriction = RestrictionSpec(R=np.eye(5)[:1], value=np.array([1.0]))
+        message = r"m=5, s=1, det=none: simulating a table with n_grid=10000, reps=10000"
+        with pytest.warns(RuntimeWarning, match=message):
+            report = run_analysis(sample, restriction, seed=7)
+        assert calls == [(5, 1, Deterministics.NONE, 10_000, 10_000, 7)]
+        assert dict(report.outcomes[0].diagnostics) == {"n_grid": 10_000, "reps": 10_000}
 
 
 class TestFitOnce:
