@@ -221,9 +221,10 @@ def standard_battery(
 def standard_statistics(
     names: Iterable[str], kernel: KernelSpec | None = None
 ) -> Mapping[str, object]:
-    """Statistic callables (fitted, restriction) -> value for power studies,
-    where ``fitted`` is a :class:`~sncoint.estimators.FittedSample` or a
-    bare sample."""
+    """Statistic callables (fitted, restriction) -> values for power studies:
+    one value per row, NaN where a sample is degenerate, of a stacked
+    :class:`~sncoint.estimators.FittedSample`; one value of a sample or its
+    one-row ``FittedSample``."""
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
     stats: dict[str, object] = {}
     for name in names:

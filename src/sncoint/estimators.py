@@ -15,6 +15,11 @@ scaled for large T), runs one Householder QR of [X, y], and applies one
 rank rule, :func:`_full_rank`. A fit keeps ``root`` = D^{-1} R^{-1}, D the
 column norms, so (X'X)^{-1} = root root'. FM-OLS, D-OLS and the
 restricted projection read their inverse moments from it.
+
+:class:`FittedSample` fits a stack of samples that share T, m and the
+deterministics, every fit in one stacked call; a single sample is its
+one-row case, and :func:`im_ols`, :func:`fm_ols` and :func:`d_ols` read
+their fits from it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, LrvEstimate, estimate_lrv
+from .kernels import KernelSpec, LrvEstimate, _first_row, estimate_lrv
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
@@ -65,36 +70,32 @@ def _full_rank(sv: np.ndarray, k: int) -> np.ndarray:
     return (sv.shape[-1] == k) & (sv[..., -1] > _RANK_RCOND * sv[..., 0])
 
 
-def _unit_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` with its columns scaled to unit norm (a zero column stays zero), and the norms."""
-    norms = np.linalg.norm(X, axis=0)
-    return X / np.where(norms > 0.0, norms, 1.0), norms
-
-
 def _qr_solve(y: np.ndarray, X: np.ndarray):
-    """Least squares of each row of ``y`` (c, T) on ``X`` (c, T, k) by one stacked
-    QR of the equilibrated [X, y]. Returns the equilibrated columns Xs, their norms,
-    R^{-1}, the coefficients theta on Xs (X's are theta / norms) and the mask of
+    """Least squares of each row of ``y`` (c, T), or of each of its r columns
+    (c, T, r), on ``X`` (c, T, k) by one stacked QR of the equilibrated [X, y].
+    Returns the equilibrated columns Xs, their norms, R^{-1}, the coefficients
+    theta on Xs, (c, k) or (c, k, r) (X's are theta / norms), and the mask of
     degenerate rows: a zero or non-finite column, a non-finite y, or an R (whose
     singular values are those of Xs) that fails :func:`_full_rank`. Such rows get
     R = I and NaN theta."""
     k = X.shape[2]
+    Y = y if y.ndim == 3 else y[:, :, None]
     norms = np.sqrt(np.einsum("ctj,ctj->cj", X, X))
-    degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(y).all(axis=1))
+    degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(Y).all(axis=(1, 2)))
     if degenerate.any():  # masking costs more than the QR of one short row, so only when needed
         norms[degenerate] = 1.0
         X = np.where(degenerate[:, None, None], 0.0, X)
     Xs = X / norms[:, None, :]
-    Raug = np.linalg.qr(np.concatenate([Xs, y[:, :, None]], axis=2), mode="r")
+    Raug = np.linalg.qr(np.concatenate([Xs, Y], axis=2), mode="r")
     R = Raug[:, :k, :k]
     degenerate |= ~_full_rank(np.linalg.svd(R, compute_uv=False), k)
     if masked := degenerate.any():
         R[degenerate] = np.eye(k)
     Rinv = np.linalg.inv(R)
-    theta = (Rinv @ Raug[:, :k, k:])[:, :, 0]
+    theta = Rinv @ Raug[:, :k, k:]
     if masked:
         theta[degenerate] = np.nan
-    return Xs, norms, Rinv, theta, degenerate
+    return Xs, norms, Rinv, theta if y.ndim == 3 else theta[:, :, 0], degenerate
 
 
 def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
@@ -215,11 +216,7 @@ def im_ols(sample: CointegrationSample) -> ImOlsFit:
     Raises :class:`numpy.linalg.LinAlgError` when the augmented regressor
     matrix is numerically collinear.
     """
-    fit = im_ols_batch(sample.y[None], sample.x[None], sample.det)
-    if np.isnan(fit.params).any():
-        raise np.linalg.LinAlgError("augmented regression singular")
-    row = (fit.params[0], fit.regressors[0], fit.resid[0], fit.scaled_cov[0], fit.root[0])
-    return ImOlsFit(*row, fit.n_det, fit.n_reg)
+    return FittedSample(sample).im
 
 
 @dataclass(frozen=True)
@@ -289,21 +286,22 @@ def levels_residuals(sample: CointegrationSample, fit: ImOlsFit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FmOlsFit:
-    """Fully modified estimate with its long-run variance ingredients."""
+    """Fully modified estimate with its long-run variance ingredients; a fit
+    of a stack carries a leading axis of length c on every array."""
 
     params: np.ndarray
     resid: np.ndarray
     n_det: int
-    conditional_lrv: float
+    conditional_lrv: float | np.ndarray
     moment_inv_beta: np.ndarray
 
     @property
     def beta(self) -> np.ndarray:
-        return self.params[self.n_det :]
+        return self.params[..., self.n_det :]
 
     @property
     def delta(self) -> np.ndarray:
-        return self.params[: self.n_det]
+        return self.params[..., : self.n_det]
 
 
 def fm_ols(sample: CointegrationSample | FittedSample, kernel: KernelSpec) -> FmOlsFit:
@@ -312,67 +310,249 @@ def fm_ols(sample: CointegrationSample | FittedSample, kernel: KernelSpec) -> Fm
     The dependent variable is purged of its long-run conditional mean
     given the regressor innovations, and the one-sided bias term is
     subtracted from the cross moment. Long-run quantities come from the
-    static OLS residual paired with v_t = x_t - x_{t-1}.
+    static OLS residual paired with v_t = x_t - x_{t-1}. A stacked
+    :class:`FittedSample` gives the fit of every row.
     """
-    fitted = FittedSample.of(sample)
-    sample, Z, root = fitted.sample, fitted.design, fitted.static.root
-    est = fitted.lrv(kernel)
-    v = sample.innovations()
-
-    vv_inv_vu = np.linalg.solve(est.vv, est.uv)
-    y_plus = sample.y - v @ vv_inv_vu
-    # One-sided bias of the corrected error: one_sided[a, b] accumulates
-    # cov(w_{t,a}, w_{t+h,b}) over h >= 0, so the v-to-future-u block is
-    # one_sided[1:, 0].
-    lam_plus = est.one_sided[1:, 0] - est.one_sided[1:, 1:] @ vv_inv_vu
-    n_det = sample.det.n_columns
-    bias = np.zeros(Z.shape[1])
-    bias[n_det:] = lam_plus
-
-    params = root @ (root.T @ (Z.T @ y_plus - sample.nobs * bias))
-    return FmOlsFit(
-        params=params,
-        resid=sample.y - Z @ params,
-        n_det=n_det,
-        conditional_lrv=est.conditional,
-        moment_inv_beta=(root @ root.T)[n_det:, n_det:],
-    )
+    return FittedSample.of(sample).fm(kernel)
 
 
 @dataclass(frozen=True)
 class DOlsFit:
-    """Leads-and-lags augmented estimate of the cointegrating vector."""
+    """Leads-and-lags augmented estimate of the cointegrating vector.
+
+    A fit of a stack carries a leading axis of length c. Its rows select
+    their own K, so row i holds its p + m(2 K_i + 2) coefficients and its
+    residuals at t = K_i + 1..T - K_i, padded with NaN to the widest.
+    """
 
     params: np.ndarray
     resid: np.ndarray
     n_det: int
     n_reg: int
-    leads_lags: int
+    leads_lags: int | np.ndarray
     moment_inv_beta: np.ndarray
 
     @property
     def beta(self) -> np.ndarray:
-        return self.params[self.n_det : self.n_det + self.n_reg]
+        return self.params[..., self.n_det : self.n_det + self.n_reg]
 
 
-def _dols_design(sample: CointegrationSample, K: int, lo: int, hi: int):
-    """Regressor matrix [d, x, v_{t-K}..v_{t+K}] over 1-based rows lo..hi."""
+def _dols_design(sample: CointegrationSample | FittedSample, K: int, lo: int, hi: int):
+    """y and the regressor matrix [d, x, v_{t-K}..v_{t+K}] over 1-based rows
+    lo..hi, of a sample or of each row of a stack."""
     rows = slice(lo - 1, hi)
-    windows = np.lib.stride_tricks.sliding_window_view(sample.innovations(), 2 * K + 1, axis=0)
-    leads_lags = windows[lo - 1 - K : hi - K].transpose(0, 2, 1).reshape(hi - lo + 1, -1)  # j-major
-    return sample.y[rows], np.column_stack([sample.deterministics()[rows], sample.x[rows], leads_lags])
+    y, x = sample.y[..., rows], sample.x[..., rows, :]
+    windows = np.lib.stride_tricks.sliding_window_view(sample.innovations(), 2 * K + 1, axis=-2)
+    leads_lags = windows[..., lo - 1 - K : hi - K, :, :].swapaxes(-1, -2).reshape(x.shape[:-1] + (-1,))  # j-major
+    d = np.broadcast_to(sample.deterministics()[rows], x.shape[:-1] + (sample.det.n_columns,))
+    return y, np.concatenate([d, x, leads_lags], axis=-1)
 
 
-def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
+def d_ols(sample: CointegrationSample | FittedSample, max_leads_lags: int) -> DOlsFit:
     """Dynamic OLS with a BIC-selected symmetric number of leads and lags.
 
     Candidates K = 0..max_leads_lags are scored on the common sample
     t = max_leads_lags+1 .. T-max_leads_lags with
     BIC = ln(SSR/n) + k ln(n)/n; the winner is refit on its own maximal
-    sample.
+    sample. A stacked :class:`FittedSample` gives the fit of every row.
     """
-    T, m, p = sample.nobs, sample.n_regressors, sample.det.n_columns
-    kmax = int(max_leads_lags)
+    return FittedSample.of(sample).dols(max_leads_lags)
+
+
+class FittedSample:
+    """Samples with the fits that estimators and tests share, each computed
+    once, on first use, for every row at once.
+
+    ``FittedSample(y, x, det)`` holds the rows of ``y`` (c, T) and ``x``
+    (c, T, m); row i is the sample ``CointegrationSample(y[i], x[i], det)``.
+    Each fit comes from one stacked call and carries a leading axis of
+    length c, NaN on a row where the per-sample fit would raise:
+
+    * ``design``, the static regressors [d, x], and ``static``, the OLS of
+      y on them;
+    * ``im``, the IM-OLS fit;
+    * ``lrv(kernel)``, the long-run covariance of w = [static residual, v];
+    * ``fm(kernel)``, the FM-OLS fit;
+    * ``dols(max_leads_lags)``, the D-OLS fit.
+
+    ``FittedSample(sample)`` is the one-row case, with the sample kept as
+    ``sample`` (None for a stack). Its fits are the row's, without the
+    leading axis, and raise where the row is NaN. :func:`fm_ols`,
+    :func:`d_ols` and the statistics in :mod:`sncoint.selfnorm` take either
+    in place of a sample and read its fits instead of refitting.
+    """
+
+    def __init__(
+        self,
+        y: np.ndarray | CointegrationSample,
+        x: np.ndarray | None = None,
+        det: Deterministics = Deterministics.NONE,
+    ) -> None:
+        self.sample = y if isinstance(y, CointegrationSample) else None
+        if self.sample is None:
+            self.y, self.x, self.det = np.asarray(y, dtype=float), np.asarray(x, dtype=float), det
+            if self.y.ndim != 2 or self.x.ndim != 3 or self.x.shape[:2] != self.y.shape:
+                raise ValueError(f"need y (c, T) and x (c, T, m), got {self.y.shape} and {self.x.shape}")
+        else:
+            self.y, self.x, self.det = self.sample.y[None], self.sample.x[None], self.sample.det
+        self._lrv: dict[KernelSpec, LrvEstimate] = {}
+        self._fm: dict[KernelSpec, FmOlsFit] = {}
+        self._dols: dict[int, DOlsFit] = {}
+        self._rows: dict = {}
+
+    @classmethod
+    def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
+        """``sample`` itself if already fitted, else a new wrapper."""
+        return sample if isinstance(sample, FittedSample) else cls(sample)
+
+    @property
+    def nobs(self) -> int:
+        return self.y.shape[1]
+
+    def _view(self, key, fit, error: Exception):
+        """``fit`` of a stack; of one sample, its row (kept under ``key``),
+        raising ``error`` if the row's parameters are NaN."""
+        if self.sample is None:
+            return fit
+        if key not in self._rows:
+            if np.isnan(fit.params[0]).any():
+                raise error
+            self._rows[key] = type(fit)(**{k: v[0] if isinstance(v, np.ndarray) else v for k, v in vars(fit).items()})
+        return self._rows[key]
+
+    @cached_property
+    def _innovations(self) -> np.ndarray:
+        if self.sample is not None:  # the sample's cached v_t
+            return self.sample.innovations()[None]
+        return np.diff(self.x, axis=1, prepend=np.zeros_like(self.x[:, :1]))
+
+    @cached_property
+    def _deterministics(self) -> np.ndarray:
+        return build_deterministics(self.det, self.nobs) if self.sample is None else self.sample.deterministics()
+
+    def innovations(self) -> np.ndarray:
+        """v_t = x_t - x_{t-1} with v_1 = x_1, of every row (c, T, m)."""
+        return self._innovations
+
+    def deterministics(self) -> np.ndarray:
+        """The T x p deterministic regressor matrix, shared by every row."""
+        return self._deterministics
+
+    @cached_property
+    def _design(self) -> np.ndarray:
+        p = self.det.n_columns
+        X = np.empty(self.x.shape[:2] + (p + self.x.shape[2],))
+        X[:, :, :p], X[:, :, p:] = self._deterministics, self.x
+        return X
+
+    @property
+    def design(self) -> np.ndarray:
+        return self._design if self.sample is None else self._design[0]
+
+    @cached_property
+    def _static(self) -> tuple[OlsFit, np.ndarray, np.ndarray]:
+        """The static OLS of y, the coefficients of v on [d, x] from the same
+        QR (c, p + m, m), and the degenerate rows."""
+        X = self._design
+        _, norms, Rinv, theta, degenerate = _qr_solve(np.concatenate([self.y[:, :, None], self._innovations], axis=2), X)
+        coefs = theta / norms[:, :, None]
+        root = Rinv / norms[:, :, None]
+        root[degenerate] = np.nan
+        resid = self.y - (X @ coefs[:, :, :1])[:, :, 0]
+        return OlsFit(coefs[:, :, 0], resid, root), coefs[:, :, 1:], degenerate
+
+    @property
+    def static(self) -> OlsFit:
+        return self._view("static", self._static[0], np.linalg.LinAlgError(_DEFICIENT))
+
+    @cached_property
+    def _im(self) -> ImOlsFit:
+        return im_ols_batch(self.y, self.x, self.det)
+
+    @property
+    def im(self) -> ImOlsFit:
+        return self._view("im", self._im, np.linalg.LinAlgError("augmented regression singular"))
+
+    def _lrv_rows(self, kernel: KernelSpec) -> LrvEstimate:
+        if kernel not in self._lrv:
+            w = np.concatenate([self._static[0].resid[:, :, None], self._innovations], axis=2)
+            self._lrv[kernel] = estimate_lrv(w, kernel)
+        return self._lrv[kernel]
+
+    def lrv(self, kernel: KernelSpec) -> LrvEstimate:
+        """Long-run covariance of [static residual, v] under ``kernel``."""
+        est = self._lrv_rows(kernel)
+        if self.sample is None:
+            return est
+        if ("lrv", kernel) not in self._rows:
+            if self._static[2][0]:
+                raise np.linalg.LinAlgError(_DEFICIENT)
+            self._rows["lrv", kernel] = _first_row(est)
+        return self._rows["lrv", kernel]
+
+    def fm(self, kernel: KernelSpec) -> FmOlsFit:
+        """FM-OLS under ``kernel`` (see :func:`_fm_ols_batch`)."""
+        if kernel not in self._fm:
+            self._fm[kernel] = _fm_ols_batch(self, kernel)
+        if self.sample is not None:
+            self.lrv(kernel)  # raises where the long-run covariance does
+        return self._view(("fm", kernel), self._fm[kernel], np.linalg.LinAlgError(_DEFICIENT))
+
+    def dols(self, max_leads_lags: int) -> DOlsFit:
+        """D-OLS with at most ``max_leads_lags`` leads and lags (see :func:`d_ols`)."""
+        kmax = int(max_leads_lags)
+        if kmax not in self._dols:
+            self._dols[kmax] = _d_ols_batch(self, kmax)
+        fit = self._dols[kmax]
+        if self.sample is None:
+            return fit
+        if ("dols", kmax) not in self._rows:
+            if np.isnan(fit.moment_inv_beta[0]).any():
+                raise np.linalg.LinAlgError(_DEFICIENT)
+            K, p, m = int(fit.leads_lags[0]), fit.n_det, fit.n_reg
+            self._rows["dols", kmax] = DOlsFit(
+                params=fit.params[0, : p + m * (2 * K + 2)],
+                resid=fit.resid[0, K : self.nobs - K],
+                n_det=p,
+                n_reg=m,
+                leads_lags=K,
+                moment_inv_beta=fit.moment_inv_beta[0],
+            )
+        return self._rows["dols", kmax]
+
+
+def _fm_ols_batch(fitted: FittedSample, kernel: KernelSpec) -> FmOlsFit:
+    """FM-OLS of every row of ``fitted`` from its static QR: y+ = y - v a, with
+    a = Omega_vv^{-1} Omega_vu, has coefficients theta(y) - theta(v) a, and the
+    bias term T (X'X)^{-1} [0, lambda+] is applied through ``root``. NaN on a
+    row whose static fit or conditional long-run variance is NaN."""
+    static, v_coefs, _ = fitted._static
+    est, p = fitted._lrv_rows(kernel), fitted.det.n_columns
+    ok = ~np.isnan(est.conditional)
+    vv = est.vv if ok.all() else np.where(ok[:, None, None], est.vv, np.eye(fitted.x.shape[2]))
+    a = np.linalg.solve(vv, est.uv[:, :, None])
+    # One-sided bias of the corrected error: one_sided[a, b] accumulates
+    # cov(w_{t,a}, w_{t+h,b}) over h >= 0, so the v-to-future-u block is
+    # one_sided[1:, 0].
+    lam = est.one_sided[:, 1:, :1] - est.one_sided[:, 1:, 1:] @ a
+    root = static.root
+    bias = root @ (root[:, p:].transpose(0, 2, 1) @ lam)
+    params = (static.params[:, :, None] - v_coefs @ a - fitted.nobs * bias)[:, :, 0]
+    params[~ok] = np.nan
+    return FmOlsFit(
+        params=params,
+        resid=fitted.y - (fitted._design @ params[:, :, None])[:, :, 0],
+        n_det=p,
+        conditional_lrv=est.conditional,
+        moment_inv_beta=(root @ root.transpose(0, 2, 1))[:, p:, p:],
+    )
+
+
+def _d_ols_batch(fitted: FittedSample, kmax: int) -> DOlsFit:
+    """D-OLS of every row of ``fitted`` (see :func:`d_ols`); NaN on a row whose
+    widest design is not finite or fails the rank rule."""
+    c, T, m = fitted.x.shape
+    p = fitted.det.n_columns
     n = T - 2 * kmax
     widths = p + m + m * (2 * np.arange(kmax + 1) + 1)  # regressors of each K
     if kmax < 0 or n <= widths[-1]:
@@ -381,70 +561,28 @@ def d_ols(sample: CointegrationSample, max_leads_lags: int) -> DOlsFit:
     # Ordered v_t, v_{t-1}, v_{t+1}, ..., each K's regressors are a prefix of the
     # widest design: one QR of [X, y], X equilibrated, gives every SSR as a tail sum of
     # squares of R's last column; column subsets interlace, so one rank check covers all.
-    y_c, X_c = _dols_design(sample, kmax, kmax + 1, T - kmax)
+    y_c, X_c = _dols_design(fitted, kmax, kmax + 1, T - kmax)
     blocks = np.argsort(np.abs(np.arange(-kmax, kmax + 1)), kind="stable")
-    X_c = np.column_stack([X_c[:, : p + m], X_c[:, p + m :].reshape(n, -1, m)[:, blocks].reshape(n, -1)])
-    R = np.linalg.qr(np.column_stack([_unit_columns(X_c)[0], y_c]), mode="r")
-    if not _full_rank(np.linalg.svd(R[:-1, :-1], compute_uv=False), widths[-1]):
-        raise np.linalg.LinAlgError(_DEFICIENT)
-    ssr = np.cumsum(R[::-1, -1] ** 2)[::-1][widths]
-    K = int(np.argmin(np.log(ssr / n) + widths * np.log(n) / n))
+    X_c = np.concatenate([X_c[:, :, : p + m], X_c[:, :, p + m :].reshape(c, n, -1, m)[:, :, blocks].reshape(c, n, -1)], axis=2)
+    finite = np.isfinite(X_c).all(axis=(1, 2)) & np.isfinite(y_c).all(axis=1)
+    norms = np.linalg.norm(X_c, axis=1, keepdims=True)
+    Xy = np.concatenate([X_c / np.where(norms > 0.0, norms, 1.0), y_c[:, :, None]], axis=2)
+    if not finite.all():
+        Xy[~finite] = 0.0
+    R = np.linalg.qr(Xy, mode="r")
+    ok = finite & _full_rank(np.linalg.svd(R[:, :-1, :-1], compute_uv=False), widths[-1])
+    ssr = np.cumsum(R[:, ::-1, -1] ** 2, axis=1)[:, ::-1][:, widths]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.argmin(np.log(ssr / n) + widths * np.log(n) / n, axis=1)
 
-    y_f, X_f = _dols_design(sample, K, K + 1, T - K)
-    fit = ols(y_f, X_f)
-    return DOlsFit(
-        params=fit.params,
-        resid=fit.resid,
-        n_det=p,
-        n_reg=m,
-        leads_lags=K,
-        moment_inv_beta=(fit.root @ fit.root.T)[p : p + m, p : p + m],
-    )
-
-
-class FittedSample:
-    """A sample with the fits that estimators and tests share, each
-    computed once, on first use.
-
-    ``design`` is the static regressor matrix [d, x], ``static`` the OLS
-    of y on it, ``im`` the IM-OLS fit, ``lrv(kernel)`` the long-run
-    covariance of w = [static residual, v] and ``fm(kernel)`` the FM-OLS
-    fit, one per kernel specification. :func:`fm_ols` and the tests in
-    :mod:`sncoint.selfnorm` and :mod:`sncoint.bootstrap` take one in place
-    of a sample and read its fits instead of refitting.
-    """
-
-    def __init__(self, sample: CointegrationSample) -> None:
-        self.sample = sample
-        self._lrv: dict[KernelSpec, LrvEstimate] = {}
-        self._fm: dict[KernelSpec, FmOlsFit] = {}
-
-    @classmethod
-    def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
-        """``sample`` itself if already fitted, else a new wrapper."""
-        return sample if isinstance(sample, FittedSample) else cls(sample)
-
-    @cached_property
-    def design(self) -> np.ndarray:
-        return np.column_stack([self.sample.deterministics(), self.sample.x])
-
-    @cached_property
-    def static(self) -> OlsFit:
-        return ols(self.sample.y, self.design)
-
-    @cached_property
-    def im(self) -> ImOlsFit:
-        return im_ols(self.sample)
-
-    def lrv(self, kernel: KernelSpec) -> LrvEstimate:
-        """Long-run covariance of [static residual, v] under ``kernel``."""
-        if kernel not in self._lrv:
-            w = np.column_stack([self.static.resid, self.sample.innovations()])
-            self._lrv[kernel] = estimate_lrv(w, kernel)
-        return self._lrv[kernel]
-
-    def fm(self, kernel: KernelSpec) -> FmOlsFit:
-        """:func:`fm_ols` of the sample under ``kernel``."""
-        if kernel not in self._fm:
-            self._fm[kernel] = fm_ols(self, kernel)
-        return self._fm[kernel]
+    # The winners are refit on their own maximal samples, one solve per distinct K.
+    params, resid, moment = np.full((c, widths[-1]), np.nan), np.full((c, T), np.nan), np.full((c, m, m), np.nan)
+    for k in np.unique(K[ok]):
+        rows = np.flatnonzero(ok & (K == k))
+        y_f, X_f = (a[rows] for a in _dols_design(fitted, k, k + 1, T - k))
+        _, norms, Rinv, theta, _ = _qr_solve(y_f, X_f)
+        params[rows, : widths[k]] = theta / norms
+        root = Rinv / norms[:, :, None]
+        moment[rows] = (root @ root.transpose(0, 2, 1))[:, p : p + m, p : p + m]
+        resid[rows, k : T - k] = y_f - (X_f @ params[rows, : widths[k], None])[:, :, 0]
+    return DOlsFit(params=params, resid=resid, n_det=p, n_reg=m, leads_lags=K, moment_inv_beta=moment)

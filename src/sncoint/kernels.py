@@ -11,6 +11,11 @@ conditional scalar Omega_uu - Omega_uv Omega_vv^{-1} Omega_vu.
 Rows of ``w`` enter as provided; no demeaning happens here. Callers are
 responsible for constructing the residual matrix (typically the static-OLS
 residual in the first column and the regressor innovations next to it).
+
+:func:`estimate_lrv` also takes a stack of series (c, T, k): the plug-in
+bandwidth, the autocovariances and the Schur complement are then formed
+for all rows at once, each row with its own kernel weights, and a row the
+one-series estimate would reject is NaN.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 __all__ = [
     "BARTLETT",
@@ -27,7 +33,6 @@ __all__ = [
     "LrvEstimate",
     "kernel_weight",
     "andrews_bandwidth",
-    "resolve_bandwidth",
     "autocovariances",
     "lrv_matrix",
     "one_sided_lrv",
@@ -82,7 +87,8 @@ class LrvEstimate:
     ``omega`` is the full (m+1) x (m+1) matrix; ``conditional`` is the
     Schur complement of the regressor block; ``bandwidth`` is the numeric
     bandwidth used; ``one_sided`` is the one-sided sum of
-    :func:`one_sided_lrv` at that bandwidth.
+    :func:`one_sided_lrv` at that bandwidth. The estimate of a stack of
+    series carries a leading axis of length c on every field but ``kind``.
     """
 
     omega: np.ndarray
@@ -92,16 +98,16 @@ class LrvEstimate:
     one_sided: np.ndarray
 
     @property
-    def uu(self) -> float:
-        return float(self.omega[0, 0])
+    def uu(self) -> float | np.ndarray:
+        return self.omega[..., 0, 0][()]  # a scalar for one series
 
     @property
     def uv(self) -> np.ndarray:
-        return self.omega[0, 1:]
+        return self.omega[..., 0, 1:]
 
     @property
     def vv(self) -> np.ndarray:
-        return self.omega[1:, 1:]
+        return self.omega[..., 1:, 1:]
 
 
 def kernel_weight(kind: str, x: float | np.ndarray) -> float | np.ndarray:
@@ -129,6 +135,39 @@ def kernel_weight(kind: str, x: float | np.ndarray) -> float | np.ndarray:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
+def _plug_in(w: np.ndarray, kind: str) -> np.ndarray:
+    """The Andrews AR(1) plug-in bandwidth of each series of a stack ``w``
+    (c, T, k), all rows and columns at once; NaN for a row with a column
+    whose lagged values are all zero. Warns once if any slope is clamped."""
+    T = w.shape[1]
+    if T < 4:
+        raise ValueError("need at least 4 observations for the plug-in rule")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    lag, cur = w[:, :-1], w[:, 1:]
+    denom = np.einsum("ctk,ctk->ck", lag, lag)
+    rho = np.einsum("ctk,ctk->ck", cur, lag) / np.where(denom > 0.0, denom, np.nan)
+    clamped = np.abs(rho) >= _RHO_CLAMP
+    if clamped.any():
+        row, col = np.argwhere(clamped)[0]
+        warnings.warn(
+            f"AR(1) coefficient {rho[row, col]:.6f} in column {col} clamped to +/-{_RHO_CLAMP}"
+            + (f" (row {row}; {clamped.sum()} slopes clamped)" if w.shape[0] > 1 else ""),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        rho = np.where(clamped, np.sign(rho) * _RHO_CLAMP, rho)
+    resid = cur - rho[:, None, :] * lag
+    s2 = np.einsum("ctk,ctk->ck", resid, resid) / (T - 1)
+    s4, q = s2 * s2, (1.0 - rho) ** 4
+    num = 4.0 * rho * rho * s4 / (q * ((1.0 - rho) * (1.0 + rho)) ** 2 if kind == BARTLETT else q * q)
+    alpha = num.sum(axis=1) / (s4 / q).sum(axis=1)
+    return np.maximum(_ANDREWS_CONST[kind] * (alpha * T) ** _ANDREWS_POWER[kind], _MIN_BANDWIDTH)
+
+
+_DEGENERATE = "a column is degenerate: its lagged values are all zero"
+
+
 def andrews_bandwidth(w: np.ndarray, kind: str) -> float:
     """Andrews AR(1) plug-in bandwidth with equal component weights.
 
@@ -143,70 +182,72 @@ def andrews_bandwidth(w: np.ndarray, kind: str) -> float:
     |rho| >= 1 - 1e-6 are clamped (with a warning) to keep the plug-in
     formula finite.
     """
-    w = _as_time_matrix(w)
-    if w.shape[0] < 4:
-        raise ValueError("need at least 4 observations for the plug-in rule")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    T = w.shape[0]
-    num1 = num2 = den = 0.0
-    for i in range(w.shape[1]):
-        col = w[:, i]
-        lag, cur = col[:-1], col[1:]
-        denom = float(lag @ lag)
-        if denom <= 0.0:
-            raise ValueError(f"column {i} is degenerate")
-        rho = float(cur @ lag) / denom
-        if abs(rho) >= _RHO_CLAMP:
-            warnings.warn(
-                f"AR(1) coefficient {rho:.6f} in column {i} clamped to +/-{_RHO_CLAMP}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rho = np.sign(rho) * _RHO_CLAMP
-        resid = cur - rho * lag
-        s2 = float(resid @ resid) / resid.shape[0]
-        num1 += 4.0 * rho**2 * s2**2 / ((1.0 - rho) ** 6 * (1.0 + rho) ** 2)
-        num2 += 4.0 * rho**2 * s2**2 / (1.0 - rho) ** 8
-        den += s2**2 / (1.0 - rho) ** 4
-    alpha = (num1 if kind == BARTLETT else num2) / den
-    bw = _ANDREWS_CONST[kind] * (alpha * T) ** _ANDREWS_POWER[kind]
-    return max(bw, _MIN_BANDWIDTH)
-
-
-def resolve_bandwidth(w: np.ndarray, kernel: KernelSpec) -> float:
-    """Return the numeric bandwidth implied by ``kernel`` for data ``w``."""
-    if isinstance(kernel.bandwidth, str):
-        return andrews_bandwidth(w, kernel.kind)
-    return float(kernel.bandwidth)
+    bw = _plug_in(_as_time_matrix(w)[None], kind)[0]
+    if np.isnan(bw):
+        raise ValueError(_DEGENERATE)
+    return float(bw)
 
 
 def autocovariances(w: np.ndarray, max_lag: int) -> np.ndarray:
-    """Gamma_hat(h) = T^{-1} sum_t w_t w_{t+h}' for h = 0..max_lag, stacked
-    along the first axis; no demeaning."""
-    T = w.shape[0]
-    return np.stack([w[: T - h].T @ w[h:] / T for h in range(max_lag + 1)])
+    """Gamma_hat(h) = T^{-1} sum_t w_t w_{t+h}' for h = 0..max_lag of ``w``
+    (T, k), or of each series of a stack (c, T, k), stacked along the axis
+    before the matrix axes; no demeaning."""
+    T = w.shape[-2]
+    return np.stack([w[..., : T - h, :].swapaxes(-1, -2) @ w[..., h:, :] / T for h in range(max_lag + 1)], axis=-3)
 
 
-def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """The symmetric and one-sided kernel sums and the numeric bandwidth,
-    from one pass over the autocovariances."""
-    w = _as_time_matrix(w)
-    if w.shape[0] < 2:
+def _all_autocovariances(w: np.ndarray) -> np.ndarray:
+    """:func:`autocovariances` of each series of a stack ``w`` (c, T, k) at
+    every lag 0..T-1, from one zero-padded FFT pass: O(T log T), not O(T^2)."""
+    T = w.shape[1]
+    n = fft.next_fast_len(2 * T - 1, real=True)
+    F = fft.rfft(w, n=n, axis=1)
+    return fft.irfft(F.conj()[:, :, :, None] * F[:, :, None, :], n=n, axis=1)[:, :T] / T
+
+
+def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric and one-sided kernel sums and the numeric bandwidth of
+    each series of a stack ``w`` (c, T, k), from one pass over the
+    autocovariances up to the longest lag any row's weights reach (every
+    lag, by FFT, for the QS kernel). Rows whose bandwidth cannot be formed
+    are NaN."""
+    c, T, k = w.shape
+    if T < 2:
         raise ValueError("need at least 2 observations")
-    bandwidth = resolve_bandwidth(w, kernel)
-    weights = kernel_weight(kernel.kind, np.arange(w.shape[0]) / bandwidth)
+    if isinstance(kernel.bandwidth, str):
+        bandwidth = _plug_in(w, kernel.kind)
+    else:
+        bandwidth = np.full(c, float(kernel.bandwidth))
+    bad = np.isnan(bandwidth)
+    weights = kernel_weight(kernel.kind, np.arange(T) / np.where(bad, 1.0, bandwidth)[:, None])
+    if masked := bad.any():
+        weights[bad] = 0.0
     # Bartlett weights vanish from lag ceil(b) on; QS weights never do.
-    n_lags = int(np.flatnonzero(weights)[-1]) + 1
-    gammas = autocovariances(w, n_lags - 1)
-    one_sided = np.tensordot(weights[:n_lags], gammas, axes=1)
-    omega = one_sided + one_sided.T - gammas[0]
-    return 0.5 * (omega + omega.T), one_sided, bandwidth
+    if kernel.kind == QUADRATIC_SPECTRAL:
+        n_lags, gammas = T, _all_autocovariances(w)
+    else:
+        reached = np.flatnonzero(weights.any(axis=0))
+        n_lags = int(reached[-1]) + 1 if reached.size else 1
+        gammas = autocovariances(w, n_lags - 1)
+    one_sided = (weights[:, None, :n_lags] @ gammas.reshape(c, n_lags, k * k)).reshape(c, k, k)
+    omega = one_sided + one_sided.swapaxes(1, 2) - gammas[:, 0]
+    omega = 0.5 * (omega + omega.swapaxes(1, 2))
+    if masked:
+        omega[bad] = one_sided[bad] = np.nan
+    return omega, one_sided, bandwidth
+
+
+def _one_series(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_kernel_sums` of one series ``w`` (T, k), raising where the bandwidth cannot be formed."""
+    omega, one_sided, bandwidth = _kernel_sums(_as_time_matrix(w)[None], kernel)
+    if np.isnan(bandwidth[0]):
+        raise ValueError(_DEGENERATE)
+    return omega[0], one_sided[0], float(bandwidth[0])
 
 
 def lrv_matrix(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Symmetric kernel long-run covariance T^{-1} sum_ij K(|i-j|/b) w_i w_j'."""
-    return _kernel_sums(w, kernel)[0]
+    return _one_series(w, kernel)[0]
 
 
 def one_sided_lrv(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
@@ -217,7 +258,24 @@ def one_sided_lrv(w: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     Satisfies one_sided + one_sided' - Gamma_hat(0) = lrv_matrix, which is
     how :func:`lrv_matrix` is computed.
     """
-    return _kernel_sums(w, kernel)[1]
+    return _one_series(w, kernel)[1]
+
+
+def _conditional(omega: np.ndarray) -> np.ndarray:
+    """The Schur complement of each matrix of a stack ``omega`` (c, k, k);
+    NaN where the regressor block is not finite or its condition number
+    exceeds 1e12."""
+    if omega.shape[-1] == 1:
+        return omega[:, 0, 0].copy()
+    vv, uv = omega[:, 1:, 1:], omega[:, 0, 1:]
+    eye = np.eye(vv.shape[-1])
+    ok = np.isfinite(vv).all(axis=(1, 2))
+    sv = np.linalg.svd(vv if ok.all() else np.where(ok[:, None, None], vv, eye), compute_uv=False)
+    ok &= (sv[:, -1] > 0.0) & (sv[:, 0] <= 1e12 * sv[:, -1])  # condition number at most 1e12
+    if not ok.all():  # a rejected block is solved as I; masking only when needed
+        vv = np.where(ok[:, None, None], vv, eye)
+    value = omega[:, 0, 0] - np.einsum("cj,cj->c", uv, np.linalg.solve(vv, uv[:, :, None])[:, :, 0])
+    return np.where(ok, value, np.nan)
 
 
 def conditional_lrv(omega: np.ndarray) -> float:
@@ -227,25 +285,34 @@ def conditional_lrv(omega: np.ndarray) -> float:
     is numerically singular.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape[0] != omega.shape[1]:
+    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError("omega must be square")
-    if omega.shape[0] == 1:
-        return float(omega[0, 0])
-    vv = omega[1:, 1:]
-    if np.linalg.cond(vv) > 1e12:
+    value = _conditional(omega[None])[0]
+    if np.isnan(value):
         raise np.linalg.LinAlgError("regressor long-run variance singular")
-    uv = omega[0, 1:]
-    return float(omega[0, 0] - uv @ np.linalg.solve(vv, uv))
+    return float(value)
+
+
+def _first_row(est: LrvEstimate) -> LrvEstimate:
+    """The estimate of the first series of a stacked estimate, raising
+    where a single-series estimate would."""
+    if np.isnan(est.bandwidth[0]):
+        raise ValueError(_DEGENERATE)
+    if np.isnan(est.conditional[0]):
+        raise np.linalg.LinAlgError("regressor long-run variance singular")
+    return LrvEstimate(est.omega[0], float(est.conditional[0]), float(est.bandwidth[0]), est.kind, est.one_sided[0])
 
 
 def estimate_lrv(w: np.ndarray, kernel: KernelSpec) -> LrvEstimate:
     """Symmetric and one-sided long-run covariances of [u, v']' rows, the
-    conditional scalar and the bandwidth, from one autocovariance pass."""
+    conditional scalar and the bandwidth, from one autocovariance pass.
+
+    ``w`` is one series (T, k), or a stack (c, T, k) whose estimate carries
+    the leading axis on every field, NaN for a row where the one-series
+    estimate raises.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 3:
+        return _first_row(estimate_lrv(_as_time_matrix(w)[None], kernel))
     omega, one_sided, bandwidth = _kernel_sums(w, kernel)
-    return LrvEstimate(
-        omega=omega,
-        conditional=conditional_lrv(omega),
-        bandwidth=bandwidth,
-        kind=kernel.kind,
-        one_sided=one_sided,
-    )
+    return LrvEstimate(omega, _conditional(omega), bandwidth, kernel.kind, one_sided)

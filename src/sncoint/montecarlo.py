@@ -18,10 +18,12 @@ through one :func:`~sncoint.streams.replication_map` call, so a study
 opens one process pool for all its phases. A chunk runs the GARCH
 recursion once over time for all its replications, each drawn from its own
 ``substream(seed, phase, i)`` (:func:`generate_dgp` is the one-row
-case), and wraps each sample once in a
-:class:`~sncoint.estimators.FittedSample` that every test or statistic
-receives. ``ExperimentResult.meta`` records the chunk size, the task
-count and whether BLAS pinning was active.
+case). A power study stacks a phase's samples in one
+:class:`~sncoint.estimators.FittedSample`, so each statistic fits and
+evaluates the whole chunk in one call; a size study hands each test the
+one-row :class:`~sncoint.estimators.FittedSample` of its sample.
+``ExperimentResult.meta`` records the chunk size, the task count and
+whether BLAS pinning was active.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 TestFn = Callable[[FittedSample, RestrictionSpec, int], bool]
-StatisticFn = Callable[[FittedSample, RestrictionSpec], float]
+StatisticFn = Callable[[FittedSample, RestrictionSpec], np.ndarray]
 
 # Replications per replication_map task. Fixed, so that no result depends
 # on the worker count.
@@ -169,29 +171,31 @@ def _test_seed(seed: int, phase: int, rep: int, test_index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(phase, rep, test_index)).generate_state(1)[0])
 
 
-def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarray, betas) -> list[list[FittedSample]]:
-    """One :class:`FittedSample` per replication in ``indices`` and
-    coefficient pair in ``betas``.
+def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarray, betas) -> FittedSample:
+    """One stacked :class:`FittedSample` of the replications ``indices``
+    crossed with the coefficient pairs ``betas``: row r * len(betas) + g is
+    replication ``indices[r]`` with ``betas[g]``.
 
     The innovations of all the replications come from one GARCH
     recursion; replication i keeps its own ``substream(seed, phase, i)``
-    draw, so every sample equals :func:`generate_dgp` on that stream with
+    draw, so every row equals :func:`generate_dgp` on that stream with
     the matching ``beta``. (x, u) are drawn once and y = x beta + u is
     formed per coefficient pair.
     """
     n = config.burn_in + config.T
     eps = np.stack([substream(seed, phase, int(i)).standard_normal((n, 3)) for i in indices])
     x, u = _dgp_paths(config, _garch(config, eps))
-    betas = [np.asarray(beta, dtype=float) for beta in betas]
-    return [[FittedSample(CointegrationSample(y=x[r] @ beta + u[r], x=x[r])) for beta in betas] for r in range(len(x))]
+    y = np.stack([x @ np.asarray(beta, dtype=float) + u for beta in betas], axis=1)
+    return FittedSample(y.reshape(-1, config.T), np.repeat(x, len(betas), axis=0), Deterministics.NONE)
 
 
 def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, seed: int, indices: np.ndarray):
     """Decisions (rows, K) of each test on the replications ``indices``."""
-    samples = _fitted_samples(config, seed, 0, indices, [config.beta])
+    stack = _fitted_samples(config, seed, 0, indices, [config.beta])
+    samples = [FittedSample(CointegrationSample(y=y, x=x)) for y, x in zip(stack.y, stack.x)]
     return np.array(
-        [[bool(fn(row[0], restriction, _test_seed(seed, 0, int(i), j))) for j, fn in enumerate(tests)]
-         for i, row in zip(indices, samples)],
+        [[bool(fn(fitted, restriction, _test_seed(seed, 0, int(i), j))) for j, fn in enumerate(tests)]
+         for i, fitted in zip(indices, samples)],
         dtype=float,
     )  # fmt: skip
 
@@ -243,10 +247,22 @@ def size_experiment(
 
 def _power_chunk(config: DgpConfig, stats: list, restriction: RestrictionSpec, beta_grid, seed: int, indices):
     """Statistics (rows, 1 + G, K) on the replications ``indices``: the
-    null draw, then each grid point."""
-    null = _fitted_samples(config, seed, 0, indices, [config.beta])
-    alternative = _fitted_samples(config, seed, 1, indices, [(b, b) for b in beta_grid])
-    return np.array([[[float(fn(f, restriction)) for fn in stats] for f in n + a] for n, a in zip(null, alternative)])
+    null draw, then each grid point. Each named statistic in ``stats`` is
+    called once per phase, on the phase's stacked fits; a NaN value raises
+    :class:`ValueError`, so no quantile or rate ever sees one."""
+    phases = (("null", [config.beta]), ("alternative", [(b, b) for b in beta_grid]))
+    out = []
+    for phase, (name, betas) in enumerate(phases):
+        fitted = _fitted_samples(config, seed, phase, indices, betas)
+        values = np.column_stack([np.asarray(fn(fitted, restriction), dtype=float) for _, fn in stats])
+        if values.shape != (len(fitted.y), len(stats)):
+            raise ValueError(f"a statistic must return one value per row of its FittedSample ({len(fitted.y)} rows)")
+        if np.isnan(values).any():
+            row, j = np.argwhere(np.isnan(values))[0]
+            raise ValueError(f"statistic {stats[j][0]!r} is NaN (degenerate sample) in the {name} phase "
+                             f"at replication {indices[row // len(betas)]}")  # fmt: skip
+        out.append(values.reshape(len(indices), len(betas), len(stats)))
+    return np.concatenate(out, axis=1)
 
 
 def size_adjusted_power(
@@ -266,9 +282,12 @@ def size_adjusted_power(
     to the grid value) against those adjusted critical values. Grid
     points share innovation draws, so curves are smooth in the
     coefficient. Each statistic is a callable (fitted, restriction) ->
-    value, with ``fitted`` a :class:`~sncoint.estimators.FittedSample`
-    shared by all statistics of one sample. Both phases of a replication
-    run in the same task, so the study opens one pool.
+    array, with ``fitted`` a stacked
+    :class:`~sncoint.estimators.FittedSample` of c samples, shared by all
+    statistics, and the array their c values. A NaN value raises
+    :class:`ValueError` naming the statistic, the phase and the
+    replication. Both phases of a replication run in the same task, so the
+    study opens one pool.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -276,7 +295,7 @@ def size_adjusted_power(
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)
-    task = partial(_power_chunk, config, list(statistics.values()), restriction, beta_grid, seed)
+    task = partial(_power_chunk, config, list(statistics.items()), restriction, beta_grid, seed)
     draws, meta = _run_chunks(task, reps, workers)
     adjusted = {name: float(np.quantile(draws[:, 0, j], 1.0 - alpha)) for j, name in enumerate(statistics)}
     return ExperimentResult(

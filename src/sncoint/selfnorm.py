@@ -11,8 +11,10 @@ traditional chi-square test; plugging in the self-normalizer (a scaled
 sum of squared partial sums of the differenced residuals) gives the
 tuning-parameter-free statistic whose limit law is tabulated in
 :mod:`sncoint.tables`. :func:`bootstrap_statistic` is the one place that
-maps a statistic name to kappa and decides when a sample is degenerate;
-:func:`wald_batch` is the same statistic over the rows of a batch.
+maps a statistic name to kappa and decides when a sample is degenerate.
+It and :func:`traditional_statistic` take one sample, or a stacked
+:class:`~sncoint.estimators.FittedSample` whose rows they evaluate at
+once; :func:`wald_batch` is the first over the rows of (y, x) arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .estimators import FittedSample, ImOlsFit, RestrictionSpec, d_ols, im_ols_batch
+from .estimators import FittedSample, ImOlsFit, RestrictionSpec
 from .kernels import BARTLETT, KernelSpec, lrv_matrix
 from .tables import CriticalValueTable
 from .timeseries import CointegrationSample, Deterministics, first_difference
@@ -93,10 +95,11 @@ def _quadratic_form(gap: np.ndarray, middle: np.ndarray):
     exactly singular."""
     try:
         return np.einsum("...s,...s->...", gap, np.linalg.solve(middle, gap[..., None])[..., 0])
-    except np.linalg.LinAlgError:
-        if gap.ndim == 1:
-            return np.nan
-        return np.array([_quadratic_form(g, mid) for g, mid in zip(gap, middle)])
+    except np.linalg.LinAlgError:  # a zero LU pivot, which slogdet reports as sign 0
+        with np.errstate(invalid="ignore"):  # a NaN block stays NaN
+            regular = np.linalg.slogdet(middle)[0] != 0.0
+        middle = np.where(regular[..., None, None], middle, np.eye(middle.shape[-1]))
+        return np.where(regular, _quadratic_form(gap, middle), np.nan)
 
 
 def _wald_unit(fit: ImOlsFit, restriction: RestrictionSpec):
@@ -141,7 +144,7 @@ def bootstrap_statistic(
     restriction: RestrictionSpec,
     statistic: str = "sn",
     kernel: KernelSpec | None = None,
-) -> float:
+) -> float | np.ndarray:
     """The Wald-type statistic tau(kappa) on a (bootstrap) sample.
 
     ``statistic`` picks the scale: 'sn' (self-normalizer), 'tau1'
@@ -149,13 +152,20 @@ def bootstrap_statistic(
     estimated on the sample at hand). Raises :class:`ValueError` for a
     degenerate sample: kappa not positive, or for 'sn' residuals
     negligible against the fitted signal.
+
+    On a stacked :class:`~sncoint.estimators.FittedSample` it returns the
+    statistic of every row, NaN where a sample would raise or the form is
+    not finite.
     """
     fitted = FittedSample.of(star_sample)
     fit = fitted.im
-    kappa = float(_scale(fit, statistic, kernel, lambda: fitted.lrv(kernel).conditional))
+    kappa = _scale(fit, statistic, kernel, lambda: fitted.lrv(kernel).conditional)
+    if fitted.sample is None:
+        unit = _wald_unit(fit, restriction)
+        return np.where(np.isfinite(unit), unit, np.nan) / kappa
     if math.isnan(kappa):
         raise ValueError(f"degenerate normalizer for statistic {statistic!r}")
-    return wald_statistic(fit, restriction, kappa)
+    return wald_statistic(fit, restriction, float(kappa))
 
 
 def wald_batch(
@@ -168,22 +178,9 @@ def wald_batch(
 ) -> np.ndarray:
     """:func:`bootstrap_statistic` of each row of ``y`` (c, T) and ``x``
     (c, T, m), row i being ``CointegrationSample(y[i], x[i], det)``, from
-    one batched fit and sandwich. NaN where it would raise, or the form is
-    not finite."""
-    fit = im_ols_batch(y, x, det)
-    unit = _wald_unit(fit, restriction)
-    unit[~np.isfinite(unit)] = np.nan
-
-    def conditional() -> np.ndarray:
-        kappa = np.full(y.shape[0], np.nan)
-        for i in np.flatnonzero(~np.isnan(unit)):
-            try:
-                kappa[i] = FittedSample(CointegrationSample(y=y[i], x=x[i], det=det)).lrv(kernel).conditional
-            except (ValueError, np.linalg.LinAlgError):
-                continue
-        return kappa
-
-    return unit / _scale(fit, statistic, kernel, conditional)
+    one stacked :class:`~sncoint.estimators.FittedSample`. NaN where it
+    would raise, or the form is not finite."""
+    return bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
 
 
 def self_normalized_test(
@@ -213,25 +210,31 @@ def traditional_statistic(
     sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     kernel: KernelSpec,
-) -> float:
+) -> float | np.ndarray:
     """The kernel-based Wald statistic of :func:`traditional_wald`, without
-    its chi-square critical value and p-value."""
+    its chi-square critical value and p-value. On a stacked
+    :class:`~sncoint.estimators.FittedSample`, the statistic of every row,
+    NaN where a sample would raise."""
     estimator = estimator.upper()
+    if estimator not in ("IM", "FM", "D"):
+        raise ValueError(f"unknown estimator tag {estimator!r}")
     fitted = FittedSample.of(sample)
     if estimator == "IM":
         return bootstrap_statistic(fitted, restriction, "wald-lrv", kernel)
-    omega = fitted.lrv(kernel).conditional
-    if omega <= 0.0:
+    omega = np.asarray(fitted.lrv(kernel).conditional)
+    if fitted.sample is not None and not omega > 0.0:
         raise ValueError("conditional long-run variance must be positive")
     if estimator == "FM":
         est = fitted.fm(kernel)
-    elif estimator == "D":
-        est = d_ols(fitted.sample, max(1, int(np.floor(4.0 * (fitted.sample.nobs / 100.0) ** 0.25))))
     else:
-        raise ValueError(f"unknown estimator tag {estimator!r}")
-    gap = restriction.R @ est.beta - restriction.value
-    middle = omega * (restriction.R @ est.moment_inv_beta @ restriction.R.T)
-    return float(gap @ np.linalg.solve(middle, gap))
+        est = fitted.dols(max(1, int(np.floor(4.0 * (fitted.nobs / 100.0) ** 0.25))))
+    R = restriction.R
+    form = _quadratic_form(est.beta @ R.T - restriction.value, omega[..., None, None] * (R @ est.moment_inv_beta @ R.T))
+    if fitted.sample is None:
+        return np.where(omega > 0.0, form, np.nan)
+    if np.isnan(form):
+        raise np.linalg.LinAlgError("restricted variance block singular")
+    return float(form)
 
 
 def traditional_wald(

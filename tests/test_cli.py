@@ -27,7 +27,7 @@ from sncoint import (
 )
 from sncoint import cli
 from sncoint.cli import UsageError, main, parse_matrix
-from sncoint.estimators import fm_ols, im_ols, ols
+from sncoint.estimators import _fm_ols_batch, _qr_solve, im_ols_batch
 from sncoint.kernels import autocovariances
 from sncoint.streams import substream
 from sncoint.tables import _PROBS
@@ -217,24 +217,25 @@ class TestFitOnce:
     def test_analysis_without_bootstrap(self, count_calls):
         sample = make_sample()
         restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
-        ols_calls = count_calls(ols)
-        im_calls = count_calls(im_ols)
+        qr_calls = count_calls(_qr_solve)
+        im_calls = count_calls(im_ols_batch)
         passes = count_calls(autocovariances)
-        fm_calls = count_calls(fm_ols)
+        fm_calls = count_calls(_fm_ols_batch)
         run_analysis(sample, restriction, alpha=0.10, seed=5)
-        static = [args for args in ols_calls if args[0] is sample.y]
-        assert len(static) == 1 and static[0][1].shape == (sample.nobs, 2)
-        assert len(im_calls) == 1 and im_calls[0][0] is sample
+        static = [args for args in qr_calls if args[1].shape == (1, sample.nobs, 2)]
+        assert len(static) == 1 and np.array_equal(static[0][0][0, :, 0], sample.y)
+        assert len(im_calls) == 1 and np.array_equal(im_calls[0][0], sample.y[None])
         assert len(passes) == 1
         assert len(fm_calls) == 1
 
     def test_bootstrap_does_not_refit_observed_sample(self, count_calls):
         sample = make_sample()
         restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
-        im_calls = count_calls(im_ols)
+        im_calls = count_calls(im_ols_batch)
         boot = BootstrapConfig(n_boot=19, alpha=0.10, seed=5)
         run_analysis(sample, restriction, alpha=0.10, boot=boot, seed=5)
-        assert [args[0] for args in im_calls] == [sample]
+        observed, draws = im_calls  # the sample, then one chunk of its 19 bootstrap draws
+        assert np.array_equal(observed[0], sample.y[None]) and draws[0].shape[0] == 19
 
 
 def golden_sample(T, det, seed):
@@ -249,10 +250,10 @@ GOLDEN = {
     "T250-bartlett": (
         (250, Deterministics.INTERCEPT, 250, BARTLETT),
         {
-            "ols": [1.0739207546770366, 1.0306000496686443],
+            "ols": [1.0739207546770373, 1.0306000496686452],
             "im_ols": [0.988663433215713, 0.9971617737706876],
             "fm_ols": [1.0489102330221922, 1.0100028725835013],
-            "rho1": 0.5594219574900767,
+            "rho1": 0.5594219574900768,
             "sn": 1.1795308907859121,
             "wald_fm": (2.636980625138815, 0.267538897348279),
         },
@@ -260,10 +261,10 @@ GOLDEN = {
     "T1000-qs": (
         (1000, Deterministics.NONE, 1000, QUADRATIC_SPECTRAL),
         {
-            "ols": [1.0117484503975844, 1.0293443459757785],
+            "ols": [1.0117484503975835, 1.0293443459757785],
             "im_ols": [0.9993758781929536, 1.0019485711720224],
             "fm_ols": [1.0020454976758297, 1.0061283170319186],
-            "rho1": 0.6215614942380909,
+            "rho1": 0.6215614942380908,
             "sn": 6.795010572759795,
             "wald_fm": (0.6625050813293517, 0.7180238159302885),
         },

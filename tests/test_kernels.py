@@ -215,13 +215,25 @@ class TestConditional:
             conditional_lrv(omega)
 
 
+class TestFftAutocovariances:
+    def test_matches_lag_loop(self):
+        """The QS kernel's FFT pass against the lag-by-lag sums it replaces."""
+        from sncoint.kernels import _all_autocovariances, autocovariances
+
+        rng = np.random.default_rng(22)
+        for T in (2, 3, 17, 250):
+            w = rng.standard_normal((3, T, 2)) * [1.0, 1e3]
+            expected = autocovariances(w, T - 1)
+            assert np.abs(_all_autocovariances(w) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestEstimateLrv:
     def test_partition_consistency(self):
         rng = np.random.default_rng(20)
         w = rng.standard_normal((60, 3))
         est = estimate_lrv(w, KernelSpec(BARTLETT, "andrews"))
         assert est.omega.shape == (3, 3)
-        assert est.uu == pytest.approx(est.omega[0, 0])
+        assert isinstance(est.uu, float) and est.uu == pytest.approx(est.omega[0, 0])
         np.testing.assert_array_equal(est.uv, est.omega[0, 1:])
         expected = est.uu - est.uv @ np.linalg.solve(est.vv, est.uv)
         assert est.conditional == pytest.approx(expected, rel=1e-12)

@@ -13,7 +13,7 @@ from sncoint import (
     standard_battery,
     standard_statistics,
 )
-from sncoint.estimators import fm_ols, im_ols, ols
+from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
 from sncoint import montecarlo
 from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, replication_map, substream
@@ -102,12 +102,13 @@ class TestGenerateDgp:
     def test_chunk_samples_match_single_draws(self):
         config = DgpConfig(T=40, rho1=0.3, rho2=0.3, phi=0.2)
         betas = [(1.0, 1.0), (1.5, 1.5)]
-        rows = _fitted_samples(config, 4, 1, np.arange(3, 6), betas)
-        for i, row in zip(range(3, 6), rows):
-            for beta, fitted in zip(betas, row):
+        stack = _fitted_samples(config, 4, 1, np.arange(3, 6), betas)
+        assert stack.sample is None and stack.y.shape == (6, 40)
+        for r, i in enumerate(range(3, 6)):
+            for g, beta in enumerate(betas):
                 single = generate_dgp(replace(config, beta=beta), substream(4, 1, i))
-                np.testing.assert_array_equal(fitted.sample.y, single.y)
-                np.testing.assert_array_equal(fitted.sample.x, single.x)
+                np.testing.assert_array_equal(stack.y[2 * r + g], single.y)
+                np.testing.assert_array_equal(stack.x[2 * r + g], single.x)
 
     def test_burn_in_insensitivity(self):
         battery = standard_battery(["SN-asymptotic"])
@@ -188,6 +189,30 @@ class TestSizeAdjustedPower:
         with pytest.raises(ValueError, match="at least one replication"):
             size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=0)
 
+    def test_degenerate_row_raises_before_the_quantile(self, monkeypatch):
+        paths = montecarlo._dgp_paths
+
+        def flat_second_row(config, mixed):
+            x, u = paths(config, mixed)
+            x[1] = 0.0  # the second replication of every chunk has no regressor variation
+            return x, u
+
+        def no_quantile(*args, **kwargs):
+            raise AssertionError("np.quantile reached")
+
+        monkeypatch.setattr(montecarlo, "_dgp_paths", flat_second_row)
+        monkeypatch.setattr(montecarlo.np, "quantile", no_quantile)
+        stats = standard_statistics(["Wald-IM", "SN"])
+        with pytest.raises(ValueError, match=r"statistic 'Wald-IM' is NaN .* in the null phase at replication 1$"):
+            size_adjusted_power(DgpConfig(T=40), stats, [1.0, 1.1], reps=8, seed=2)
+
+    def test_statistic_must_return_one_value_per_row(self):
+        def scalar(fitted, restriction):
+            return 1.0
+
+        with pytest.raises(ValueError, match="one value per row"):
+            size_adjusted_power(DgpConfig(T=40), {"scalar": scalar}, [1.0], reps=4, seed=2)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05])
     def test_alpha_outside_unit_interval_rejected(self, monkeypatch, alpha):
         def no_study(*args):
@@ -208,9 +233,9 @@ POWER_GOLDEN_RATES = {
 }
 POWER_GOLDEN_ADJUSTED = {
     "SN": 100.74848827970241,
-    "Wald-IM": 7.0417618041705685,
-    "Wald-FM": 19.727886361655354,
-    "Wald-D": 20.93813649194853,
+    "Wald-IM": 7.041761804170563,
+    "Wald-FM": 19.727886361655184,
+    "Wald-D": 20.93813649194855,
 }
 SIZE_GOLDEN_RATES = {
     "SN-asymptotic": 0.13333333333333333,
@@ -239,30 +264,33 @@ class TestGoldenStudies:
 
 
 class TestFitOncePerSample:
-    """A study opens one pool and fits each (replication, grid point)
-    sample once, whatever number of statistics read it."""
+    """A study opens one pool. A power study fits each (chunk, phase) stack
+    once, in one stacked call per fit, whatever number of statistics read
+    it; a size study fits each sample once."""
 
     def test_power_study(self, count_calls):
         config = DgpConfig(T=40)
         map_calls = count_calls(replication_map)
-        ols_calls = count_calls(ols)
-        im_calls = count_calls(im_ols)
-        fm_calls = count_calls(fm_ols)
+        batch_calls = count_calls(im_ols_batch)
+        qr_calls = count_calls(_qr_solve)
+        per_sample = [count_calls(fn) for fn in (ols, im_ols, fm_ols, d_ols)]
         stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
         size_adjusted_power(config, stats, [1.0, 1.1], reps=10, seed=3)
-        samples = 10 * (1 + 2)
         assert len(map_calls) == 1
-        assert sum(1 for args in ols_calls if args[1].shape == (config.T, 2)) == samples
-        assert len(im_calls) == samples
-        assert len(fm_calls) == samples
+        # chunks of 8 and 2 replications, each a null stack and a stack over the 2 grid points
+        assert [args[0].shape[0] for args in batch_calls] == [8, 16, 2, 4]
+        static = [args for args in qr_calls if args[1].shape[2] == 2]  # the static design [x]: m = 2, no deterministics
+        assert [args[0].shape[0] for args in static] == [8, 16, 2, 4]
+        assert all(args[0].shape[2] == 1 + 2 for args in static)  # [y, v] in one QR
+        assert per_sample == [[], [], [], []]
 
     def test_size_study(self, count_calls):
         map_calls = count_calls(replication_map)
-        im_calls = count_calls(im_ols)
+        batch_calls = count_calls(im_ols_batch)
         battery = standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM"])
         size_experiment(DgpConfig(T=40), battery, reps=10, seed=3)
         assert len(map_calls) == 1
-        assert len(im_calls) == 10
+        assert [args[0].shape[0] for args in batch_calls] == [1] * 10
 
 
 class TestStandardBattery:
