@@ -7,8 +7,9 @@ that fixes the first s of them at zero. One chunk task, :func:`_walk_chunk`,
 run by :func:`~sncoint.streams.replication_map`, draws the walks of every
 consumer, one ``substream(seed, chunk)`` call per ``_chunk_size`` chunk,
 so a (seed, n_grid, reps) triple always yields the same table.
-``estimators.im_ols_batch`` fits each row block, and
-:mod:`sncoint.selfnorm` turns the fit into the statistic.
+``estimators.im_ols_batch`` fits each row block, and one reducer,
+:func:`_components`, turns the fit into the statistic's numerator tau(1)
+and its self-normalizer.
 
 Without deterministic terms the walks start one step late (a zero first
 innovation, the last draw dropped), which reproduces the Brownian-lattice
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .estimators import RestrictionSpec, batch_rows, im_ols_batch
-from .selfnorm import _normalizer, _wald_unit, wald_batch
+from .selfnorm import _normalizer, _wald_unit
 from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
 from .timeseries import Deterministics
@@ -99,8 +100,10 @@ def _on_walks(fn, m: int, det: Deterministics, T: int, reps: int, seed: int) -> 
     return [out for chunk in chunks for out in chunk]
 
 
-def _components(restriction: RestrictionSpec, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fit = im_ols_batch(y, x, Deterministics.NONE)
+def _components(restriction: RestrictionSpec, det: Deterministics, y: np.ndarray, x: np.ndarray) -> tuple:
+    """tau(1) and the self-normalizer of each walk (y, x). Gaussian walks have a
+    full-rank design with probability one, so no degeneracy check runs."""
+    fit = im_ols_batch(y, x, det)
     return _wald_unit(fit, restriction), _normalizer(fit.resid)
 
 
@@ -111,8 +114,9 @@ def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int)
     ratio numerator/denominator is the limit of the self-normalized
     statistic.
     """
-    restriction = _limit_restriction(m, s, Deterministics.NONE, n_grid, reps)
-    nums, dens = zip(*_on_walks(partial(_components, restriction), m, Deterministics.NONE, n_grid, reps, seed))
+    det = Deterministics.NONE
+    restriction = _limit_restriction(m, s, det, n_grid, reps)
+    nums, dens = zip(*_on_walks(partial(_components, restriction, det), m, det, n_grid, reps, seed))
     return np.concatenate(nums), np.concatenate(dens)
 
 
@@ -120,7 +124,8 @@ def _random_walk_statistics(m: int, s: int, det: Deterministics, T: int, reps: i
     """Self-normalized statistic on the walks of :func:`_walk_chunk`,
     batched over reps, with the restriction fixing the first s coefficients."""
     restriction = _limit_restriction(m, s, det, T, reps)
-    return np.concatenate(_on_walks(partial(wald_batch, det=det, restriction=restriction), m, det, T, reps, seed))
+    pairs = _on_walks(partial(_components, restriction, det), m, det, T, reps, seed)
+    return np.concatenate([unit / kappa for unit, kappa in pairs])
 
 
 def simulate_limit_statistics(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> np.ndarray:

@@ -130,7 +130,8 @@ def run_analysis(
 
     Always runs the asymptotic self-normalized test and the traditional
     fully-modified Wald test; adds the bootstrap-assisted self-normalized
-    test when a bootstrap configuration is supplied. The critical-value
+    test when a bootstrap configuration is supplied, run at ``alpha``
+    whatever ``boot.alpha`` says. The critical-value
     table is loaded from the packaged quantiles, or simulated on demand
     for combinations outside them. Every estimate and test reads one
     :class:`~sncoint.estimators.FittedSample`, so the sample is fitted once.
@@ -144,7 +145,7 @@ def run_analysis(
         traditional_wald("FM", fitted, restriction, kernel, alpha),
     ]
     if boot is not None:
-        outcomes.append(bootstrap_test(fitted, restriction, boot))
+        outcomes.append(bootstrap_test(fitted, restriction, _at_level(boot, alpha)))
 
     return AnalysisReport(
         estimates={
@@ -164,6 +165,11 @@ def run_analysis(
             **(provenance or {}),
         },
     )
+
+
+def _at_level(config: BootstrapConfig, alpha: float) -> BootstrapConfig:
+    """``config`` at the level ``alpha`` of the tests it runs beside."""
+    return config if abs(config.alpha - alpha) <= 1e-12 else replace(config, alpha=alpha)
 
 
 def _run_sn_asymptotic(alpha, fitted, restriction, seed) -> bool:
@@ -209,9 +215,7 @@ def standard_battery(
         elif name in _EST_TAGS:
             battery[name] = partial(_run_traditional, _EST_TAGS[name], kernel, alpha)
         elif name in _BOOT_TAGS:
-            cfg = boot or BootstrapConfig(n_boot=199, alpha=alpha)
-            if abs(cfg.alpha - alpha) > 1e-12:
-                cfg = replace(cfg, alpha=alpha)
+            cfg = _at_level(boot or BootstrapConfig(n_boot=199, alpha=alpha), alpha)
             battery[name] = partial(_run_bootstrap, _BOOT_TAGS[name], kernel, cfg)
         else:
             raise ValueError(f"unknown test tag {name!r}")

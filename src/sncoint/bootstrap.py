@@ -11,8 +11,8 @@ Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
 (about 2^17 elements per (draws, T, .) array), through the package's one
 driver, :func:`~sncoint.streams.replication_map`. A chunk simulates its
 VAR in fixed blocks of steps, one matrix product each, and evaluates
-every draw at once with :func:`~sncoint.selfnorm.wald_batch`, which is
-:func:`~sncoint.selfnorm.bootstrap_statistic` row by row. A degenerate
+every draw at once with :func:`~sncoint.selfnorm.bootstrap_statistic` on
+one stacked :class:`~sncoint.estimators.FittedSample`. A degenerate
 draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
 fit, singular restricted block) is regenerated once from its retry
 substream and discarded if still degenerate. Every draw keeps its own
@@ -37,7 +37,7 @@ from .estimators import (
     restricted_im_ols,
 )
 from .kernels import KernelSpec, autocovariances
-from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic, wald_batch
+from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic
 from .streams import replication_map, substream
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
@@ -69,9 +69,11 @@ class VarSieveModel:
     resid_pool: np.ndarray  # (n_resid, k), column means zero
     sigma: np.ndarray  # (k, k) residual covariance
     block_map: np.ndarray = field(init=False, repr=False, compare=False)  # _block_map(coefs), once per fit
+    spectral_radius: float = field(init=False, repr=False, compare=False)  # of the companion matrix, once per fit
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "block_map", _block_map(self.coefs))
+        object.__setattr__(self, "spectral_radius", companion_spectral_radius(self.coefs))
 
     @property
     def n_series(self) -> int:
@@ -237,12 +239,12 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
             ic = logdet + penalty * q * k**2 / n_eval
             if sign > 0 and ic < best_ic:
                 coefs, best_ic = fit, ic
-    radius = companion_spectral_radius(coefs)
-    if radius >= 1.0:
-        raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {radius:.6f})")
     resid = _var_residuals(w, coefs)
     pool = resid - resid.mean(axis=0)
-    return VarSieveModel(order=len(coefs), coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
+    model = VarSieveModel(order=len(coefs), coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
+    if model.spectral_radius >= 1.0:
+        raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {model.spectral_radius:.6f})")
+    return model
 
 
 def generate_bootstrap_batch(
@@ -317,17 +319,17 @@ def bootstrap_draws(
 ) -> tuple[np.ndarray, int]:
     """Bootstrap statistics of the draws ``indices`` and the retry count.
 
-    A degenerate draw (NaN in :func:`~sncoint.selfnorm.wald_batch`) is
+    A degenerate draw (NaN in :func:`~sncoint.selfnorm.bootstrap_statistic`) is
     regenerated once from its attempt-1 substream; one still degenerate
     is NaN, for the caller to count as discarded.
     """
     indices = np.asarray(indices)
     y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices)
-    draws = wald_batch(y, x, det, restriction, statistic, kernel)
+    draws = bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
     retry = np.flatnonzero(np.isnan(draws))
     if retry.size:
         y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices[retry], 1)
-        draws[retry] = wald_batch(y, x, det, restriction, statistic, kernel)
+        draws[retry] = bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
     return draws, retry.size
 
 
@@ -392,7 +394,7 @@ def bootstrap_test(
         warnings=notes,
         diagnostics={
             "sieve_order": model.order,
-            "spectral_radius": companion_spectral_radius(model.coefs),
+            "spectral_radius": model.spectral_radius,
             "n_retried": n_retried,
             "n_discarded": n_discarded,
         },

@@ -17,14 +17,15 @@ column norms, so (X'X)^{-1} = root root'. FM-OLS, D-OLS and the
 restricted projection read their inverse moments from it.
 
 :class:`FittedSample` fits a stack of samples that share T, m and the
-deterministics, every fit in one stacked call; a single sample is its
-one-row case, and :func:`im_ols`, :func:`fm_ols` and :func:`d_ols` read
-their fits from it.
+deterministics, every fit in one stacked call, built once and kept in one
+memo under its key. A single sample is its one-row case: each of its fits
+is row 0 of the stacked one, built once. :func:`im_ols`, :func:`fm_ols`
+and :func:`d_ols` read their fits from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -375,11 +376,15 @@ class FittedSample:
     * ``fm(kernel)``, the FM-OLS fit;
     * ``dols(max_leads_lags)``, the D-OLS fit.
 
+    One memo keeps every stacked fit under its key, ``static``, ``im``,
+    ``lrv(kernel)``, ``fm(kernel)`` or ``dols(K)``, and the rows read from it.
+
     ``FittedSample(sample)`` is the one-row case, with the sample kept as
-    ``sample`` (None for a stack). Its fits are the row's, without the
-    leading axis, and raise where the row is NaN. :func:`fm_ols`,
-    :func:`d_ols` and the statistics in :mod:`sncoint.selfnorm` take either
-    in place of a sample and read its fits instead of refitting.
+    ``sample`` (None for a stack). Its fits are row 0 of the stacked ones,
+    without the leading axis, each built once; a row raises its fit's error
+    where its parameters are NaN. :func:`fm_ols`, :func:`d_ols` and the
+    statistics in :mod:`sncoint.selfnorm` take either in place of a sample
+    and read its fits instead of refitting.
     """
 
     def __init__(
@@ -395,10 +400,7 @@ class FittedSample:
                 raise ValueError(f"need y (c, T) and x (c, T, m), got {self.y.shape} and {self.x.shape}")
         else:
             self.y, self.x, self.det = self.sample.y[None], self.sample.x[None], self.sample.det
-        self._lrv: dict[KernelSpec, LrvEstimate] = {}
-        self._fm: dict[KernelSpec, FmOlsFit] = {}
-        self._dols: dict[int, DOlsFit] = {}
-        self._rows: dict = {}
+        self._memo: dict = {}
 
     @classmethod
     def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
@@ -409,16 +411,46 @@ class FittedSample:
     def nobs(self) -> int:
         return self.y.shape[1]
 
-    def _view(self, key, fit, error: Exception):
-        """``fit`` of a stack; of one sample, its row (kept under ``key``),
-        raising ``error`` if the row's parameters are NaN."""
+    def _stacked(self, name: str, *args):
+        """The stacked fit ``name`` under ``args``, built on first use; the
+        static entry pairs the fit with the coefficients of v on [d, x]."""
+        key = (name, *args)
+        if key not in self._memo:  # builders are looked up per call, so a patched module function is used
+            build = {"static": _static_batch, "im": lambda f: im_ols_batch(f.y, f.x, f.det),
+                     "lrv": _lrv_batch, "fm": _fm_ols_batch, "dols": _d_ols_batch}[name]  # fmt: skip
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
+
+    def _fit(self, name: str, *args):
+        """The stacked fit ``name``; of one sample, its row, built once."""
+        fit = self._stacked(name, *args)
+        if name == "static":
+            fit = fit[0]
         if self.sample is None:
             return fit
-        if key not in self._rows:
-            if np.isnan(fit.params[0]).any():
-                raise error
-            self._rows[key] = type(fit)(**{k: v[0] if isinstance(v, np.ndarray) else v for k, v in vars(fit).items()})
-        return self._rows[key]
+        key = (name, *args, "row")
+        if key not in self._memo:
+            self._memo[key] = self._row(name, fit, *args)
+        return self._memo[key]
+
+    def _row(self, name: str, fit, *args):
+        """Row 0 of the stacked ``fit``, raising its fit's error where the
+        parameters are NaN. The LRV row raises the static error first, then
+        :func:`~sncoint.kernels._first_row`'s; the FM row raises the LRV
+        row's first; the D-OLS row is trimmed to its own K."""
+        if name == "lrv":
+            self.static  # raises where the static fit does
+            return _first_row(fit)
+        if name == "fm":
+            self.lrv(*args)  # raises where the long-run covariance does
+        row = type(fit)(**{k: v[0] if isinstance(v, np.ndarray) else v for k, v in vars(fit).items()})
+        if name == "dols":
+            K = int(row.leads_lags)
+            width = row.n_det + row.n_reg * (2 * K + 2)
+            row = replace(row, params=row.params[:width], resid=row.resid[K : self.nobs - K], leads_lags=K)
+        if np.isnan(row.params).any():
+            raise np.linalg.LinAlgError("augmented regression singular" if name == "im" else _DEFICIENT)
+        return row
 
     @cached_property
     def _innovations(self) -> np.ndarray:
@@ -449,76 +481,43 @@ class FittedSample:
     def design(self) -> np.ndarray:
         return self._design if self.sample is None else self._design[0]
 
-    @cached_property
-    def _static(self) -> tuple[OlsFit, np.ndarray, np.ndarray]:
-        """The static OLS of y, the coefficients of v on [d, x] from the same
-        QR (c, p + m, m), and the degenerate rows."""
-        X = self._design
-        _, norms, Rinv, theta, degenerate = _qr_solve(np.concatenate([self.y[:, :, None], self._innovations], axis=2), X)
-        coefs = theta / norms[:, :, None]
-        root = Rinv / norms[:, :, None]
-        root[degenerate] = np.nan
-        resid = self.y - (X @ coefs[:, :, :1])[:, :, 0]
-        return OlsFit(coefs[:, :, 0], resid, root), coefs[:, :, 1:], degenerate
-
     @property
     def static(self) -> OlsFit:
-        return self._view("static", self._static[0], np.linalg.LinAlgError(_DEFICIENT))
-
-    @cached_property
-    def _im(self) -> ImOlsFit:
-        return im_ols_batch(self.y, self.x, self.det)
+        return self._fit("static")
 
     @property
     def im(self) -> ImOlsFit:
-        return self._view("im", self._im, np.linalg.LinAlgError("augmented regression singular"))
-
-    def _lrv_rows(self, kernel: KernelSpec) -> LrvEstimate:
-        if kernel not in self._lrv:
-            w = np.concatenate([self._static[0].resid[:, :, None], self._innovations], axis=2)
-            self._lrv[kernel] = estimate_lrv(w, kernel)
-        return self._lrv[kernel]
+        return self._fit("im")
 
     def lrv(self, kernel: KernelSpec) -> LrvEstimate:
         """Long-run covariance of [static residual, v] under ``kernel``."""
-        est = self._lrv_rows(kernel)
-        if self.sample is None:
-            return est
-        if ("lrv", kernel) not in self._rows:
-            if self._static[2][0]:
-                raise np.linalg.LinAlgError(_DEFICIENT)
-            self._rows["lrv", kernel] = _first_row(est)
-        return self._rows["lrv", kernel]
+        return self._fit("lrv", kernel)
 
     def fm(self, kernel: KernelSpec) -> FmOlsFit:
         """FM-OLS under ``kernel`` (see :func:`_fm_ols_batch`)."""
-        if kernel not in self._fm:
-            self._fm[kernel] = _fm_ols_batch(self, kernel)
-        if self.sample is not None:
-            self.lrv(kernel)  # raises where the long-run covariance does
-        return self._view(("fm", kernel), self._fm[kernel], np.linalg.LinAlgError(_DEFICIENT))
+        return self._fit("fm", kernel)
 
     def dols(self, max_leads_lags: int) -> DOlsFit:
         """D-OLS with at most ``max_leads_lags`` leads and lags (see :func:`d_ols`)."""
-        kmax = int(max_leads_lags)
-        if kmax not in self._dols:
-            self._dols[kmax] = _d_ols_batch(self, kmax)
-        fit = self._dols[kmax]
-        if self.sample is None:
-            return fit
-        if ("dols", kmax) not in self._rows:
-            if np.isnan(fit.moment_inv_beta[0]).any():
-                raise np.linalg.LinAlgError(_DEFICIENT)
-            K, p, m = int(fit.leads_lags[0]), fit.n_det, fit.n_reg
-            self._rows["dols", kmax] = DOlsFit(
-                params=fit.params[0, : p + m * (2 * K + 2)],
-                resid=fit.resid[0, K : self.nobs - K],
-                n_det=p,
-                n_reg=m,
-                leads_lags=K,
-                moment_inv_beta=fit.moment_inv_beta[0],
-            )
-        return self._rows["dols", kmax]
+        return self._fit("dols", int(max_leads_lags))
+
+
+def _static_batch(fitted: FittedSample) -> tuple[OlsFit, np.ndarray]:
+    """The static OLS of y on [d, x] of every row, and the coefficients of v
+    on [d, x] (c, p + m, m) from the same QR."""
+    X = fitted._design
+    _, norms, Rinv, theta, degenerate = _qr_solve(np.concatenate([fitted.y[:, :, None], fitted._innovations], axis=2), X)
+    coefs = theta / norms[:, :, None]
+    root = Rinv / norms[:, :, None]
+    root[degenerate] = np.nan
+    resid = fitted.y - (X @ coefs[:, :, :1])[:, :, 0]
+    return OlsFit(coefs[:, :, 0], resid, root), coefs[:, :, 1:]
+
+
+def _lrv_batch(fitted: FittedSample, kernel: KernelSpec) -> LrvEstimate:
+    """Long-run covariance of [static residual, v] of every row."""
+    w = np.concatenate([fitted._stacked("static")[0].resid[:, :, None], fitted._innovations], axis=2)
+    return estimate_lrv(w, kernel)
 
 
 def _fm_ols_batch(fitted: FittedSample, kernel: KernelSpec) -> FmOlsFit:
@@ -526,8 +525,8 @@ def _fm_ols_batch(fitted: FittedSample, kernel: KernelSpec) -> FmOlsFit:
     a = Omega_vv^{-1} Omega_vu, has coefficients theta(y) - theta(v) a, and the
     bias term T (X'X)^{-1} [0, lambda+] is applied through ``root``. NaN on a
     row whose static fit or conditional long-run variance is NaN."""
-    static, v_coefs, _ = fitted._static
-    est, p = fitted._lrv_rows(kernel), fitted.det.n_columns
+    static, v_coefs = fitted._stacked("static")
+    est, p = fitted._stacked("lrv", kernel), fitted.det.n_columns
     ok = ~np.isnan(est.conditional)
     vv = est.vv if ok.all() else np.where(ok[:, None, None], est.vv, np.eye(fitted.x.shape[2]))
     a = np.linalg.solve(vv, est.uv[:, :, None])

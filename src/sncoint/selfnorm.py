@@ -14,7 +14,7 @@ tuning-parameter-free statistic whose limit law is tabulated in
 maps a statistic name to kappa and decides when a sample is degenerate.
 It and :func:`traditional_statistic` take one sample, or a stacked
 :class:`~sncoint.estimators.FittedSample` whose rows they evaluate at
-once; :func:`wald_batch` is the first over the rows of (y, x) arrays.
+once.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from scipy import stats
 from .estimators import FittedSample, ImOlsFit, RestrictionSpec
 from .kernels import BARTLETT, KernelSpec, lrv_matrix
 from .tables import CriticalValueTable
-from .timeseries import CointegrationSample, Deterministics, first_difference
+from .timeseries import CointegrationSample, first_difference
 
 __all__ = [
     "TestOutcome",
     "self_normalizer",
     "wald_statistic",
     "bootstrap_statistic",
-    "wald_batch",
     "self_normalized_test",
     "traditional_statistic",
     "traditional_wald",
@@ -166,21 +165,6 @@ def bootstrap_statistic(
     if math.isnan(kappa):
         raise ValueError(f"degenerate normalizer for statistic {statistic!r}")
     return wald_statistic(fit, restriction, float(kappa))
-
-
-def wald_batch(
-    y: np.ndarray,
-    x: np.ndarray,
-    det: Deterministics,
-    restriction: RestrictionSpec,
-    statistic: str = "sn",
-    kernel: KernelSpec | None = None,
-) -> np.ndarray:
-    """:func:`bootstrap_statistic` of each row of ``y`` (c, T) and ``x``
-    (c, T, m), row i being ``CointegrationSample(y[i], x[i], det)``, from
-    one stacked :class:`~sncoint.estimators.FittedSample`. NaN where it
-    would raise, or the form is not finite."""
-    return bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
 
 
 def self_normalized_test(

@@ -15,8 +15,8 @@ from sncoint import (
     simulate_limit_statistics,
 )
 from sncoint.asymptotics import _chunk_size, _walk_chunk, simulate_limit_components
-from sncoint.estimators import RestrictionSpec, im_ols_batch
-from sncoint.selfnorm import wald_batch
+from sncoint.estimators import FittedSample, RestrictionSpec, im_ols_batch
+from sncoint.selfnorm import bootstrap_statistic
 from sncoint.streams import replication_map, substream
 
 
@@ -132,7 +132,8 @@ class TestSimulateCriticalValues:
         walk = []
         for index in range(40):
             w = substream(8, index).standard_normal((100, 3000, 2))
-            walk.append(wald_batch(w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1), Deterministics.NONE, restriction))
+            fitted = FittedSample(w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1), Deterministics.NONE)
+            walk.append(bootstrap_statistic(fitted, restriction))
         walk = np.concatenate(walk)
         q_direct = np.quantile(direct, [0.5, 0.9, 0.95])
         q_walk = np.quantile(walk, [0.5, 0.9, 0.95])

@@ -150,6 +150,19 @@ class TestRunAnalysis:
         report = run_analysis(sample, restriction, alpha=0.10, boot=boot, seed=5)
         assert [o.method for o in report.outcomes] == ["SN-asymptotic", "Wald-FM", "SN-bootstrap"]
 
+    def test_bootstrap_runs_at_the_report_level(self):
+        from dataclasses import replace
+
+        from sncoint import bootstrap_test
+
+        sample = generate_dgp(DgpConfig(T=100), substream(4, 0))  # m = 2, no deterministics
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        boot = BootstrapConfig(n_boot=19, alpha=0.05, seed=4)
+        report = run_analysis(sample, restriction, alpha=0.10, boot=boot)
+        at_ten = bootstrap_test(sample, restriction, replace(boot, alpha=0.10))
+        assert report.outcomes[-1] == at_ten
+        assert at_ten.critical_value < bootstrap_test(sample, restriction, boot).critical_value
+
     def test_deterministic_reports(self):
         sample = make_sample()
         restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))

@@ -658,6 +658,42 @@ class TestBatchedFits:
         with pytest.raises(np.linalg.LinAlgError, match="long-run variance singular"):
             traditional_statistic("FM", one, restriction, kernel)
 
+    @staticmethod
+    def read_every_fit(fitted, kernel):
+        return fitted.static, fitted.im, fitted.lrv(kernel), fitted.fm(kernel), fitted.dols(2)
+
+    def test_one_row_builds_each_fit_once(self, count_calls):
+        from sncoint.estimators import _d_ols_batch, _qr_solve, estimate_lrv, im_ols_batch
+
+        counts = [count_calls(fn) for fn in (_qr_solve, im_ols_batch, estimate_lrv, _d_ols_batch)]
+        kernel = KernelSpec("bartlett", "andrews")
+        one = FittedSample(random_sample(np.random.default_rng(31), T=80, m=2, det=Deterministics.INTERCEPT))
+        first = self.read_every_fit(one, kernel)
+        # _qr_solve: the static fit, the IM-OLS fit and the one D-OLS refit
+        assert [len(calls) for calls in counts] == [3, 1, 1, 1]
+        second = self.read_every_fit(one, kernel)
+        assert [len(calls) for calls in counts] == [3, 1, 1, 1]
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_degenerate_row_raises_the_same_error_on_every_read(self, count_calls):
+        from sncoint.estimators import im_ols_batch
+
+        im_calls = count_calls(im_ols_batch)
+        rng = np.random.default_rng(32)
+        x1 = np.cumsum(rng.standard_normal(60))
+        one = FittedSample(CointegrationSample(y=x1 + rng.standard_normal(60), x=np.column_stack([x1, 2.0 * x1])))
+        kernel = KernelSpec("bartlett", "andrews")
+        reads = {
+            "rank deficient": (lambda: one.static, lambda: one.lrv(kernel), lambda: one.fm(kernel), lambda: one.dols(2)),
+            "augmented regression singular": (lambda: one.im,),
+        }
+        for message, fits in reads.items():
+            for read in fits:
+                for _ in range(2):
+                    with pytest.raises(np.linalg.LinAlgError, match=message):
+                        read()
+        assert len(im_calls) == 1
+
 
 def test_fm_ols_as_precise_as_static_ols():
     """On a cubic trend 1 + 2t + 3t^2 + 4t^3, the FM-OLS beta, formed from the

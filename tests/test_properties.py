@@ -1,4 +1,5 @@
-"""Property tests: invariances of the self-normalized statistic, the
+"""Property tests: invariances of the self-normalized statistic (and of
+the kernel Wald statistics under a change of deterministic basis), the
 exactness of the restricted projection and the range of bootstrap
 p-values.
 
@@ -29,6 +30,9 @@ from sncoint import (
     im_ols,
     restricted_im_ols,
 )
+from sncoint import estimators, timeseries
+from sncoint.estimators import FittedSample
+from sncoint.selfnorm import traditional_statistic
 from sncoint.streams import substream
 
 REL = 1e-9
@@ -93,6 +97,35 @@ def test_sn_invariant_to_spanned_polynomial_trend(case):
     )
     expected = bootstrap_statistic(sample, restriction, "sn")
     assert bootstrap_statistic(shifted, restriction, "sn") == pytest.approx(expected, rel=REL)
+
+
+def every_statistic(sample, restriction):
+    """SN, tau(1) and the Wald statistics on IM-OLS, FM-OLS and D-OLS."""
+    fitted, kernel = FittedSample(sample), KernelSpec(BARTLETT, "andrews")
+    return [
+        bootstrap_statistic(fitted, restriction, "sn"),
+        bootstrap_statistic(fitted, restriction, "tau1"),
+        bootstrap_statistic(fitted, restriction, "wald-lrv", kernel),
+        traditional_statistic("FM", fitted, restriction, kernel),
+        traditional_statistic("D", fitted, restriction, kernel),
+    ]
+
+
+@settings(max_examples=40)
+@given(cases(T_range=(40, 400)))
+def test_statistics_invariant_to_reparametrized_deterministics(case):
+    # d_t' A for an upper-triangular A spans the same deterministic space,
+    # so every estimate of beta and every statistic stays as it is.
+    sample, restriction, rng = case
+    p = sample.det.n_columns
+    A = np.triu(rng.uniform(-1.0, 1.0, (p, p)), 1) + np.diag(rng.uniform(0.5, 2.0, p))
+    expected = every_statistic(sample, restriction)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (timeseries, estimators):
+            mp.setattr(module, "build_deterministics", lambda det, T: build_deterministics(det, T) @ A)
+        reparametrized = CointegrationSample(y=sample.y, x=sample.x, det=sample.det)
+        assert not p or not np.array_equal(reparametrized.deterministics(), sample.deterministics())
+        assert every_statistic(reparametrized, restriction) == pytest.approx(expected, rel=REL)
 
 
 @settings(max_examples=40)

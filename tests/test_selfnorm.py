@@ -6,8 +6,10 @@ from sncoint import (
     BARTLETT,
     CointegrationSample,
     Deterministics,
+    FittedSample,
     KernelSpec,
     RestrictionSpec,
+    bootstrap_statistic,
     default_table,
     diff_residual_lrv,
     im_ols,
@@ -17,6 +19,7 @@ from sncoint import (
     wald_statistic,
 )
 from sncoint.montecarlo import DgpConfig, generate_dgp
+from sncoint.selfnorm import traditional_statistic
 from sncoint.streams import substream
 
 
@@ -279,31 +282,36 @@ class TestTestOutcome:
         assert dict(out.diagnostics) == {}
 
 
-class TestWaldBatch:
-    def test_rows_match_per_sample_path(self):
-        from sncoint import bootstrap_statistic
-        from sncoint.selfnorm import wald_batch
+STACKED_STATISTICS = {
+    "sn": lambda sample, restriction, kernel: bootstrap_statistic(sample, restriction, "sn"),
+    "tau1": lambda sample, restriction, kernel: bootstrap_statistic(sample, restriction, "tau1"),
+    "wald-lrv": lambda sample, restriction, kernel: bootstrap_statistic(sample, restriction, "wald-lrv", kernel),
+    "FM": lambda sample, restriction, kernel: traditional_statistic("FM", sample, restriction, kernel),
+    "D": lambda sample, restriction, kernel: traditional_statistic("D", sample, restriction, kernel),
+}
 
+
+class TestStackedStatistics:
+    """The statistics of a stacked FittedSample, row by row."""
+
+    def test_rows_match_per_sample_path(self):
         rng = substream(130, 0)
         samples = [make_sample(rng, T=70, rho=0.5, endo=0.5) for _ in range(5)]
         restriction = RestrictionSpec(R=np.array([[1.0, -1.0]]), value=np.array([0.0]))
         kernel = KernelSpec(BARTLETT, "andrews")
         y = np.stack([s.y for s in samples])
         x = np.stack([s.x for s in samples])
-        for statistic in ("sn", "tau1", "wald-lrv"):
-            rows = wald_batch(y, x, Deterministics.NONE, restriction, statistic, kernel)
+        for statistic in STACKED_STATISTICS.values():
+            rows = statistic(FittedSample(y, x, Deterministics.NONE), restriction, kernel)
             for i, sample in enumerate(samples):
-                expected = bootstrap_statistic(sample, restriction, statistic, kernel)
-                assert rows[i] == pytest.approx(expected, rel=1e-9)
+                assert rows[i] == pytest.approx(statistic(sample, restriction, kernel), rel=1e-9)
 
     def test_collinear_and_non_finite_rows_flagged(self):
-        from sncoint.selfnorm import wald_batch
-
         rng = substream(131, 0)
         good = make_sample(rng, T=40)
         x = np.stack([good.x, np.column_stack([good.x[:, 0], good.x[:, 0]]), good.x])
         y = np.stack([good.y, good.y, np.where(np.arange(40) == 5, np.nan, good.y)])
         restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
-        for statistic in ("sn", "tau1", "wald-lrv"):
-            rows = wald_batch(y, x, Deterministics.NONE, restriction, statistic, KernelSpec(BARTLETT, "andrews"))
+        for statistic in STACKED_STATISTICS.values():
+            rows = statistic(FittedSample(y, x, Deterministics.NONE), restriction, KernelSpec(BARTLETT, "andrews"))
             np.testing.assert_array_equal(np.isnan(rows), [False, True, True])
