@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .estimators import RestrictionSpec, batch_rows, im_ols_batch
-from .selfnorm import _normalizer, _wald_unit
+from .selfnorm import _chi2_critical, _normalizer, _wald_unit
 from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
 from .timeseries import Deterministics
@@ -184,8 +183,7 @@ def local_power(c_grid, reps: int = 20_000, seed: int = 0, n_grid: int = 10_000)
     _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps)
     c_grid = np.asarray(c_grid, dtype=float)
     sn_crit = default_table(1, 1, Deterministics.NONE).critical_value(0.05)
-    chi2_crit = float(_scipy_stats.chi2.ppf(0.95, df=1))
-    hit = partial(_local_hits, c_grid, n_grid, sn_crit, chi2_crit)
+    hit = partial(_local_hits, c_grid, n_grid, sn_crit, _chi2_critical(1, 0.05))
     hits_trad, hits_sn = np.sum(_on_walks(hit, 1, Deterministics.NONE, n_grid, reps, seed), axis=0)
     return LocalPowerCurve(
         c_grid=c_grid,

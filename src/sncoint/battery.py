@@ -25,13 +25,14 @@ from .kernels import BARTLETT, KernelSpec
 from .selfnorm import (
     _METHOD_TAGS,
     TestOutcome,
+    _chi2_critical,
     bootstrap_statistic,
     self_normalized_test,
     traditional_statistic,
     traditional_wald,
 )
 from .tables import _PROBS, CriticalValueTable, _level, default_table
-from .timeseries import CointegrationSample
+from .timeseries import CointegrationSample, Deterministics
 
 __all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
 
@@ -100,20 +101,15 @@ class AnalysisReport:
         return cls.from_dict(json.loads(text))
 
 
-def _resolve_table(
-    table: CriticalValueTable | None, sample: CointegrationSample, restriction: RestrictionSpec, seed: int
-) -> CriticalValueTable:
-    """``table``, else the packaged quantiles, else a table simulated from ``seed``, with a warning."""
-    if table is not None:
-        return table
-    m, s = sample.n_regressors, restriction.n_restrictions
+def _resolve_table(m: int, s: int, det: Deterministics, seed: int) -> CriticalValueTable:
+    """The packaged (m, s, det) quantiles, else a table simulated from ``seed``, with a warning."""
     try:
-        return default_table(m, s, sample.det)
+        return default_table(m, s, det)
     except KeyError:
         n_grid = reps = 10_000
-        warnings.warn(f"no packaged critical values for m={m}, s={s}, det={sample.det.value}: simulating a table "
+        warnings.warn(f"no packaged critical values for m={m}, s={s}, det={det.value}: simulating a table "
                       f"with n_grid={n_grid}, reps={reps} in one process", RuntimeWarning, stacklevel=3)  # fmt: skip
-        return simulate_critical_values(m, s, sample.det, n_grid=n_grid, reps=reps, seed=seed)
+        return simulate_critical_values(m, s, det, n_grid=n_grid, reps=reps, seed=seed)
 
 
 def run_analysis(
@@ -140,8 +136,10 @@ def run_analysis(
     fitted = FittedSample(sample)
     static, fit, fm = fitted.static, fitted.im, fitted.fm(kernel)
 
+    if table is None:
+        table = _resolve_table(sample.n_regressors, restriction.n_restrictions, sample.det, seed)
     outcomes = [
-        self_normalized_test(fitted, restriction, _resolve_table(table, sample, restriction, seed), alpha),
+        self_normalized_test(fitted, restriction, table, alpha),
         traditional_wald("FM", fitted, restriction, kernel, alpha),
     ]
     if boot is not None:
@@ -172,19 +170,25 @@ def _at_level(config: BootstrapConfig, alpha: float) -> BootstrapConfig:
     return config if abs(config.alpha - alpha) <= 1e-12 else replace(config, alpha=alpha)
 
 
-def _run_sn_asymptotic(alpha, fitted, restriction, seed) -> bool:
-    fitted = FittedSample.of(fitted)
-    table = _resolve_table(None, fitted.sample, restriction, seed)
-    return self_normalized_test(fitted, restriction, table, alpha).reject
+def _sn_asymptotic_test(alpha, fitted, restriction, seeds) -> np.ndarray:
+    table = _resolve_table(fitted.x.shape[2], restriction.n_restrictions, fitted.det, seeds[0])
+    statistics = bootstrap_statistic(fitted, restriction, "sn")
+    return np.where(np.isnan(statistics), np.nan, statistics > table.critical_value(alpha))
 
 
-def _run_traditional(tag, kernel, alpha, fitted, restriction, seed) -> bool:
-    return traditional_wald(tag, fitted, restriction, kernel, alpha).reject
+def _wald_test(tag, kernel, alpha, fitted, restriction, seeds) -> np.ndarray:
+    statistics = traditional_statistic(tag, fitted, restriction, kernel)
+    return np.where(np.isnan(statistics), np.nan, statistics > _chi2_critical(restriction.n_restrictions, alpha))
 
 
-def _run_bootstrap(statistic, kernel, config, fitted, restriction, seed) -> bool:
-    cfg = replace(config, seed=seed)
-    return bootstrap_test(fitted, restriction, cfg, statistic=statistic, kernel=kernel).reject
+def _bootstrap_test(statistic, kernel, config, fitted, restriction, seeds) -> np.ndarray:
+    """Each row's bootstrap test from its own seed; NaN where the row is degenerate."""
+    observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
+    return np.array([
+        np.nan if np.isnan(obs) else bootstrap_test(CointegrationSample(y, x, fitted.det), restriction,
+                                                    replace(config, seed=seed), statistic, kernel).reject
+        for y, x, seed, obs in zip(fitted.y, fitted.x, seeds, observed)
+    ])  # fmt: skip
 
 
 def standard_battery(
@@ -193,15 +197,17 @@ def standard_battery(
     kernel: KernelSpec | None = None,
     boot: BootstrapConfig | None = None,
 ) -> Mapping[str, object]:
-    """Build (fitted, restriction, seed) -> reject callables by method tag.
+    """Build (fitted, restriction, seeds) -> decisions callables by method tag.
 
-    ``fitted`` is a :class:`~sncoint.estimators.FittedSample` (a bare
-    sample is wrapped), so the tests of one battery share its fits.
+    ``fitted`` is a stacked :class:`~sncoint.estimators.FittedSample` whose
+    fits the tests share, ``seeds`` one integer per row, and the decisions
+    one per row: 1 reject, 0 not, NaN where the sample is degenerate. Only
+    the bootstrap tests run per row, each from its row's seed.
 
     Recognized tags: ``SN-asymptotic``, ``SN-bootstrap``, ``Wald-IM``,
     ``Wald-FM``, ``Wald-D``, ``Wald-IM-bootstrap``, ``tau1-bootstrap``.
-    ``SN-asymptotic`` reads the packaged quantiles matching each sample
-    (simulated from the test's seed outside them); ``kernel`` defaults to
+    ``SN-asymptotic`` reads the packaged quantiles matching the stack
+    (simulated from its first seed outside them); ``kernel`` defaults to
     Bartlett with the plug-in bandwidth. ``alpha`` is checked here, before any test runs.
     """
     if not 0.0 < alpha < 1.0:
@@ -211,20 +217,18 @@ def standard_battery(
     for name in names:
         if name == "SN-asymptotic":
             _level(_PROBS, alpha)
-            battery[name] = partial(_run_sn_asymptotic, alpha)
+            battery[name] = partial(_sn_asymptotic_test, alpha)
         elif name in _EST_TAGS:
-            battery[name] = partial(_run_traditional, _EST_TAGS[name], kernel, alpha)
+            battery[name] = partial(_wald_test, _EST_TAGS[name], kernel, alpha)
         elif name in _BOOT_TAGS:
             cfg = _at_level(boot or BootstrapConfig(n_boot=199, alpha=alpha), alpha)
-            battery[name] = partial(_run_bootstrap, _BOOT_TAGS[name], kernel, cfg)
+            battery[name] = partial(_bootstrap_test, _BOOT_TAGS[name], kernel, cfg)
         else:
             raise ValueError(f"unknown test tag {name!r}")
     return battery
 
 
-def standard_statistics(
-    names: Iterable[str], kernel: KernelSpec | None = None
-) -> Mapping[str, object]:
+def standard_statistics(names: Iterable[str], kernel: KernelSpec | None = None) -> Mapping[str, object]:
     """Statistic callables (fitted, restriction) -> values for power studies:
     one value per row, NaN where a sample is degenerate, of a stacked
     :class:`~sncoint.estimators.FittedSample`; one value of a sample or its

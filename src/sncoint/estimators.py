@@ -338,14 +338,14 @@ class DOlsFit:
         return self.params[..., self.n_det : self.n_det + self.n_reg]
 
 
-def _dols_design(sample: CointegrationSample | FittedSample, K: int, lo: int, hi: int):
+def _dols_design(fitted: FittedSample, K: int, lo: int, hi: int):
     """y and the regressor matrix [d, x, v_{t-K}..v_{t+K}] over 1-based rows
-    lo..hi, of a sample or of each row of a stack."""
+    lo..hi, of each row of ``fitted``."""
     rows = slice(lo - 1, hi)
-    y, x = sample.y[..., rows], sample.x[..., rows, :]
-    windows = np.lib.stride_tricks.sliding_window_view(sample.innovations(), 2 * K + 1, axis=-2)
+    y, x = fitted.y[..., rows], fitted.x[..., rows, :]
+    windows = np.lib.stride_tricks.sliding_window_view(fitted._innovations, 2 * K + 1, axis=-2)
     leads_lags = windows[..., lo - 1 - K : hi - K, :, :].swapaxes(-1, -2).reshape(x.shape[:-1] + (-1,))  # j-major
-    d = np.broadcast_to(sample.deterministics()[rows], x.shape[:-1] + (sample.det.n_columns,))
+    d = np.broadcast_to(fitted._deterministics[rows], x.shape[:-1] + (fitted.det.n_columns,))
     return y, np.concatenate([d, x, leads_lags], axis=-1)
 
 
@@ -454,21 +454,13 @@ class FittedSample:
 
     @cached_property
     def _innovations(self) -> np.ndarray:
-        if self.sample is not None:  # the sample's cached v_t
-            return self.sample.innovations()[None]
+        """v_t = x_t - x_{t-1} with v_1 = x_1, of every row (c, T, m)."""
         return np.diff(self.x, axis=1, prepend=np.zeros_like(self.x[:, :1]))
 
     @cached_property
     def _deterministics(self) -> np.ndarray:
-        return build_deterministics(self.det, self.nobs) if self.sample is None else self.sample.deterministics()
-
-    def innovations(self) -> np.ndarray:
-        """v_t = x_t - x_{t-1} with v_1 = x_1, of every row (c, T, m)."""
-        return self._innovations
-
-    def deterministics(self) -> np.ndarray:
         """The T x p deterministic regressor matrix, shared by every row."""
-        return self._deterministics
+        return build_deterministics(self.det, self.nobs)
 
     @cached_property
     def _design(self) -> np.ndarray:

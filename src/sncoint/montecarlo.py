@@ -18,12 +18,11 @@ through one :func:`~sncoint.streams.replication_map` call, so a study
 opens one process pool for all its phases. A chunk runs the GARCH
 recursion once over time for all its replications, each drawn from its own
 ``substream(seed, phase, i)`` (:func:`generate_dgp` is the one-row
-case). A power study stacks a phase's samples in one
-:class:`~sncoint.estimators.FittedSample`, so each statistic fits and
-evaluates the whole chunk in one call; a size study hands each test the
-one-row :class:`~sncoint.estimators.FittedSample` of its sample.
-``ExperimentResult.meta`` records the chunk size, the task count and
-whether BLAS pinning was active.
+case). Both studies stack a phase's samples in one
+:class:`~sncoint.estimators.FittedSample`, so each test or statistic fits
+and evaluates the whole chunk in one call, and one check refuses a
+missing or NaN value. ``ExperimentResult.meta`` records the chunk size,
+the task count and whether BLAS pinning was active.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -50,7 +49,7 @@ __all__ = [
     "size_adjusted_power",
 ]
 
-TestFn = Callable[[FittedSample, RestrictionSpec, int], bool]
+TestFn = Callable[[FittedSample, RestrictionSpec, Sequence[int]], np.ndarray]
 StatisticFn = Callable[[FittedSample, RestrictionSpec], np.ndarray]
 
 # Replications per replication_map task. Fixed, so that no result depends
@@ -174,13 +173,10 @@ def _test_seed(seed: int, phase: int, rep: int, test_index: int) -> int:
 def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarray, betas) -> FittedSample:
     """One stacked :class:`FittedSample` of the replications ``indices``
     crossed with the coefficient pairs ``betas``: row r * len(betas) + g is
-    replication ``indices[r]`` with ``betas[g]``.
-
-    The innovations of all the replications come from one GARCH
-    recursion; replication i keeps its own ``substream(seed, phase, i)``
-    draw, so every row equals :func:`generate_dgp` on that stream with
-    the matching ``beta``. (x, u) are drawn once and y = x beta + u is
-    formed per coefficient pair.
+    replication ``indices[r]`` with ``betas[g]``. One GARCH recursion runs
+    for all the replications, each from its own ``substream(seed, phase, i)``,
+    so every row equals :func:`generate_dgp` on that stream with the matching
+    ``beta``; (x, u) are drawn once and y = x beta + u per coefficient pair.
     """
     n = config.burn_in + config.T
     eps = np.stack([substream(seed, phase, int(i)).standard_normal((n, 3)) for i in indices])
@@ -189,20 +185,34 @@ def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarra
     return FittedSample(y.reshape(-1, config.T), np.repeat(x, len(betas), axis=0), Deterministics.NONE)
 
 
+def _checked(kind: str, named: list, values: list, phase: str, indices, per_rep: int = 1) -> np.ndarray:
+    """``values`` of the callables ``named`` as (rows, K), ``per_rep`` rows per replication in ``indices``;
+    a missing value raises :class:`ValueError`, and so does a NaN, naming the callable, phase and replication."""
+    rows = len(indices) * per_rep
+    values = np.column_stack([np.asarray(v, dtype=float) for v in values])
+    if values.shape != (rows, len(named)):
+        raise ValueError(f"a {kind} must return one value per row of its FittedSample ({rows} rows)")
+    if np.isnan(values).any():
+        row, j = np.argwhere(np.isnan(values))[0]
+        raise ValueError(f"{kind} {named[j][0]!r} is NaN (degenerate sample) in the {phase} phase "
+                         f"at replication {indices[row // per_rep]}")  # fmt: skip
+    return values
+
+
 def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, seed: int, indices: np.ndarray):
-    """Decisions (rows, K) of each test on the replications ``indices``."""
-    stack = _fitted_samples(config, seed, 0, indices, [config.beta])
-    samples = [FittedSample(CointegrationSample(y=y, x=x)) for y, x in zip(stack.y, stack.x)]
-    return np.array(
-        [[bool(fn(fitted, restriction, _test_seed(seed, 0, int(i), j))) for j, fn in enumerate(tests)]
-         for i, fitted in zip(indices, samples)],
-        dtype=float,
-    )  # fmt: skip
+    """Decisions (rows, K) of each named test j on the replications ``indices``,
+    from one call on the chunk's stacked fits with the seeds ``_test_seed(seed, 0, i, j)``."""
+    fitted = _fitted_samples(config, seed, 0, indices, [config.beta])
+    decisions = [fn(fitted, restriction, [_test_seed(seed, 0, int(i), j) for i in indices])
+                 for j, (_, fn) in enumerate(tests)]  # fmt: skip
+    return _checked("test", tests, decisions, "null", indices)
 
 
 def _run_chunks(task, reps: int, workers: int) -> tuple[np.ndarray, dict]:
     """``task`` over the replications in chunks of ``_CHUNK_SIZE``, one
     pool for the study; the stacked results and the run's metadata."""
+    if reps < 1:
+        raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
@@ -225,16 +235,15 @@ def size_experiment(
 ) -> ExperimentResult:
     """Null rejection frequency of each test over ``reps`` samples.
 
-    Each test is a callable (fitted, restriction, seed) -> reject, with
-    ``fitted`` a :class:`~sncoint.estimators.FittedSample` shared by all
-    tests of one replication (``fitted.sample`` holds the data). The
-    restriction fixes the coefficients at their true values, so rates
-    estimate empirical size.
+    Each test is a callable (fitted, restriction, seeds) -> decisions, with
+    ``fitted`` a stacked :class:`~sncoint.estimators.FittedSample` of c
+    samples, shared by all tests, ``seeds`` a seed per row, and the array
+    its c decisions, 1 to reject, 0 not; a NaN raises :class:`ValueError`
+    naming the test and the replication. The restriction fixes the
+    coefficients at their true values, so rates estimate empirical size.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
     restriction = null_restriction(config)
-    task = partial(_size_chunk, config, list(tests.values()), restriction, seed)
+    task = partial(_size_chunk, config, list(tests.items()), restriction, seed)
     outcomes, meta = _run_chunks(task, reps, workers)
     return ExperimentResult(
         kind="size",
@@ -254,13 +263,7 @@ def _power_chunk(config: DgpConfig, stats: list, restriction: RestrictionSpec, b
     out = []
     for phase, (name, betas) in enumerate(phases):
         fitted = _fitted_samples(config, seed, phase, indices, betas)
-        values = np.column_stack([np.asarray(fn(fitted, restriction), dtype=float) for _, fn in stats])
-        if values.shape != (len(fitted.y), len(stats)):
-            raise ValueError(f"a statistic must return one value per row of its FittedSample ({len(fitted.y)} rows)")
-        if np.isnan(values).any():
-            row, j = np.argwhere(np.isnan(values))[0]
-            raise ValueError(f"statistic {stats[j][0]!r} is NaN (degenerate sample) in the {name} phase "
-                             f"at replication {indices[row // len(betas)]}")  # fmt: skip
+        values = _checked("statistic", stats, [fn(fitted, restriction) for _, fn in stats], name, indices, len(betas))
         out.append(values.reshape(len(indices), len(betas), len(stats)))
     return np.concatenate(out, axis=1)
 
@@ -289,8 +292,6 @@ def size_adjusted_power(
     replication. Both phases of a replication run in the same task, so the
     study opens one pool.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     beta_grid = np.asarray(beta_grid, dtype=float)

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .estimators import FittedSample, ImOlsFit, RestrictionSpec
 from .kernels import BARTLETT, KernelSpec, lrv_matrix
@@ -221,6 +221,11 @@ def traditional_statistic(
     return float(form)
 
 
+def _chi2_critical(s: int, alpha: float) -> float:
+    """The 1 - alpha quantile of chi-square(s)."""
+    return float(2 * special.gammaincinv(s / 2, 1 - alpha))
+
+
 def traditional_wald(
     estimator: str,
     sample: CointegrationSample | FittedSample,
@@ -241,13 +246,13 @@ def traditional_wald(
     fitted = FittedSample.of(sample)
     statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions
-    critical = float(stats.chi2.ppf(1.0 - alpha, df=s))
+    critical = _chi2_critical(s, alpha)
     return TestOutcome(
         statistic=statistic,
         critical_value=critical,
         reject=statistic > critical,
         method=f"Wald-{estimator.upper()}",
-        p_value=float(stats.chi2.sf(statistic, df=s)),
+        p_value=float(special.chdtrc(s, statistic)),
         diagnostics={"bandwidth": fitted.lrv(kernel).bandwidth},
     )
 

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from sncoint import (
+    BARTLETT,
     BootstrapConfig,
+    CointegrationSample,
+    Deterministics,
     DgpConfig,
+    FittedSample,
+    KernelSpec,
+    bootstrap_test,
+    default_table,
     generate_dgp,
+    self_normalized_test,
     simulate_garch_innovations,
     size_adjusted_power,
     size_experiment,
     standard_battery,
     standard_statistics,
+    traditional_wald,
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
 from sncoint import montecarlo
@@ -117,9 +126,9 @@ class TestGenerateDgp:
         assert abs(r100.rates["SN-asymptotic"] - r200.rates["SN-asymptotic"]) <= 0.05
 
 
-def coin_flip_test(sample, restriction, seed):
+def coin_flip_test(fitted, restriction, seeds):
     """Mock: rejects with probability 0.05 regardless of the data."""
-    return substream(seed).uniform() < 0.05
+    return [substream(s).uniform() < 0.05 for s in seeds]
 
 
 class TestSizeExperiment:
@@ -158,6 +167,30 @@ class TestSizeExperiment:
             size_experiment(DgpConfig(T=50), {"coin": coin_flip_test}, reps=10, workers=workers)
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=10, workers=workers)
+
+    def test_nan_decision_names_the_test(self):
+        def nan_at_row_3(fitted, restriction, seeds):
+            out = np.zeros(len(seeds))
+            out[3] = np.nan
+            return out
+
+        tests = {"coin": coin_flip_test, "flaky": nan_at_row_3}
+        with pytest.raises(ValueError, match=r"test 'flaky' is NaN .* in the null phase at replication 3$"):
+            size_experiment(DgpConfig(T=40), tests, reps=16, seed=2)
+
+    @pytest.mark.parametrize("tag", ["SN-asymptotic", "Wald-FM", "SN-bootstrap"])
+    def test_degenerate_sample_names_the_builtin_test(self, monkeypatch, tag):
+        paths = montecarlo._dgp_paths
+
+        def flat_second_row(config, mixed):
+            x, u = paths(config, mixed)
+            x[1] = 0.0  # the second replication of every chunk has no regressor variation
+            return x, u
+
+        monkeypatch.setattr(montecarlo, "_dgp_paths", flat_second_row)
+        battery = standard_battery([tag], boot=BootstrapConfig(n_boot=19))
+        with pytest.raises(ValueError, match=rf"test '{tag}' is NaN .* in the null phase at replication 1$"):
+            size_experiment(DgpConfig(T=40), battery, reps=8, seed=2)
 
     def test_rates_validated(self):
         from sncoint import ExperimentResult
@@ -264,9 +297,9 @@ class TestGoldenStudies:
 
 
 class TestFitOncePerSample:
-    """A study opens one pool. A power study fits each (chunk, phase) stack
-    once, in one stacked call per fit, whatever number of statistics read
-    it; a size study fits each sample once."""
+    """A study opens one pool and fits each (chunk, phase) stack once, in
+    one stacked call per fit, whatever number of statistics or tests read
+    it."""
 
     def test_power_study(self, count_calls):
         config = DgpConfig(T=40)
@@ -290,7 +323,7 @@ class TestFitOncePerSample:
         battery = standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM"])
         size_experiment(DgpConfig(T=40), battery, reps=10, seed=3)
         assert len(map_calls) == 1
-        assert [args[0].shape[0] for args in batch_calls] == [1] * 10
+        assert [args[0].shape[0] for args in batch_calls] == [8, 2]
 
 
 class TestStandardBattery:
@@ -309,6 +342,33 @@ class TestStandardBattery:
             standard_battery(["Wald-FM", "SN-asymptotic"], alpha=0.2)
         assert set(standard_battery(["Wald-FM"], alpha=0.2)) == {"Wald-FM"}
 
+    def test_stacked_decisions_match_the_per_sample_tests(self):
+        """Each tag's decisions on a stack equal, row for row, the per-sample
+        test on that row's sample, the bootstrap under that row's seed."""
+        config = DgpConfig(T=75, rho1=0.8, rho2=0.8)
+        fitted = _fitted_samples(config, 17, 0, np.arange(8), [config.beta])
+        restriction = null_restriction(config)
+        kernel = KernelSpec(BARTLETT, "andrews")
+        boot = BootstrapConfig(n_boot=19, alpha=0.05)
+        table = default_table(2, 2, Deterministics.NONE)
+        boot_statistics = {"SN-bootstrap": "sn", "Wald-IM-bootstrap": "wald-lrv", "tau1-bootstrap": "tau1"}
+
+        def per_sample(name, sample, seed):
+            if name == "SN-asymptotic":
+                return self_normalized_test(sample, restriction, table)
+            if name in boot_statistics:
+                return bootstrap_test(sample, restriction, replace(boot, seed=seed), boot_statistics[name], kernel)
+            return traditional_wald(name.removeprefix("Wald-"), sample, restriction, kernel)
+
+        battery = standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM", "Wald-D", *boot_statistics], boot=boot)
+        seeds = [1000 + i for i in range(8)]
+        decisions = {name: test(fitted, restriction, seeds) for name, test in battery.items()}
+        for i, seed in enumerate(seeds):
+            sample = CointegrationSample(fitted.y[i], fitted.x[i])
+            for name in battery:
+                assert decisions[name][i] == float(per_sample(name, sample, seed).reject), (name, i)
+        assert 0.0 < np.mean(list(decisions.values())) < 1.0
+
     def test_all_tags_execute(self):
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
         sample = generate_dgp(config, substream(17, 0))
@@ -317,6 +377,7 @@ class TestStandardBattery:
             ["SN-asymptotic", "SN-bootstrap", "Wald-IM", "Wald-FM", "Wald-D", "Wald-IM-bootstrap", "tau1-bootstrap"],
             boot=BootstrapConfig(n_boot=19, alpha=0.05),
         )
+        fitted = FittedSample(sample.y[None], sample.x[None])
         for name, test in battery.items():
-            decision = test(sample, restriction, 12345)
+            (decision,) = test(fitted, restriction, [12345])
             assert decision in (True, False), name

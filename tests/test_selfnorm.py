@@ -19,7 +19,7 @@ from sncoint import (
     wald_statistic,
 )
 from sncoint.montecarlo import DgpConfig, generate_dgp
-from sncoint.selfnorm import traditional_statistic
+from sncoint.selfnorm import _chi2_critical, traditional_statistic
 from sncoint.streams import substream
 
 
@@ -185,6 +185,16 @@ class TestTraditionalWald:
         out = traditional_wald("FM", s, r, KernelSpec(BARTLETT, "andrews"), alpha=0.10)
         assert out.critical_value == pytest.approx(2.7055, abs=5e-4)
         assert out.p_value == pytest.approx(stats.chi2.sf(out.statistic, 1), rel=1e-12)
+
+    def test_chi2_forms_match_scipy_stats_exactly(self):
+        for s in range(1, 6):
+            for alpha in (0.01, 0.025, 0.05, 0.1, 0.2, 0.5):
+                assert _chi2_critical(s, alpha) == stats.chi2.ppf(1.0 - alpha, df=s)
+        rng = np.random.default_rng(16)
+        r = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        for _ in range(5):
+            out = traditional_wald("IM", make_sample(rng, T=80), r, KernelSpec(BARTLETT, "andrews"))
+            assert out.p_value == stats.chi2.sf(out.statistic, df=2)
 
     def test_all_estimator_tags_run(self):
         rng = np.random.default_rng(13)
