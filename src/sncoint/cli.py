@@ -33,6 +33,11 @@ from .timeseries import CointegrationSample, Deterministics
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
 
+# The names each command-line option accepts, one table per option.
+_DETS = ("none", "const", "trend", "quad", "cubic")
+_KERNELS = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}
+_FORMATS = ("csv", "json")
+
 
 class UsageError(Exception):
     """Bad flags, bad files, bad inline matrices."""
@@ -130,13 +135,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_kernel(name, bandwidth) -> KernelSpec:
     """Kernel specification from a kernel name and an 'andrews' or
     numeric bandwidth, as given on the command line or in a config."""
-    kinds = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}
-    if name not in kinds:
-        raise UsageError(f"kernel must be one of {', '.join(kinds)}, got {name!r}")
+    if name not in _KERNELS:
+        raise UsageError(f"kernel must be one of {', '.join(_KERNELS)}, got {name!r}")
     if bandwidth == "andrews":
-        return KernelSpec(kinds[name], "andrews")
+        return KernelSpec(_KERNELS[name], "andrews")
     try:
-        return KernelSpec(kinds[name], float(bandwidth))
+        return KernelSpec(_KERNELS[name], float(bandwidth))
     except (TypeError, ValueError):
         raise UsageError(f"bandwidth must be 'andrews' or a positive number, got {bandwidth!r}") from None
 
@@ -367,15 +371,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--data", required=True, help="CSV file with a header row")
         p.add_argument("--y", required=True, help="dependent variable column")
         p.add_argument("--x", action="append", required=True, help="regressor column (repeatable)")
-        p.add_argument("--det", default="none", choices=["none", "const", "trend", "quad", "cubic"])
+        p.add_argument("--det", default="none", choices=_DETS)
         p.add_argument("--R1", default=None, help="restriction matrix, e.g. '1,0;0,1'")
         p.add_argument("--r0", default=None, help="restriction value, e.g. '1;1'")
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--kernel", default="bartlett", choices=["bartlett", "qs"])
+        p.add_argument("--kernel", default="bartlett", choices=tuple(_KERNELS))
         p.add_argument("--bandwidth", default="andrews")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--table", default=None, help="critical value table file")
-        p.add_argument("--out", default=None, choices=["csv", "json"])
+        p.add_argument("--out", default=None, choices=_FORMATS)
         p.add_argument("--output", default=None, help="write results to this path")
 
     p_test = sub.add_parser("test", help="self-normalized test, asymptotic critical values")
@@ -392,7 +396,7 @@ def _build_parser() -> _Parser:
     p_crit = sub.add_parser("critvals", help="simulate critical values")
     p_crit.add_argument("--m", type=int, required=True)
     p_crit.add_argument("--s", type=int, required=True)
-    p_crit.add_argument("--det", default="none", choices=["none", "const", "trend", "quad", "cubic"])
+    p_crit.add_argument("--det", default="none", choices=_DETS)
     p_crit.add_argument(
         "--n-grid", type=int, default=10_000, dest="n_grid",
         help="random-walk length (default 10000); 1000 gives quantiles biased low, by a median of about 5.6%%",
@@ -412,9 +416,9 @@ def _build_parser() -> _Parser:
     p_lrv = sub.add_parser("lrv", help="standalone long-run variance estimation")
     p_lrv.add_argument("--data", required=True)
     p_lrv.add_argument("--columns", required=True, help="comma-separated column names")
-    p_lrv.add_argument("--kernel", default="bartlett", choices=["bartlett", "qs"])
+    p_lrv.add_argument("--kernel", default="bartlett", choices=tuple(_KERNELS))
     p_lrv.add_argument("--bandwidth", default="andrews")
-    p_lrv.add_argument("--out", default="json", choices=["csv", "json"])
+    p_lrv.add_argument("--out", default="json", choices=_FORMATS)
     p_lrv.add_argument("--output", default=None)
     p_lrv.set_defaults(func=_cmd_lrv)
 

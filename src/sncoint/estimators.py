@@ -11,10 +11,11 @@ so the coefficient vector has length p + 2m and is ordered
 
 Every least-squares fit goes through one kernel, :func:`_qr_solve`: it
 equilibrates the columns (partial sums and trends are otherwise badly
-scaled for large T), runs one Householder QR of [X, y], and applies one
-rank rule, :func:`_full_rank`. A fit keeps ``root`` = D^{-1} R^{-1}, D the
-column norms, so (X'X)^{-1} = root root'. FM-OLS, D-OLS and the
-restricted projection read their inverse moments from it.
+scaled for large T), runs one Householder QR of [X, y], applies one rank
+rule and masks degenerate rows. It returns ``root`` = D^{-1} R^{-1}, D the
+column norms, so (X'X)^{-1} = root root'; FM-OLS, D-OLS and the restricted
+projection read their inverse moments from it. D-OLS reads the SSRs of its
+lead/lag candidates from the y column of the kernel's triangular factor.
 
 :class:`FittedSample` fits a stack of samples that share T, m and the
 deterministics, every fit in one stacked call, built once and kept in one
@@ -65,38 +66,38 @@ class OlsFit:
     root: np.ndarray
 
 
-def _full_rank(sv: np.ndarray, k: int) -> np.ndarray:
-    """The rank rule of every solve here, on the singular values of k equilibrated columns
-    (of one design or each of a stack): k of them, the least above _RANK_RCOND times the largest."""
-    return (sv.shape[-1] == k) & (sv[..., -1] > _RANK_RCOND * sv[..., 0])
-
-
 def _qr_solve(y: np.ndarray, X: np.ndarray):
     """Least squares of each row of ``y`` (c, T), or of each of its r columns
     (c, T, r), on ``X`` (c, T, k) by one stacked QR of the equilibrated [X, y].
-    Returns the equilibrated columns Xs, their norms, R^{-1}, the coefficients
-    theta on Xs, (c, k) or (c, k, r) (X's are theta / norms), and the mask of
-    degenerate rows: a zero or non-finite column, a non-finite y, or an R (whose
-    singular values are those of Xs) that fails :func:`_full_rank`. Such rows get
-    R = I and NaN theta."""
+
+    Returns theta, the coefficients on the equilibrated columns Xs ((c, k) or
+    (c, k, r); X's are theta / norms), the column norms, root = R^{-1} / norms
+    with (X'X)^{-1} = root root', the mask of degenerate rows, the y columns of
+    the triangular factor of [Xs, y] (their tail sums of squares from row j are
+    the SSRs on X's first j columns), Xs and R^{-1}. A row is degenerate where a
+    column of X is zero or not finite, y is not finite, or the rank rule fails:
+    the least of R's k singular values (those of Xs) is not above _RANK_RCOND
+    times the largest. It is solved as zeros with R = I and gets NaN theta and root."""
     k = X.shape[2]
     Y = y if y.ndim == 3 else y[:, :, None]
     norms = np.sqrt(np.einsum("ctj,ctj->cj", X, X))
     degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(Y).all(axis=(1, 2)))
     if degenerate.any():  # masking costs more than the QR of one short row, so only when needed
         norms[degenerate] = 1.0
-        X = np.where(degenerate[:, None, None], 0.0, X)
+        X, Y = (np.where(degenerate[:, None, None], 0.0, a) for a in (X, Y))
     Xs = X / norms[:, None, :]
     Raug = np.linalg.qr(np.concatenate([Xs, Y], axis=2), mode="r")
     R = Raug[:, :k, :k]
-    degenerate |= ~_full_rank(np.linalg.svd(R, compute_uv=False), k)
+    sv = np.linalg.svd(R, compute_uv=False)
+    degenerate |= ~((sv.shape[1] == k) & (sv[:, -1] > _RANK_RCOND * sv[:, 0]))
     if masked := degenerate.any():
         R[degenerate] = np.eye(k)
     Rinv = np.linalg.inv(R)
     theta = Rinv @ Raug[:, :k, k:]
+    root = Rinv / norms[:, :, None]
     if masked:
-        theta[degenerate] = np.nan
-    return Xs, norms, Rinv, theta if y.ndim == 3 else theta[:, :, 0], degenerate
+        theta[degenerate] = root[degenerate] = np.nan
+    return theta if y.ndim == 3 else theta[:, :, 0], norms, root, degenerate, Raug[:, :, k:], Xs, Rinv
 
 
 def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
@@ -107,11 +108,11 @@ def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     X = X[:, None] if X.ndim == 1 else X
-    _, norms, Rinv, theta, degenerate = _qr_solve(y[None], X[None])
+    theta, norms, root, degenerate, *_ = _qr_solve(y[None], X[None])
     if degenerate[0]:
         raise np.linalg.LinAlgError(_DEFICIENT)
     params = theta[0] / norms[0]
-    return OlsFit(params=params, resid=y - X @ params, root=Rinv[0] / norms[0][:, None])
+    return OlsFit(params=params, resid=y - X @ params, root=root[0])
 
 
 @dataclass(frozen=True)
@@ -196,16 +197,14 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     # long samples. Degenerate rows get a NaN sandwich.
     Z = _augmented(x, det)
     Sy = np.cumsum(y, axis=1)
-    Zs, norms, Rinv, theta, degenerate = _qr_solve(Sy, Z)
+    theta, norms, root, degenerate, _, Zs, Rinv = _qr_solve(Sy, Z)
     c, _, k = Z.shape
     SZ = np.cumsum(Zs, axis=1)
     C = SZ[:, -1:] - np.concatenate([np.zeros((c, 1, k)), SZ[:, :-1]], axis=1)
     Y = C @ Rinv
     V = Rinv @ (Y.transpose(0, 2, 1) @ Y) @ Rinv.transpose(0, 2, 1)
     V = 0.5 * (V + V.transpose(0, 2, 1)) / (norms[:, :, None] * norms[:, None, :])
-    root = Rinv / norms[:, :, None]
     V[degenerate] = np.nan
-    root[degenerate] = np.nan
     resid = Sy - (Zs @ theta[:, :, None])[:, :, 0]
     return ImOlsFit(theta / norms, Z, resid, V, root, n_det=det.n_columns, n_reg=x.shape[2])
 
@@ -498,10 +497,8 @@ def _static_batch(fitted: FittedSample) -> tuple[OlsFit, np.ndarray]:
     """The static OLS of y on [d, x] of every row, and the coefficients of v
     on [d, x] (c, p + m, m) from the same QR."""
     X = fitted._design
-    _, norms, Rinv, theta, degenerate = _qr_solve(np.concatenate([fitted.y[:, :, None], fitted._innovations], axis=2), X)
+    theta, norms, root, *_ = _qr_solve(np.concatenate([fitted.y[:, :, None], fitted._innovations], axis=2), X)
     coefs = theta / norms[:, :, None]
-    root = Rinv / norms[:, :, None]
-    root[degenerate] = np.nan
     resid = fitted.y - (X @ coefs[:, :, :1])[:, :, 0]
     return OlsFit(coefs[:, :, 0], resid, root), coefs[:, :, 1:]
 
@@ -541,7 +538,7 @@ def _fm_ols_batch(fitted: FittedSample, kernel: KernelSpec) -> FmOlsFit:
 
 def _d_ols_batch(fitted: FittedSample, kmax: int) -> DOlsFit:
     """D-OLS of every row of ``fitted`` (see :func:`d_ols`); NaN on a row whose
-    widest design is not finite or fails the rank rule."""
+    widest design or own-K refit is degenerate in the kernel's sense."""
     c, T, m = fitted.x.shape
     p = fitted.det.n_columns
     n = T - 2 * kmax
@@ -550,19 +547,14 @@ def _d_ols_batch(fitted: FittedSample, kmax: int) -> DOlsFit:
         raise ValueError("leads/lags range infeasible for this sample size")
 
     # Ordered v_t, v_{t-1}, v_{t+1}, ..., each K's regressors are a prefix of the
-    # widest design: one QR of [X, y], X equilibrated, gives every SSR as a tail sum of
-    # squares of R's last column; column subsets interlace, so one rank check covers all.
+    # widest design: one kernel call gives every SSR as a tail sum of squares of the y
+    # column of its triangular factor; column subsets interlace, so its rank rule covers all.
     y_c, X_c = _dols_design(fitted, kmax, kmax + 1, T - kmax)
     blocks = np.argsort(np.abs(np.arange(-kmax, kmax + 1)), kind="stable")
     X_c = np.concatenate([X_c[:, :, : p + m], X_c[:, :, p + m :].reshape(c, n, -1, m)[:, :, blocks].reshape(c, n, -1)], axis=2)
-    finite = np.isfinite(X_c).all(axis=(1, 2)) & np.isfinite(y_c).all(axis=1)
-    norms = np.linalg.norm(X_c, axis=1, keepdims=True)
-    Xy = np.concatenate([X_c / np.where(norms > 0.0, norms, 1.0), y_c[:, :, None]], axis=2)
-    if not finite.all():
-        Xy[~finite] = 0.0
-    R = np.linalg.qr(Xy, mode="r")
-    ok = finite & _full_rank(np.linalg.svd(R[:, :-1, :-1], compute_uv=False), widths[-1])
-    ssr = np.cumsum(R[:, ::-1, -1] ** 2, axis=1)[:, ::-1][:, widths]
+    _, _, _, degenerate, Ry, *_ = _qr_solve(y_c, X_c)
+    ok = ~degenerate
+    ssr = np.cumsum(Ry[:, ::-1, 0] ** 2, axis=1)[:, ::-1][:, widths]
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.argmin(np.log(ssr / n) + widths * np.log(n) / n, axis=1)
 
@@ -571,9 +563,8 @@ def _d_ols_batch(fitted: FittedSample, kmax: int) -> DOlsFit:
     for k in np.unique(K[ok]):
         rows = np.flatnonzero(ok & (K == k))
         y_f, X_f = (a[rows] for a in _dols_design(fitted, k, k + 1, T - k))
-        _, norms, Rinv, theta, _ = _qr_solve(y_f, X_f)
+        theta, norms, root, *_ = _qr_solve(y_f, X_f)
         params[rows, : widths[k]] = theta / norms
-        root = Rinv / norms[:, :, None]
         moment[rows] = (root @ root.transpose(0, 2, 1))[:, p : p + m, p : p + m]
         resid[rows, k : T - k] = y_f - (X_f @ params[rows, : widths[k], None])[:, :, 0]
     return DOlsFit(params=params, resid=resid, n_det=p, n_reg=m, leads_lags=K, moment_inv_beta=moment)

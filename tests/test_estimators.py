@@ -86,6 +86,36 @@ class TestOls:
         np.testing.assert_allclose(root @ root.T @ (X.T @ X), np.eye(3), atol=1e-10)
 
 
+class TestQrSolve:
+    """The least-squares kernel on a stack: degenerate rows masked, healthy
+    rows bit-identical to their one-row fits."""
+
+    def test_degenerate_rows_masked_and_healthy_rows_exact(self):
+        import warnings
+
+        from sncoint.estimators import _qr_solve
+
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((6, 40, 3)) * [1.0, 1e3, 1e-3]
+        y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal((6, 40))
+        X[1, :, 2] = 0.0  # a zero column
+        y[2, 5] = np.inf  # a non-finite y
+        X[4, :, 2] = 3.0 * X[4, :, 0] - X[4, :, 1]  # collinear columns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            theta, norms, root, degenerate, Ry, _, _ = _qr_solve(y, X)
+        assert degenerate.tolist() == [False, True, True, False, True, False]
+        assert np.isnan(theta[degenerate]).all() and np.isnan(root[degenerate]).all()
+        for i in np.flatnonzero(~degenerate):
+            one = ols(y[i], X[i])
+            assert (theta[i] / norms[i]).tobytes() == one.params.tobytes()
+            assert root[i].tobytes() == one.root.tobytes()
+            tails = np.cumsum(Ry[i, ::-1, 0] ** 2)[::-1]  # tails[j]: the SSR on the first j columns
+            for j in (1, 2, 3):
+                resid = ols(y[i], X[i, :, :j]).resid
+                assert tails[j] == pytest.approx(resid @ resid, rel=1e-10)
+
+
 class TestImOls:
     def test_noiseless_recovers_beta_exactly(self):
         rng = np.random.default_rng(2)
@@ -439,7 +469,18 @@ class TestDOls:
         s = self.leads_lags_sample(np.random.default_rng(27), 100, 2, Deterministics.INTERCEPT)
         calls = count_calls(_qr_solve)
         d_ols(s, max_leads_lags=4)
-        assert len(calls) == 1
+        # one kernel call scans every K, one refits the chosen K
+        assert len(calls) == 2
+
+    def test_refit_degenerate_row_is_nan(self):
+        """y not finite only outside the scan's common sample: the scan picks
+        K = 0, and the refit on t = 1..T, which reaches y_1, is NaN."""
+        y, x = stacked_rows(34, 3, 80, 1, Deterministics.INTERCEPT)
+        y[1, 0] = np.inf
+        fit = FittedSample(y, x, Deterministics.INTERCEPT).dols(2)
+        assert fit.leads_lags[1] == 0
+        assert np.isnan(fit.params[1]).all() and np.isnan(fit.moment_inv_beta[1]).all()
+        assert not np.isnan(fit.beta[[0, 2]]).any() and not np.isnan(fit.moment_inv_beta[[0, 2]]).any()
 
     def test_rank_deficient_designs_raise(self):
         rng = np.random.default_rng(28)
@@ -669,10 +710,10 @@ class TestBatchedFits:
         kernel = KernelSpec("bartlett", "andrews")
         one = FittedSample(random_sample(np.random.default_rng(31), T=80, m=2, det=Deterministics.INTERCEPT))
         first = self.read_every_fit(one, kernel)
-        # _qr_solve: the static fit, the IM-OLS fit and the one D-OLS refit
-        assert [len(calls) for calls in counts] == [3, 1, 1, 1]
+        # _qr_solve: the static fit, the IM-OLS fit, the D-OLS scan and its one refit
+        assert [len(calls) for calls in counts] == [4, 1, 1, 1]
         second = self.read_every_fit(one, kernel)
-        assert [len(calls) for calls in counts] == [3, 1, 1, 1]
+        assert [len(calls) for calls in counts] == [4, 1, 1, 1]
         assert all(a is b for a, b in zip(first, second))
 
     def test_degenerate_row_raises_the_same_error_on_every_read(self, count_calls):
