@@ -68,7 +68,7 @@ def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int) ->
 
 
 def _chunk_size(n_grid: int, m: int) -> int:
-    # Keep the largest intermediate array around ~5e6 elements.
+    # Keep the largest intermediate array around ~5e6 elements; the size keys the walks' stream.
     return max(4, int(5e6 / (n_grid * max(1, 2 * m))))
 
 

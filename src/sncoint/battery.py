@@ -238,9 +238,7 @@ def standard_statistics(names: Iterable[str], kernel: KernelSpec | None = None) 
     for name in names:
         if name == "SN":
             stats[name] = partial(bootstrap_statistic, statistic="sn")
-        elif name == "Wald-IM":
-            stats[name] = partial(bootstrap_statistic, statistic="wald-lrv", kernel=kernel)
-        elif name in ("Wald-FM", "Wald-D"):
+        elif name in _EST_TAGS:
             stats[name] = partial(traditional_statistic, _EST_TAGS[name], kernel=kernel)
         else:
             raise ValueError(f"unknown statistic tag {name!r}")

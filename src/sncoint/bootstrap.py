@@ -18,6 +18,7 @@ fit, singular restricted block) is regenerated once from its retry
 substream and discarded if still degenerate. Every draw keeps its own
 substream keyed by (seed, replication index, attempt), and the chunking
 depends only on the sample shape, so results match at any worker count.
+The draws do depend on the chunk size: the VAR product spans its rows.
 """
 
 from __future__ import annotations
@@ -348,11 +349,11 @@ def bootstrap_test(
     through the restricted coefficient vector. The outcome also carries
     the bootstrap p-value (1 + #{tau* >= tau}) / (B_eff + 1).
     """
-    fitted = FittedSample.of(sample)
+    fitted = FittedSample.one(sample, "bootstrap_test")
     sample, fit = fitted.sample, fitted.im
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
 
-    w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
+    w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[0]])
     model = yule_walker(w_hat, config.order_rule)
     beta_restricted = restricted_im_ols(fit, restriction)
 

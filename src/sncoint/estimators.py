@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import KernelSpec, LrvEstimate, _first_row, estimate_lrv
-from .timeseries import CointegrationSample, Deterministics, build_deterministics
+from .timeseries import CointegrationSample, Deterministics, _increments, build_deterministics
 
 __all__ = [
     "OlsFit",
@@ -179,7 +179,8 @@ def _augmented(x: np.ndarray, det: Deterministics) -> np.ndarray:
 
 def batch_rows(T: int, width: int) -> int:
     """Rows per batch so that one (rows, T, width) array holds about 2^17
-    elements (1 MiB); depends on the shape only, never on workers."""
+    elements (1 MiB); depends on the shape only, never on workers. Bootstrap
+    draws depend on it: their VAR product spans a batch's rows."""
     return max(1, _BATCH_ELEMENTS // (T * width))
 
 
@@ -209,14 +210,14 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     return ImOlsFit(theta / norms, Z, resid, V, root, n_det=det.n_columns, n_reg=x.shape[2])
 
 
-def im_ols(sample: CointegrationSample) -> ImOlsFit:
+def im_ols(sample: CointegrationSample | FittedSample) -> ImOlsFit:
     """Estimate the augmented partial-sum regression by OLS: the one-row
     case of :func:`im_ols_batch`.
 
-    Raises :class:`numpy.linalg.LinAlgError` when the augmented regressor
-    matrix is numerically collinear.
+    Raises :class:`numpy.linalg.LinAlgError` when the augmented regressor matrix
+    is numerically collinear. A stacked :class:`FittedSample` gives every row's fit.
     """
-    return FittedSample(sample).im
+    return FittedSample.of(sample).im
 
 
 @dataclass(frozen=True)
@@ -341,11 +342,10 @@ def _dols_design(fitted: FittedSample, K: int, lo: int, hi: int):
     """y and the regressor matrix [d, x, v_{t-K}..v_{t+K}] over 1-based rows
     lo..hi, of each row of ``fitted``."""
     rows = slice(lo - 1, hi)
-    y, x = fitted.y[..., rows], fitted.x[..., rows, :]
-    windows = np.lib.stride_tricks.sliding_window_view(fitted._innovations, 2 * K + 1, axis=-2)
-    leads_lags = windows[..., lo - 1 - K : hi - K, :, :].swapaxes(-1, -2).reshape(x.shape[:-1] + (-1,))  # j-major
-    d = np.broadcast_to(fitted._deterministics[rows], x.shape[:-1] + (fitted.det.n_columns,))
-    return y, np.concatenate([d, x, leads_lags], axis=-1)
+    y = fitted.y[:, rows]
+    windows = np.lib.stride_tricks.sliding_window_view(fitted._innovations, 2 * K + 1, axis=1)
+    leads_lags = windows[:, lo - 1 - K : hi - K].swapaxes(-1, -2).reshape(y.shape + (-1,))  # j-major
+    return y, np.concatenate([fitted._design[:, rows], leads_lags], axis=-1)
 
 
 def d_ols(sample: CointegrationSample | FittedSample, max_leads_lags: int) -> DOlsFit:
@@ -381,7 +381,7 @@ class FittedSample:
     ``FittedSample(sample)`` is the one-row case, with the sample kept as
     ``sample`` (None for a stack). Its fits are row 0 of the stacked ones,
     without the leading axis, each built once; a row raises its fit's error
-    where its parameters are NaN. :func:`fm_ols`, :func:`d_ols` and the
+    where its parameters are NaN. :func:`im_ols`, :func:`fm_ols`, :func:`d_ols` and the
     statistics in :mod:`sncoint.selfnorm` take either in place of a sample
     and read its fits instead of refitting.
     """
@@ -405,6 +405,13 @@ class FittedSample:
     def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
         """``sample`` itself if already fitted, else a new wrapper."""
         return sample if isinstance(sample, FittedSample) else cls(sample)
+
+    @classmethod
+    def one(cls, sample: CointegrationSample | FittedSample, caller: str) -> FittedSample:
+        """:meth:`of` ``sample``, refusing a stack: ``caller`` tests one sample."""
+        if (fitted := cls.of(sample)).sample is None:
+            raise ValueError(f"{caller} tests one sample, got a stacked FittedSample of {fitted.y.shape[0]} rows")
+        return fitted
 
     @property
     def nobs(self) -> int:
@@ -454,18 +461,13 @@ class FittedSample:
     @cached_property
     def _innovations(self) -> np.ndarray:
         """v_t = x_t - x_{t-1} with v_1 = x_1, of every row (c, T, m)."""
-        return np.diff(self.x, axis=1, prepend=np.zeros_like(self.x[:, :1]))
-
-    @cached_property
-    def _deterministics(self) -> np.ndarray:
-        """The T x p deterministic regressor matrix, shared by every row."""
-        return build_deterministics(self.det, self.nobs)
+        return _increments(self.x)
 
     @cached_property
     def _design(self) -> np.ndarray:
         p = self.det.n_columns
         X = np.empty(self.x.shape[:2] + (p + self.x.shape[2],))
-        X[:, :, :p], X[:, :, p:] = self._deterministics, self.x
+        X[:, :, :p], X[:, :, p:] = build_deterministics(self.det, self.nobs), self.x
         return X
 
     @property

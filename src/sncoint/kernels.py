@@ -209,9 +209,9 @@ def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndar
     """The symmetric and one-sided kernel sums and the numeric bandwidth of
     each series of a stack ``w`` (c, T, k), from one pass over the
     autocovariances up to the longest lag any row's weights reach (every
-    lag, by FFT, for the QS kernel). Rows whose bandwidth cannot be formed
-    are NaN."""
-    c, T, k = w.shape
+    lag, by FFT, for the QS kernel). Each row's sums equal its sums alone.
+    Rows whose bandwidth cannot be formed are NaN."""
+    c, T = w.shape[:2]
     if T < 2:
         raise ValueError("need at least 2 observations")
     if isinstance(kernel.bandwidth, str):
@@ -229,7 +229,8 @@ def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndar
         reached = np.flatnonzero(weights.any(axis=0))
         n_lags = int(reached[-1]) + 1 if reached.size else 1
         gammas = autocovariances(w, n_lags - 1)
-    one_sided = (weights[:, None, :n_lags] @ gammas.reshape(c, n_lags, k * k)).reshape(c, k, k)
+    # Lag by lag, not one matmul: lags past a row's own bandwidth add exact zeros.
+    one_sided = (weights[:, :n_lags, None, None] * gammas).sum(axis=1)
     omega = one_sided + one_sided.swapaxes(1, 2) - gammas[:, 0]
     omega = 0.5 * (omega + omega.swapaxes(1, 2))
     if masked:

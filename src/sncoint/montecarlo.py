@@ -13,7 +13,7 @@ with each xi a unit-variance GARCH(1,1). The first ``burn_in`` periods
 are discarded. Setting a1 = b1 = rho3 = 0 collapses the innovations to
 i.i.d. standard normals, which is the same code path.
 
-The drivers run replications in fixed chunks of ``_CHUNK_SIZE``, all
+The drivers run replications in chunks of ``_CHUNK_SIZE``, all
 through one :func:`~sncoint.streams.replication_map` call, so a study
 opens one process pool for all its phases. A chunk runs the GARCH
 recursion once over time for all its replications, each drawn from its own
@@ -21,8 +21,9 @@ recursion once over time for all its replications, each drawn from its own
 case). Both studies stack a phase's samples in one
 :class:`~sncoint.estimators.FittedSample`, so each test or statistic fits
 and evaluates the whole chunk in one call, and one check refuses a
-missing or NaN value. ``ExperimentResult.meta`` records the chunk size,
-the task count and whether BLAS pinning was active.
+missing or NaN value. No row's fits depend on the rows stacked with it,
+so the chunk size sets the speed, never the results. ``ExperimentResult.meta``
+records the chunk size, the task count and whether BLAS pinning was active.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ __all__ = [
 TestFn = Callable[[FittedSample, RestrictionSpec, Sequence[int]], np.ndarray]
 StatisticFn = Callable[[FittedSample, RestrictionSpec], np.ndarray]
 
-# Replications per replication_map task. Fixed, so that no result depends
-# on the worker count.
+# Replications per replication_map task: a speed setting only, since no
+# row's fits or statistics depend on the rows stacked with it.
 _CHUNK_SIZE = 8
 
 

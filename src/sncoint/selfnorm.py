@@ -175,9 +175,8 @@ def self_normalized_test(
 ) -> TestOutcome:
     """Self-normalized Wald test against simulated asymptotic quantiles;
     ``diagnostics`` holds the table's ``n_grid`` and ``reps`` from its meta."""
-    fitted = FittedSample.of(sample)
-    sample = fitted.sample
-    table.require(sample.n_regressors, restriction.n_restrictions, sample.det)
+    fitted = FittedSample.one(sample, "self_normalized_test")
+    table.require(fitted.x.shape[2], restriction.n_restrictions, fitted.det)
     statistic = bootstrap_statistic(fitted, restriction, "sn")
     critical = table.critical_value(alpha)
     return TestOutcome(
@@ -243,7 +242,7 @@ def traditional_wald(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    fitted = FittedSample.of(sample)
+    fitted = FittedSample.one(sample, "traditional_wald")
     statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions
     critical = _chi2_critical(s, alpha)

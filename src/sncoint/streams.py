@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-try:
+try:  # pragma: no cover
     from threadpoolctl import threadpool_limits
 
     BLAS_PINNED = True
@@ -30,7 +30,7 @@ try:
         with threadpool_limits(limits=1):
             yield
 
-except ImportError:  # pragma: no cover
+except ImportError:
     BLAS_PINNED = False
 
     @contextmanager

@@ -9,7 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -83,6 +83,11 @@ def first_difference(series: np.ndarray) -> np.ndarray:
     return np.diff(arr, axis=0)
 
 
+def _increments(x: np.ndarray) -> np.ndarray:
+    """x_t - x_{t-1} along the time axis of levels ``x`` (..., T, m), with x_0 = 0."""
+    return np.diff(x, axis=-2, prepend=np.zeros_like(x[..., :1, :]))
+
+
 def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
     """Return the T x p matrix with column j holding t^j for t = 1..T.
 
@@ -137,14 +142,6 @@ class CointegrationSample:
             )
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        # v_t and the deterministic matrix, computed once and shared read-only
-        v = np.diff(x, axis=0, prepend=np.zeros((1, m)))
-        for name, array in (("_innovations", v), ("_deterministics", build_deterministics(self.det, T))):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    def __reduce__(self):  # unpickling rebuilds the sample: validation and the read-only caches run again
-        return type(self), (self.y, self.x, self.det)
 
     @property
     def nobs(self) -> int:
@@ -155,9 +152,9 @@ class CointegrationSample:
         return self.x.shape[1]
 
     def innovations(self) -> np.ndarray:
-        """Regressor innovations v_t = x_t - x_{t-1} with v_1 = x_1 (read-only)."""
-        return self._innovations
+        """Regressor innovations v_t = x_t - x_{t-1} with v_1 = x_1."""
+        return _increments(self.x)
 
     def deterministics(self) -> np.ndarray:
-        """The T x p deterministic regressor matrix for this sample (read-only)."""
-        return self._deterministics
+        """The T x p deterministic regressor matrix for this sample."""
+        return build_deterministics(self.det, self.nobs)

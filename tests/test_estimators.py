@@ -175,6 +175,17 @@ class TestImOls:
 
 
 class TestImOlsBatch:
+    def test_reads_a_fitted_sample(self):
+        from sncoint.estimators import im_ols_batch
+
+        det = Deterministics.INTERCEPT
+        one = FittedSample(random_sample(np.random.default_rng(13), T=50, m=2, det=det))
+        assert im_ols(one) is one.im
+        y, x = stacked_rows(14, 4, 50, 2, det)
+        stacked, batch = im_ols(FittedSample(y, x, det)), im_ols_batch(y, x, det)
+        for name in ("params", "regressors", "resid", "scaled_cov", "root"):
+            np.testing.assert_array_equal(getattr(stacked, name), getattr(batch, name))
+
     def test_rows_match_im_ols(self):
         from sncoint.estimators import im_ols_batch
         from sncoint.streams import substream
@@ -395,7 +406,7 @@ class TestDOls:
         s = random_sample(rng, T=30, m=1)
         kmax = 2
         for K in range(kmax + 1):
-            y_c, X_c = _dols_design(s, K, kmax + 1, 30 - kmax)
+            y_c, X_c = (a[0] for a in _dols_design(FittedSample(s), K, kmax + 1, 30 - kmax))
             assert y_c.shape[0] == 30 - 2 * kmax
             assert X_c.shape[1] == 1 + 1 * (2 * K + 1)
             np.testing.assert_array_equal(y_c, s.y[kmax : 30 - kmax])
@@ -428,7 +439,7 @@ class TestDOls:
             for lo, hi in [(K + 1, T - K), (3 + 1, T - 3)]:
                 rows = slice(lo - 1, hi)
                 blocks = [s.deterministics()[rows], s.x[rows]] + [v[lo - 1 + j : hi + j] for j in range(-K, K + 1)]
-                y_c, X_c = _dols_design(s, K, lo, hi)
+                y_c, X_c = (a[0] for a in _dols_design(FittedSample(s), K, lo, hi))
                 np.testing.assert_array_equal(y_c, s.y[rows])
                 np.testing.assert_array_equal(X_c, np.column_stack(blocks))
 
@@ -444,15 +455,15 @@ class TestDOls:
                 for det in (Deterministics.NONE, Deterministics.INTERCEPT, Deterministics.TREND):
                     for kmax in (0, 1, 2, 4):
                         s = self.leads_lags_sample(rng, T, m, det)
-                        best = (np.inf, 0)
+                        fitted, best = FittedSample(s), (np.inf, 0)
                         for K in range(kmax + 1):
-                            y_c, X_c = _dols_design(s, K, kmax + 1, T - kmax)
+                            y_c, X_c = (a[0] for a in _dols_design(fitted, K, kmax + 1, T - kmax))
                             resid, n = ols(y_c, X_c).resid, y_c.shape[0]
                             bic = np.log(float(resid @ resid) / n) + X_c.shape[1] * np.log(n) / n
                             if bic < best[0]:
                                 best = (bic, K)
                         K = best[1]
-                        y_f, X_f = _dols_design(s, K, K + 1, T - K)
+                        y_f, X_f = (a[0] for a in _dols_design(fitted, K, K + 1, T - K))
                         refit, p = ols(y_f, X_f), det.n_columns
                         fit = d_ols(s, kmax)
                         assert fit.leads_lags == K
@@ -557,7 +568,7 @@ class TestNormalEquationOracles:
 
         s, p = self.sample(T, m, det), det.n_columns
         fit = d_ols(s, 2)
-        _, X_f = _dols_design(s, fit.leads_lags, fit.leads_lags + 1, T - fit.leads_lags)
+        _, X_f = (a[0] for a in _dols_design(FittedSample(s), fit.leads_lags, fit.leads_lags + 1, T - fit.leads_lags))
         assert_relative(fit.moment_inv_beta, gram_inverse(X_f)[p : p + m, p : p + m])
 
     @pytest.mark.parametrize("T,m,det", ORACLE_CASES)
@@ -734,6 +745,69 @@ class TestBatchedFits:
                     with pytest.raises(np.linalg.LinAlgError, match=message):
                         read()
         assert len(im_calls) == 1
+
+
+class TestRowsIndependentOfStackMates:
+    """A row's fits and statistics are bit for bit the same whatever rows
+    share its stack: in sub-stacks of 1, 3 and 8 rows and in the stack
+    permuted. So a Monte Carlo study does not depend on its chunk size."""
+
+    @staticmethod
+    def persistent_rows(m, det):
+        """24 rows whose AR(1) errors range from white noise to rho = 0.9, so
+        their plug-in bandwidths, and Bartlett lag counts, differ."""
+        c, T = 24, 100
+        y, x = stacked_rows(40 + m, c, T, m, det)
+        u, rho = np.random.default_rng(50 + m).standard_normal((c, T)), np.linspace(0.0, 0.9, c)
+        for t in range(1, T):
+            u[:, t] += rho * u[:, t - 1]
+        return y + 2.0 * u, x
+
+    @staticmethod
+    def row_values(fitted, kernel, restriction):
+        """Arrays with one leading row per sample: the long-run covariance,
+        FM-OLS, D-OLS, then SN, tau(1), Wald-IM, Wald-FM and Wald-D."""
+        from sncoint.selfnorm import bootstrap_statistic, traditional_statistic
+
+        lrv, fm, dols = fitted.lrv(kernel), fitted.fm(kernel), fitted.dols(2)
+        fits = [getattr(fit, name) for fit in (lrv, fm, dols) for name in vars(fit) if name not in ("kind", "n_det", "n_reg")]
+        statistics = [bootstrap_statistic(fitted, restriction, name) for name in ("sn", "tau1")]
+        return fits + statistics + [traditional_statistic(tag, fitted, restriction, kernel) for tag in ("IM", "FM", "D")]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.TREND])
+    @pytest.mark.parametrize("kernel", [KernelSpec("bartlett", "andrews"), KernelSpec("bartlett", 3.7),
+                                        KernelSpec("qs", "andrews"), KernelSpec("qs", 3.7)])  # fmt: skip
+    def test_row_values_do_not_depend_on_stack_mates(self, m, det, kernel):
+        from sncoint.kernels import kernel_weight
+
+        y, x = self.persistent_rows(m, det)
+        restriction = RestrictionSpec(R=np.eye(1, m), value=np.ones(1))
+        stack = FittedSample(y, x, det)
+        full = self.row_values(stack, kernel, restriction)
+        assert len(full) == 17 and all(len(values) == 24 for values in full)
+        if kernel == KernelSpec("bartlett", "andrews"):  # rows reach different lag counts
+            lags = [np.count_nonzero(kernel_weight("bartlett", np.arange(100) / b)) for b in stack.lrv(kernel).bandwidth]
+            assert len(set(lags)) > 3
+        perm = np.random.default_rng(m).permutation(24)
+        groups = [np.arange(start, start + size) for size in (1, 3, 8) for start in range(0, 24, size)] + [perm]
+        for rows in groups:
+            sub = self.row_values(FittedSample(y[rows], x[rows], det), kernel, restriction)
+            for j, (mine, theirs) in enumerate(zip(sub, full)):
+                assert np.array_equal(mine, theirs[rows], equal_nan=True), (j, rows)
+
+    def test_power_study_does_not_depend_on_chunk_size(self, monkeypatch):
+        """On this seed a Bartlett sum formed as one matmul over the stack's
+        longest lag moved an adjusted critical value with the chunk size."""
+        from sncoint import DgpConfig, montecarlo, size_adjusted_power, standard_statistics
+
+        stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
+        results = []
+        for size in (1, 8, 32):
+            monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", size)
+            result = size_adjusted_power(DgpConfig(T=100), stats, [1.0, 1.02, 1.05], reps=40, seed=7)
+            results.append(({k: v.tolist() for k, v in result.rates.items()}, result.meta["adjusted_critical_values"]))
+        assert results[0] == results[1] == results[2]
 
 
 def test_fm_ols_as_precise_as_static_ols():

@@ -4,12 +4,14 @@ from scipy import stats
 
 from sncoint import (
     BARTLETT,
+    BootstrapConfig,
     CointegrationSample,
     Deterministics,
     FittedSample,
     KernelSpec,
     RestrictionSpec,
     bootstrap_statistic,
+    bootstrap_test,
     default_table,
     diff_residual_lrv,
     im_ols,
@@ -325,3 +327,17 @@ class TestStackedStatistics:
         for statistic in STACKED_STATISTICS.values():
             rows = statistic(FittedSample(y, x, Deterministics.NONE), restriction, KernelSpec(BARTLETT, "andrews"))
             np.testing.assert_array_equal(np.isnan(rows), [False, True, True])
+
+    @pytest.mark.parametrize("name", ["self_normalized_test", "bootstrap_test", "traditional_wald"])
+    def test_single_sample_tests_refuse_a_stack(self, name):
+        rng = substream(132, 0)
+        samples = [make_sample(rng, T=40) for _ in range(3)]
+        stack = FittedSample(np.stack([s.y for s in samples]), np.stack([s.x for s in samples]), Deterministics.NONE)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        run = {
+            "self_normalized_test": lambda: self_normalized_test(stack, restriction, default_table(2, 2, Deterministics.NONE)),
+            "bootstrap_test": lambda: bootstrap_test(stack, restriction, BootstrapConfig(n_boot=19)),
+            "traditional_wald": lambda: traditional_wald("FM", stack, restriction, KernelSpec(BARTLETT, "andrews")),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{name} tests one sample, got a stacked FittedSample of 3 rows$"):
+            run()
