@@ -337,6 +337,7 @@ def _cmd_simulate(args) -> int:
         "runtime_s": result.meta["runtime_s"],
         "chunk_size": result.meta["chunk_size"],
         "tasks": result.meta["tasks"],
+        "processes": result.meta["processes"],
         "blas_pinned": result.meta["blas_pinned"],
         "version": __version__,
         "results_csv": out_path,

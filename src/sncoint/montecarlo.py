@@ -13,17 +13,19 @@ with each xi a unit-variance GARCH(1,1). The first ``burn_in`` periods
 are discarded. Setting a1 = b1 = rho3 = 0 collapses the innovations to
 i.i.d. standard normals, which is the same code path.
 
-The drivers run replications in chunks of ``_CHUNK_SIZE``, all
-through one :func:`~sncoint.streams.replication_map` call, so a study
-opens one process pool for all its phases. A chunk runs the GARCH
-recursion once over time for all its replications, each drawn from its own
-``substream(seed, phase, i)`` (:func:`generate_dgp` is the one-row
-case). Both studies stack a phase's samples in one
-:class:`~sncoint.estimators.FittedSample`, so each test or statistic fits
-and evaluates the whole chunk in one call, and one check refuses a
-missing or NaN value. No row's fits depend on the rows stacked with it,
-so the chunk size sets the speed, never the results. ``ExperimentResult.meta``
-records the chunk size, the task count and whether BLAS pinning was active.
+The drivers split the replications into equal chunks sized from the study's
+shape (:func:`_chunk_size`), each a task of one
+:func:`~sncoint.streams.replication_map` call: a study opens one process
+pool for all its phases, and uses at most as many processes as it has
+chunks. A chunk runs the GARCH recursion once over time for all its
+replications, each drawn from its own ``substream(seed, phase, i)``
+(:func:`generate_dgp` is the one-row case). Both studies stack a phase's
+samples in one :class:`~sncoint.estimators.FittedSample`, so each test or
+statistic fits and evaluates the whole chunk in one call, and one check
+refuses a missing or NaN value. No row's fits depend on the rows stacked
+with it, so the chunk size sets the speed, never the results.
+``ExperimentResult.meta`` records the chunk size, task count, processes and
+BLAS pinning.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .estimators import FittedSample, RestrictionSpec
-from .streams import BLAS_PINNED, replication_map, substream
+from .streams import BLAS_PINNED, pool_size, replication_map, substream
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = [
@@ -53,9 +55,10 @@ __all__ = [
 TestFn = Callable[[FittedSample, RestrictionSpec, Sequence[int]], np.ndarray]
 StatisticFn = Callable[[FittedSample, RestrictionSpec], np.ndarray]
 
-# Replications per replication_map task: a speed setting only, since no
-# row's fits or statistics depend on the rows stacked with it.
-_CHUNK_SIZE = 8
+# Elements (T x rows) a chunk's largest stack grows to, since each chunk pays a GARCH loop over
+# burn_in + T steps, ~50 numpy calls per phase and a pool round trip. A speed setting only: no
+# row's fits or statistics depend on its stack mates.
+_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -209,20 +212,30 @@ def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, se
     return _checked("test", tests, decisions, "null", indices)
 
 
-def _run_chunks(task, reps: int, workers: int) -> tuple[np.ndarray, dict]:
-    """``task`` over the replications in chunks of ``_CHUNK_SIZE``, one
+def _chunk_size(reps: int, T: int, rows: int) -> int:
+    """Replications per chunk: ``reps`` in ceil(reps / cap) equal chunks, cap = max(8, _CHUNK_ELEMENTS //
+    (T * rows)), ``rows`` per replication in a chunk's largest stack; never from ``workers``."""
+    cap = max(8, _CHUNK_ELEMENTS // (T * rows))
+    return -(-reps // -(-reps // cap))
+
+
+def _run_chunks(task, reps: int, workers: int, T: int, rows: int) -> tuple[np.ndarray, dict]:
+    """``task`` over the replications in chunks of :func:`_chunk_size`, one
     pool for the study; the stacked results and the run's metadata."""
     if reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
-    out = np.concatenate(replication_map(task, reps, _CHUNK_SIZE, workers))
+    size = _chunk_size(reps, T, rows)
+    tasks = -(-reps // size)
+    out = np.concatenate(replication_map(task, reps, size, workers))
     return out, {
         "runtime_s": time.perf_counter() - start,
         "workers": workers,
-        "chunk_size": _CHUNK_SIZE,
-        "tasks": -(-reps // _CHUNK_SIZE),
+        "chunk_size": size,
+        "tasks": tasks,
+        "processes": pool_size(tasks, workers),
         "blas_pinned": BLAS_PINNED,
     }
 
@@ -245,7 +258,7 @@ def size_experiment(
     """
     restriction = null_restriction(config)
     task = partial(_size_chunk, config, list(tests.items()), restriction, seed)
-    outcomes, meta = _run_chunks(task, reps, workers)
+    outcomes, meta = _run_chunks(task, reps, workers, config.T, 1)
     return ExperimentResult(
         kind="size",
         rates={name: float(outcomes[:, j].mean()) for j, name in enumerate(tests)},
@@ -298,7 +311,7 @@ def size_adjusted_power(
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)
     task = partial(_power_chunk, config, list(statistics.items()), restriction, beta_grid, seed)
-    draws, meta = _run_chunks(task, reps, workers)
+    draws, meta = _run_chunks(task, reps, workers, config.T, max(1, len(beta_grid)))
     adjusted = {name: float(np.quantile(draws[:, 0, j], 1.0 - alpha)) for j, name in enumerate(statistics)}
     return ExperimentResult(
         kind="power",

@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sncoint import (
     simulate_critical_values,
     simulate_limit_statistics,
 )
-from sncoint.asymptotics import _chunk_size, _walk_chunk, simulate_limit_components
+from sncoint.asymptotics import _chunk_size, _components, _walk_chunk, simulate_limit_components
 from sncoint.estimators import FittedSample, RestrictionSpec, im_ols_batch
 from sncoint.selfnorm import bootstrap_statistic
 from sncoint.streams import replication_map, substream
@@ -293,3 +294,19 @@ class TestOneDriver:
         run()
         assert [args[1:] for args in map_calls] == [(reps, _chunk_size(n_grid, m))]
         assert reps > _chunk_size(n_grid, m)
+
+
+@pytest.mark.parametrize("m, s, det", [(1, 1, Deterministics.NONE), (2, 1, Deterministics.INTERCEPT),
+                                       (3, 2, Deterministics.TREND)])  # fmt: skip
+def test_components_rows_do_not_depend_on_block_mates(m, s, det):
+    """Each walk's tau(1) and self-normalizer from the limit-law reducer are
+    the same, bit for bit, in blocks of 1, 3 and 5 walks and in a permuted block."""
+    w = np.random.default_rng(m).standard_normal((12, 500, m + 1))
+    y, x = w[:, :, 0], np.cumsum(w[:, :, 1:], axis=1)
+    reduce = partial(_components, RestrictionSpec(R=np.eye(s, m), value=np.zeros(s)), det)
+    full = reduce(y, x)
+    perm = np.random.default_rng(m).permutation(12)
+    blocks = [np.arange(start, min(start + size, 12)) for size in (1, 3, 5) for start in range(0, 12, size)] + [perm]
+    for rows in blocks:
+        for j, (mine, theirs) in enumerate(zip(reduce(y[rows], x[rows]), full)):
+            assert np.array_equal(mine, theirs[rows]), (j, rows)

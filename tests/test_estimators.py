@@ -804,8 +804,9 @@ class TestRowsIndependentOfStackMates:
         stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
         results = []
         for size in (1, 8, 32):
-            monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", size)
+            monkeypatch.setattr(montecarlo, "_chunk_size", lambda reps, T, rows: size)
             result = size_adjusted_power(DgpConfig(T=100), stats, [1.0, 1.02, 1.05], reps=40, seed=7)
+            assert result.meta["chunk_size"] == size
             results.append(({k: v.tolist() for k, v in result.rates.items()}, result.meta["adjusted_critical_values"]))
         assert results[0] == results[1] == results[2]
 

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -154,7 +155,7 @@ class TestSizeExperiment:
         assert result.reps == 50
         assert result.seed == 14
         assert "runtime_s" in result.meta
-        assert result.meta["chunk_size"] == 8 and result.meta["tasks"] == 7
+        assert result.meta["chunk_size"] == 50 and result.meta["tasks"] == 1
         assert result.meta["blas_pinned"] is BLAS_PINNED
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -312,10 +313,10 @@ class TestFitOncePerSample:
         stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
         size_adjusted_power(config, stats, [1.0, 1.1], reps=10, seed=3)
         assert len(map_calls) == 1
-        # chunks of 8 and 2 replications, each a null stack and a stack over the 2 grid points
-        assert [args[0].shape[0] for args in batch_calls] == [8, 16, 2, 4]
+        # one chunk of 10 replications: a null stack and a stack over the 2 grid points
+        assert [args[0].shape[0] for args in batch_calls] == [10, 20]
         static = [args for args in qr_calls if args[1].shape[2] == 2]  # the static design [x]: m = 2, no deterministics
-        assert [args[0].shape[0] for args in static] == [8, 16, 2, 4]
+        assert [args[0].shape[0] for args in static] == [10, 20]
         assert all(args[0].shape[2] == 1 + 2 for args in static)  # [y, v] in one QR
         assert per_sample == [[], [], [], []]
 
@@ -325,7 +326,42 @@ class TestFitOncePerSample:
         battery = standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM"])
         size_experiment(DgpConfig(T=40), battery, reps=10, seed=3)
         assert len(map_calls) == 1
-        assert [args[0].shape[0] for args in batch_calls] == [8, 2]
+        assert [args[0].shape[0] for args in batch_calls] == [10]
+
+
+def zero_statistic(fitted, restriction):
+    """Mock: one value per row, without fitting anything."""
+    return np.zeros(len(fitted.y))
+
+
+class TestChunkRule:
+    """reps splits into equal chunks sized from T and the rows one
+    replication adds to a chunk's largest stack, never from workers."""
+
+    BENCH_GRID = [1.0, 1.01, 1.03]
+
+    def test_bench_design_at_one_and_two_workers(self):
+        stats = standard_statistics(["SN"])
+        runs = [size_adjusted_power(DgpConfig(T=100), stats, self.BENCH_GRID, reps=100, seed=1, workers=w)
+                for w in (1, 2)]  # fmt: skip
+        assert [(r.meta["chunk_size"], r.meta["tasks"]) for r in runs] == [(25, 4), (25, 4)]
+        assert [r.meta["processes"] for r in runs] == [1, min(2, os.cpu_count() or 1)]
+        assert runs[0].rates["SN"].tolist() == runs[1].rates["SN"].tolist()
+        assert runs[0].meta["adjusted_critical_values"] == runs[1].meta["adjusted_critical_values"]
+
+    def test_long_wide_design_keeps_chunks_of_8(self):
+        result = size_adjusted_power(DgpConfig(T=1_000), {"zero": zero_statistic}, np.linspace(1.0, 1.1, 10), reps=24)
+        assert result.meta["chunk_size"] == 8 and result.meta["tasks"] == 3
+
+    def test_size_study_counts_one_row_per_replication(self):
+        result = size_experiment(DgpConfig(T=100), {"coin": coin_flip_test}, reps=300, seed=2)
+        assert result.meta["chunk_size"] == 75 and result.meta["tasks"] == 4
+
+    def test_tasks_are_the_chunks_run(self, count_calls):
+        chunks = count_calls(montecarlo._power_chunk)
+        result = size_adjusted_power(DgpConfig(T=100), {"zero": zero_statistic}, self.BENCH_GRID, reps=100)
+        assert len(chunks) == result.meta["tasks"] == 4
+        assert [len(args[-1]) for args in chunks] == [25] * 4
 
 
 class TestStandardBattery:

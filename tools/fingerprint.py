@@ -6,6 +6,8 @@ covariance, FM-OLS and D-OLS), the five statistics on a stack, a size
 study, a four-statistic size-adjusted power study, ``run_analysis``,
 ``bootstrap_test`` for each bootstrap statistic and
 ``simulate_critical_values`` for a panel with and without deterministics.
+Wall time and a study's layout (chunk size, task and process counts) are
+left out, so the digest measures results only.
 
     PYTHONPATH=src python tools/fingerprint.py [--parts]
 
@@ -29,6 +31,8 @@ import numpy as np  # noqa: E402
 import sncoint as sn  # noqa: E402
 from sncoint.selfnorm import traditional_statistic  # noqa: E402
 
+# Wall time and how a study was split into tasks: not results.
+RUN_LAYOUT = {"runtime_s", "chunk_size", "tasks", "processes"}
 DETS = (sn.Deterministics.NONE, sn.Deterministics.INTERCEPT, sn.Deterministics.TREND)
 KERNELS = (sn.KernelSpec("bartlett", "andrews"), sn.KernelSpec("qs", "andrews"))
 
@@ -45,7 +49,7 @@ def feed(h, obj) -> None:
             feed(h, getattr(obj, f.name))
     elif isinstance(obj, dict):
         for key in sorted(obj, key=str):
-            if key != "runtime_s":  # wall time, not a result
+            if key not in RUN_LAYOUT:
                 h.update(str(key).encode())
                 feed(h, obj[key])
     elif isinstance(obj, (list, tuple)):
