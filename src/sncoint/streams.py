@@ -38,7 +38,7 @@ except ImportError:
         yield
 
 
-__all__ = ["BLAS_PINNED", "substream", "pool_size", "replication_map"]
+__all__ = ["BLAS_PINNED", "substream", "pool_layout", "replication_map"]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -60,14 +60,15 @@ def _call_chunk(fn, n: int, size: int, chunk: int):
         return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
 
 
-def pool_size(tasks: int, workers: int) -> int:
-    """Processes :func:`replication_map` runs ``tasks`` chunks on at ``workers``; 1 is in process."""
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+def pool_layout(n: int, size: int, workers: int) -> tuple[int, int]:
+    """(chunks, processes) :func:`replication_map` uses for ``n`` indices in chunks of ``size``; 1 is in process."""
+    chunks = -(-n // size)
+    return chunks, max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
 def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, workers: int = 1) -> list:
     """Evaluate ``fn(indices)`` over consecutive chunks of ``size`` indices
-    of 0..n-1, on a pool of :func:`pool_size` processes when that is above 1.
+    of 0..n-1, on a pool of :func:`pool_layout`'s processes when that is above 1.
 
     Results are returned in chunk order, so the output is independent of
     scheduling. ``size`` should depend on the problem only, never on
@@ -75,8 +76,7 @@ def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, worke
     either. ``fn`` must be picklable when workers > 1 (module-level
     function or functools.partial of one).
     """
-    task, chunks = partial(_call_chunk, fn, n, size), -(-n // size)
-    workers = pool_size(chunks, workers)
+    task, (chunks, workers) = partial(_call_chunk, fn, n, size), pool_layout(n, size, workers)
     if workers == 1:
         return [task(chunk) for chunk in range(chunks)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -29,6 +29,16 @@ def count_calls(monkeypatch):
     return count
 
 
+@pytest.fixture
+def chunks_of_8(monkeypatch):
+    """Monte Carlo studies run in chunks of 8 replications, so a small study
+    at workers > 1 runs several tasks on a process pool. The chunk size sets
+    the speed only, never the results."""
+    from sncoint import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_chunk_size", lambda reps, T, rows: 8)
+
+
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 stays deterministic. Hypothesis still caches the
 # constants it reads from source files; that cache goes to the temporary

@@ -304,7 +304,7 @@ def test_criterion_10_yule_walker_stability():
     _report("criterion 10 moment-equation stability", worst < 1.0, f"largest spectral radius {worst:.6f}")
 
 
-def test_criterion_11_determinism_across_workers():
+def test_criterion_11_determinism_across_workers(chunks_of_8):
     config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
     sample_rng = substream(77, 0)
     from sncoint import generate_dgp
@@ -321,9 +321,11 @@ def test_criterion_11_determinism_across_workers():
     battery = standard_battery(
         ["SN-asymptotic", "SN-bootstrap"], boot=BootstrapConfig(n_boot=19, alpha=0.05)
     )
-    size_rates = [
-        size_experiment(config, battery, reps=24, seed=7, workers=w).rates for w in (1, 4, 8)
-    ]
+    size_runs = [size_experiment(config, battery, reps=24, seed=7, workers=w) for w in (1, 4, 8)]
+    size_rates = [run.rates for run in size_runs]
+    # chunks of 8 make the 24 replications 3 tasks, so workers 4 and 8 run them on a pool
+    processes = [run.meta["processes"] for run in size_runs]
+    assert processes == [1] + [min(3, os.cpu_count() or 1)] * 2, processes
 
     boot_ok = boot_outcomes[0] == boot_outcomes[1] == boot_outcomes[2]
     size_ok = size_rates[0] == size_rates[1] == size_rates[2]

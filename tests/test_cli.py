@@ -353,7 +353,7 @@ class TestCommandLine:
         table = load_table(str(out_file))
         assert table.m == 1 and table.s == 1
 
-    def test_simulate_command(self, tmp_path):
+    def test_simulate_command(self, tmp_path, chunks_of_8):
         config = {
             "kind": "size",
             "T": 75,
@@ -374,7 +374,7 @@ class TestCommandLine:
         manifest = json.loads((tmp_path / "rates_manifest.json").read_text())
         assert manifest["seed"] == 2
         assert manifest["reps"] == 30
-        assert manifest["chunk_size"] == 30 and manifest["tasks"] == 1
+        assert manifest["chunk_size"] == 8 and manifest["tasks"] == 4
         assert manifest["blas_pinned"] is sncoint.streams.BLAS_PINNED
 
     def test_simulate_manifest_records_the_pool(self, tmp_path):
@@ -383,7 +383,7 @@ class TestCommandLine:
         cfg_path.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "rates.csv")]) == 0
         manifest = json.loads((tmp_path / "rates_manifest.json").read_text())
-        assert (manifest["chunk_size"], manifest["tasks"]) == (67, 3)
+        assert (manifest["chunk_size"], manifest["tasks"]) == (25, 8)
         assert manifest["processes"] == min(2, os.cpu_count() or 1)
 
     def test_simulate_power_command(self, tmp_path):

@@ -143,11 +143,12 @@ class TestSizeExperiment:
         np.testing.assert_array_equal(r.value, [1.0, 2.0])
         np.testing.assert_array_equal(r.R, np.eye(2))
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic_across_worker_counts(self, chunks_of_8):
         battery = standard_battery(["SN-asymptotic"])
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
-        rates = [size_experiment(config, battery, reps=60, seed=13, workers=w).rates for w in (1, 4)]
-        assert rates[0] == rates[1]
+        runs = [size_experiment(config, battery, reps=60, seed=13, workers=w) for w in (1, 4)]
+        assert [r.meta["processes"] for r in runs] == [1, min(4, os.cpu_count() or 1)]
+        assert runs[0].rates == runs[1].rates
 
     def test_result_metadata(self):
         result = size_experiment(DgpConfig(T=50), {"coin": coin_flip_test}, reps=50, seed=14)
@@ -155,7 +156,7 @@ class TestSizeExperiment:
         assert result.reps == 50
         assert result.seed == 14
         assert "runtime_s" in result.meta
-        assert result.meta["chunk_size"] == 50 and result.meta["tasks"] == 1
+        assert result.meta["chunk_size"] == 25 and result.meta["tasks"] == 2
         assert result.meta["blas_pinned"] is BLAS_PINNED
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -282,21 +283,29 @@ SIZE_GOLDEN_RATES = {
 }
 
 
+def assert_pool(meta, workers):
+    """The study ran several tasks, on as many processes as the host allows."""
+    assert meta["tasks"] > 1
+    assert meta["processes"] == min(workers, meta["tasks"], os.cpu_count() or 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 class TestGoldenStudies:
-    def test_size_adjusted_power(self, workers):
+    def test_size_adjusted_power(self, workers, chunks_of_8):
         stats = standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
         config = DgpConfig(T=60, rho1=0.3, rho2=0.3)
         result = size_adjusted_power(config, stats, [1.0, 1.02, 1.05], reps=21, seed=21, workers=workers)
         assert {k: list(v) for k, v in result.rates.items()} == POWER_GOLDEN_RATES
         assert result.meta["adjusted_critical_values"] == POWER_GOLDEN_ADJUSTED
+        assert_pool(result.meta, workers)
 
-    def test_size_experiment(self, workers):
+    def test_size_experiment(self, workers, chunks_of_8):
         battery = standard_battery(
             ["SN-asymptotic", "Wald-IM", "Wald-FM", "Wald-D", "tau1-bootstrap"], boot=BootstrapConfig(n_boot=19)
         )
         result = size_experiment(DgpConfig(T=75, rho1=0.8, rho2=0.8), battery, reps=30, seed=22, workers=workers)
         assert result.rates == SIZE_GOLDEN_RATES
+        assert_pool(result.meta, workers)
 
 
 class TestFitOncePerSample:
@@ -336,7 +345,8 @@ def zero_statistic(fitted, restriction):
 
 class TestChunkRule:
     """reps splits into equal chunks sized from T and the rows one
-    replication adds to a chunk's largest stack, never from workers."""
+    replication adds to a chunk's largest stack, at least min(8, reps // 25)
+    of them, never from workers."""
 
     BENCH_GRID = [1.0, 1.01, 1.03]
 
@@ -349,13 +359,15 @@ class TestChunkRule:
         assert runs[0].rates["SN"].tolist() == runs[1].rates["SN"].tolist()
         assert runs[0].meta["adjusted_critical_values"] == runs[1].meta["adjusted_critical_values"]
 
-    def test_long_wide_design_keeps_chunks_of_8(self):
-        result = size_adjusted_power(DgpConfig(T=1_000), {"zero": zero_statistic}, np.linspace(1.0, 1.1, 10), reps=24)
-        assert result.meta["chunk_size"] == 8 and result.meta["tasks"] == 3
+    def test_rule(self):
+        assert montecarlo._chunk_size(24, 1_000, 10) == 8  # the floor of 8 replications
+        assert montecarlo._chunk_size(1_000, 75, 1) == 100  # 10 chunks of at most 8192 // 75
+        assert montecarlo._chunk_size(300, 100, 1) == 38  # at least 8 chunks
+        assert montecarlo._chunk_size(7, 10, 1) == 7
 
     def test_size_study_counts_one_row_per_replication(self):
         result = size_experiment(DgpConfig(T=100), {"coin": coin_flip_test}, reps=300, seed=2)
-        assert result.meta["chunk_size"] == 75 and result.meta["tasks"] == 4
+        assert result.meta["chunk_size"] == 38 and result.meta["tasks"] == 8
 
     def test_tasks_are_the_chunks_run(self, count_calls):
         chunks = count_calls(montecarlo._power_chunk)
