@@ -16,7 +16,8 @@ one stacked :class:`~sncoint.estimators.FittedSample`. A degenerate
 draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
 fit, singular restricted block) is regenerated once from its retry
 substream and discarded if still degenerate. Every draw keeps its own
-substream keyed by (seed, replication index, attempt), and the chunking
+substream keyed by (seed, replication index, attempt), all of a chunk's
+from one :func:`~sncoint.streams.substreams` call, and the chunking
 depends only on the sample shape, so results match at any worker count.
 The draws do depend on the chunk size: the VAR product spans its rows.
 """
@@ -39,7 +40,7 @@ from .estimators import (
 )
 from .kernels import KernelSpec, autocovariances
 from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic
-from .streams import replication_map, substream
+from .streams import replication_map, substreams
 from .timeseries import CointegrationSample, Deterministics, build_deterministics
 
 __all__ = [
@@ -262,7 +263,8 @@ def generate_bootstrap_batch(
 
     Draw i takes ``burn_in + order + T`` innovations i.i.d. with replacement
     from the centered residual pool, from its own substream (seed, i,
-    attempt). The recursion starts from zeros and advances all draws L =
+    attempt); one ``substreams`` call gives the batch's streams. The
+    recursion starts from zeros and advances all draws L =
     _BLOCK steps per product with the model's ``block_map``; L is fixed, so
     no draw's bits depend on the chunk size or worker count. The last T
     steps are kept: the regressors are partial sums of the simulated
@@ -272,7 +274,8 @@ def generate_bootstrap_batch(
     q, k = model.order, model.n_series
     pool = model.resid_pool
     n_steps = config.burn_in + q + T
-    picks = [substream(config.seed, int(i), attempt).integers(0, pool.shape[0], size=n_steps) for i in indices]
+    keys = np.column_stack([indices, np.full_like(indices, attempt)])
+    picks = [rng.integers(0, pool.shape[0], size=n_steps) for rng in substreams(config.seed, keys)]
     # w[:, q + t] holds step t; the q leading zeros are the initial values.
     w = np.zeros((c := len(picks), q + n_steps, k))
     w[:, q:] = pool[np.stack(picks)]

@@ -18,9 +18,10 @@ shape (:func:`_chunk_size`), each a task of one
 :func:`~sncoint.streams.replication_map` call: a study opens one process
 pool for all its phases, and uses at most as many processes as it has
 chunks. A chunk runs the GARCH recursion once over time for all its
-replications, each drawn from its own ``substream(seed, phase, i)``
-(:func:`generate_dgp` is the one-row case). Both studies stack a phase's
-samples in one :class:`~sncoint.estimators.FittedSample`, so each test or
+replications, each drawn from its own ``substream(seed, phase, i)``, all
+from one ``substreams`` call (:func:`generate_dgp` is the one-row case).
+Both studies stack a phase's samples in one
+:class:`~sncoint.estimators.FittedSample`, so each test or
 statistic fits and evaluates the whole chunk in one call, and one check
 refuses a missing or NaN value. No row's fits depend on the rows stacked
 with it, so the chunk size sets the speed, never the results. ``ExperimentResult.meta``
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .estimators import FittedSample, RestrictionSpec
-from .streams import BLAS_PINNED, pool_layout, replication_map, substream
+from .streams import BLAS_PINNED, _seed_words, pool_layout, replication_map, substreams
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = [
@@ -171,20 +172,26 @@ class ExperimentResult:
                 raise ValueError(f"rates for {name!r} outside [0, 1]")
 
 
-def _test_seed(seed: int, phase: int, rep: int, test_index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(phase, rep, test_index)).generate_state(1)[0])
+def _test_seeds(seed: int, phase: int, indices: np.ndarray, n_tests: int) -> list[list[int]]:
+    """Test j's seeds on the replications ``indices``, list j: for each i, state word 0
+    of the ``SeedSequence`` with entropy ``seed`` and ``spawn_key=(phase, i, j)``,
+    from one hash for the chunk."""
+    keys = np.stack(np.broadcast_arrays(phase, indices[:, None], np.arange(n_tests)), axis=-1)
+    return _seed_words(seed, keys.reshape(-1, 3), 1).reshape(len(indices), n_tests).T.tolist()
 
 
 def _fitted_samples(config: DgpConfig, seed: int, phase: int, indices: np.ndarray, betas) -> FittedSample:
     """One stacked :class:`FittedSample` of the replications ``indices``
     crossed with the coefficient pairs ``betas``: row r * len(betas) + g is
     replication ``indices[r]`` with ``betas[g]``. One GARCH recursion runs
-    for all the replications, each from its own ``substream(seed, phase, i)``,
-    so every row equals :func:`generate_dgp` on that stream with the matching
-    ``beta``; (x, u) are drawn once and y = x beta + u per coefficient pair.
+    for all the replications, each from its own ``substream(seed, phase, i)``
+    (one ``substreams`` call), so every row equals :func:`generate_dgp` on
+    that stream with the matching ``beta``; (x, u) are drawn once and
+    y = x beta + u per coefficient pair.
     """
     n = config.burn_in + config.T
-    eps = np.stack([substream(seed, phase, int(i)).standard_normal((n, 3)) for i in indices])
+    keys = np.column_stack([np.full_like(indices, phase), indices])
+    eps = np.stack([rng.standard_normal((n, 3)) for rng in substreams(seed, keys)])
     x, u = _dgp_paths(config, _garch(config, eps))
     y = np.stack([x @ np.asarray(beta, dtype=float) + u for beta in betas], axis=1)
     return FittedSample(y.reshape(-1, config.T), np.repeat(x, len(betas), axis=0), Deterministics.NONE)
@@ -206,10 +213,10 @@ def _checked(kind: str, named: list, values: list, phase: str, indices, per_rep:
 
 def _size_chunk(config: DgpConfig, tests: list, restriction: RestrictionSpec, seed: int, indices: np.ndarray):
     """Decisions (rows, K) of each named test j on the replications ``indices``,
-    from one call on the chunk's stacked fits with the seeds ``_test_seed(seed, 0, i, j)``."""
+    from one call on the chunk's stacked fits with the seeds ``_test_seeds(seed, 0, indices, K)[j]``."""
     fitted = _fitted_samples(config, seed, 0, indices, [config.beta])
-    decisions = [fn(fitted, restriction, [_test_seed(seed, 0, int(i), j) for i in indices])
-                 for j, (_, fn) in enumerate(tests)]  # fmt: skip
+    seeds = _test_seeds(seed, 0, indices, len(tests))
+    decisions = [fn(fitted, restriction, test_seeds) for (_, fn), test_seeds in zip(tests, seeds)]
     return _checked("test", tests, decisions, "null", indices)
 
 

@@ -1,9 +1,15 @@
 """Reproducible random number streams and the one replication driver.
 
 Every randomized routine in this package derives its generator from a
-master seed plus an integer key path. Replication ``i`` always sees the
-same stream regardless of how many workers execute the loop, which
-:func:`replication_map`, the one driver, runs in fixed chunks. When
+master seed plus an integer key path: the stream (seed, key) is numpy's
+``default_rng`` of the ``SeedSequence`` with entropy seed and ``spawn_key``
+key, bit for bit. The ``SeedSequence`` hash is fixed by numpy's
+stream-compatibility policy and its mixing is elementwise, so
+:func:`substreams` runs it once, vectorized, over a whole chunk of keys and
+seeds each row's ``PCG64`` from the words; :func:`substream` is its one-row
+case. Replication ``i`` always sees the same stream regardless of how many
+workers execute the loop, which :func:`replication_map`, the one driver,
+runs in fixed chunks. When
 ``threadpoolctl`` is installed, BLAS is also pinned to one thread inside
 replication work (threaded kernels can round differently from the
 single-threaded ones forked workers fall back to); ``BLAS_PINNED`` says
@@ -12,13 +18,15 @@ whether that pinning is active, and drivers record it with their results.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 try:  # pragma: no cover
     from threadpoolctl import threadpool_limits
@@ -38,11 +46,105 @@ except ImportError:
         yield
 
 
-__all__ = ["BLAS_PINNED", "substream", "pool_layout", "replication_map"]
+__all__ = ["BLAS_PINNED", "substream", "substreams", "pool_layout", "replication_map"]
+
+# numpy's SeedSequence: a pool of 4 uint32 words, hash constants advanced by
+# fixed multipliers on every call (independent of the data), a 16-bit xor-shift.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 1 << 32
+_OTHERS = [np.arange(_POOL) != i for i in range(_POOL)]
+
+
+@lru_cache
+def _constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """init * mult**j mod 2**32 for j = 0..n-1, and for j = 1..n: the
+    constants call j of the hash xors in and multiplies by (read-only, as cached)."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult % _WORD)
+    xor, mul = np.array(out[:-1], dtype=np.uint32), np.array(out[1:], dtype=np.uint32)
+    xor.flags.writeable = mul.flags.writeable = False
+    return xor, mul
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> 16)
+
+
+def _seed_words(seed: int, keys, n_words: int) -> np.ndarray:
+    """(c, n_words) uint32: row r is ``generate_state(n_words)`` of numpy's
+    ``SeedSequence`` with entropy ``seed`` and ``spawn_key=tuple(keys[r])``.
+
+    ``keys`` is (c, n_key) with entries in [0, 2**32), one word each; ``seed``
+    a nonnegative integer of any size, split into its 32-bit words. As in
+    numpy, the seed words are padded with zeros to the pool size when the key
+    is not empty, and entropy words beyond the pool are mixed in after it.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    keys = np.asarray(keys)
+    if keys.ndim != 2:
+        raise ValueError(f"need keys (c, n_key), got shape {keys.shape}")
+    if keys.size and keys.dtype.kind not in "iuO":
+        raise TypeError(f"stream keys must be integers, got dtype {keys.dtype}")
+    if (bad := keys[(keys < 0) | (keys >= _WORD)]).size:
+        raise ValueError(f"stream key entries must be integers in [0, 2**32), got {bad[0]}")
+    run = [seed % _WORD]
+    while seed := seed >> 32:
+        run.append(seed % _WORD)
+    if keys.shape[1]:
+        run += [0] * (_POOL - len(run))
+    n_entropy = len(run) + keys.shape[1]
+    entropy = np.zeros((keys.shape[0], max(n_entropy, _POOL)), dtype=np.uint32)
+    entropy[:, : len(run)], entropy[:, len(run) : n_entropy] = run, keys
+
+    # The calls in numpy's order: each entropy word into its pool word, every
+    # pool word into each other one, then each further entropy word into every
+    # pool word; only the mixing of pool words into one another is sequential.
+    xor, mul = _constants(_INIT_A, _MULT_A, _POOL * entropy.shape[1])
+    pool = _xorshift((entropy[:, :_POOL] ^ xor[:_POOL]) * mul[:_POOL])
+    for src, dst in enumerate(_OTHERS):
+        j = _POOL + (_POOL - 1) * src
+        hashed = _xorshift((pool[:, src, None] ^ xor[j : j + _POOL - 1]) * mul[j : j + _POOL - 1])
+        pool[:, dst] = _xorshift(_MIX_L * pool[:, dst] - _MIX_R * hashed)
+    extra = (entropy[:, _POOL:, None] ^ xor[_POOL**2 :].reshape(-1, _POOL)) * mul[_POOL**2 :].reshape(-1, _POOL)
+    for hashed in _xorshift(extra).swapaxes(0, 1):
+        pool = _xorshift(_MIX_L * pool - _MIX_R * hashed)
+    xor, mul = _constants(_INIT_B, _MULT_B, n_words)
+    return _xorshift((pool[:, np.arange(n_words) % _POOL] ^ xor) * mul)
+
+
+class _Words(ISeedSequence):
+    """One row's PCG64 seed words, handed to numpy's own PCG64 seeding, which
+    asks for them once, as ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def substreams(seed: int, keys) -> list[np.random.Generator]:
+    """The generators of the streams (seed, key) for each row of ``keys``
+    (c, n_key), from one vectorized :func:`_seed_words` call: row r's is
+    numpy's ``default_rng`` of the ``SeedSequence`` with entropy ``seed`` and
+    ``spawn_key=tuple(keys[r])``, bit for bit.
+
+    A negative seed or key entry, or a key entry of 2**32 or more, raises
+    :class:`ValueError`.
+    """
+    words = _seed_words(seed, keys, 8).astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in words]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Return the generator for the stream identified by (seed, key path).
+    """Return the generator for the stream identified by (seed, key path):
+    the one-row case of :func:`substreams`.
 
     Parameters
     ----------
@@ -52,7 +154,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         Integer path identifying the substream, e.g. a replication index,
         optionally followed by a retry counter.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    return substreams(seed, [key])[0]
 
 
 def _call_chunk(fn, n: int, size: int, chunk: int):

@@ -493,6 +493,27 @@ class TestDOls:
         assert np.isnan(fit.params[1]).all() and np.isnan(fit.moment_inv_beta[1]).all()
         assert not np.isnan(fit.beta[[0, 2]]).any() and not np.isnan(fit.moment_inv_beta[[0, 2]]).any()
 
+    def test_one_row_refit_rank_deficient_raises(self):
+        """Finite data: a jump of 1e15 in x at t = T makes x_t and v_t both about
+        1e15 e_T once equilibrated. The scan's common sample t = 2..T-1 does not
+        reach row T, so the widest design passes the rank rule and BIC picks
+        K = 0; the refit on t = 1..T fails it, and the one-row fit raises."""
+        from sncoint.estimators import _dols_design, _qr_solve
+
+        rng = np.random.default_rng(29)
+        x = np.cumsum(rng.standard_normal(60))
+        x[-1] = x[-2] + 1e15
+        s = CointegrationSample(y=x + rng.standard_normal(60), x=x[:, None])
+        fitted = FittedSample(s)
+        assert not _qr_solve(*_dols_design(fitted, 1, 2, 59))[3][0]
+        assert _qr_solve(*_dols_design(fitted, 0, 1, 60))[3][0]
+        stacked = FittedSample(s.y[None], s.x[None]).dols(1)
+        assert stacked.leads_lags[0] == 0 and np.isnan(stacked.params[0]).all()
+        with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
+            d_ols(s, max_leads_lags=1)
+        with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
+            fitted.dols(1)
+
     def test_rank_deficient_designs_raise(self):
         rng = np.random.default_rng(28)
         x1 = np.cumsum(rng.standard_normal(60))

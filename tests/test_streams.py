@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sncoint.streams import replication_map, substream
+from sncoint.montecarlo import _test_seeds
+from sncoint.streams import _seed_words, replication_map, substream, substreams
 
 
 def _draws(indices):
@@ -38,3 +39,83 @@ class TestReplicationMap:
         for (i1, d1), (i2, d2) in zip(serial, pooled):
             np.testing.assert_array_equal(i1, i2)
             np.testing.assert_array_equal(d1, d2)
+
+
+# One to five 32-bit words: 2**130 + 1 has more entropy words than the pool
+# even without a key, so numpy's loop over the extra words runs.
+SEEDS = [0, 5, 2**32 - 1, 2**32 + 5, 2**70 + 12345, 2**130 + 1]
+KEYS = {
+    "none": [()] * 3,
+    "index": [(i,) for i in range(7)],
+    "attempt0": [(i, 0) for i in range(7)],
+    "attempt1": [(i, 1) for i in range(7)],
+    "phase": [(phase, i) for phase in (0, 1) for i in range(4)],
+    "three": [(2, i, 7) for i in (0, 1, 2**32 - 1)],
+}
+
+
+def reference(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("keys", KEYS.values(), ids=KEYS.keys())
+    def test_states_equal_numpy_seed_sequence(self, seed, keys):
+        rngs = substreams(seed, keys)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            assert rng.bit_generator.state == reference(seed, key).bit_generator.state
+        for key in keys[:2]:
+            assert substream(seed, *key).bit_generator.state == reference(seed, key).bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_equal_generate_state(self, seed):
+        for keys in (KEYS["phase"], KEYS["three"], [(2**32 - 1, 0, 3, 4, 5)]):
+            for n_words in (1, 3, 8):
+                words = _seed_words(seed, np.array(keys), n_words)
+                assert words.dtype == np.uint32 and words.shape == (len(keys), n_words)
+                for key, row in zip(keys, words):
+                    expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(n_words)
+                    np.testing.assert_array_equal(row, expected)
+
+    def test_empty_key_array(self):
+        assert substreams(3, np.empty((0, 2), dtype=int)) == []
+        assert _seed_words(3, np.empty((0, 3), dtype=int), 1).shape == (0, 1)
+
+    def test_same_draws_as_one_row_calls(self):
+        keys = np.column_stack([np.arange(10), np.zeros(10, dtype=int)])
+        batch = [rng.integers(0, 96, size=50) for rng in substreams(7, keys)]
+        for (i, attempt), draws in zip(keys, batch):
+            np.testing.assert_array_equal(draws, substream(7, int(i), int(attempt)).integers(0, 96, size=50))
+
+    def test_test_seeds_equal_generate_state(self):
+        indices = np.arange(5, 12)
+        for seed, phase in ((0, 0), (2**40 + 3, 1)):
+            seeds = _test_seeds(seed, phase, indices, 3)
+            assert len(seeds) == 3 and all(len(s) == len(indices) for s in seeds)
+            for j, column in enumerate(seeds):
+                for i, value in zip(indices, column):
+                    ss = np.random.SeedSequence(seed, spawn_key=(phase, int(i), j))
+                    assert type(value) is int and value == int(ss.generate_state(1)[0])
+
+    @pytest.mark.parametrize(
+        "seed, key, value",
+        [(-1, (3,), "-1"),
+         (4, (-2,), "-2"),
+         (4, (1, -7), "-7"),
+         (4, (2**32,), str(2**32)),
+         (4, (0, 2**70), str(2**70))],
+        ids=["negative-seed", "negative-key", "negative-second-key", "key-2**32", "key-2**70"],
+    )  # fmt: skip
+    def test_out_of_range_raises_naming_the_value(self, seed, key, value):
+        with pytest.raises(ValueError, match=value):
+            substream(seed, *key)
+        with pytest.raises(ValueError, match=value):
+            substreams(seed, [key])
+
+    def test_keys_must_be_integers(self):
+        with pytest.raises(TypeError):
+            substreams(1, [[1.5]])
+        with pytest.raises(TypeError):
+            substream(1.5, 2)

@@ -4,8 +4,10 @@ leaves every number bit-identical.
 Covers the stacked and one-row fits (static OLS, IM-OLS, the long-run
 covariance, FM-OLS and D-OLS), the five statistics on a stack, a size
 study, a four-statistic size-adjusted power study, ``run_analysis``,
-``bootstrap_test`` for each bootstrap statistic and
-``simulate_critical_values`` for a panel with and without deterministics.
+``bootstrap_test`` for each bootstrap statistic,
+``simulate_critical_values`` for a panel with and without deterministics,
+and the generator states of ``substream`` over seeds of one to five 32-bit
+words and key paths of length 0 to 3.
 Wall time and a study's layout (chunk size, task and process counts) are
 left out, so the digest measures results only.
 
@@ -30,6 +32,7 @@ import numpy as np  # noqa: E402
 
 import sncoint as sn  # noqa: E402
 from sncoint.selfnorm import traditional_statistic  # noqa: E402
+from sncoint.streams import substream  # noqa: E402
 
 # Wall time and how a study was split into tasks: not results.
 RUN_LAYOUT = {"runtime_s", "chunk_size", "tasks", "processes"}
@@ -135,12 +138,19 @@ def part_critvals() -> list:
             for m, det in ((1, sn.Deterministics.NONE), (2, sn.Deterministics.INTERCEPT))]  # fmt: skip
 
 
+def part_streams() -> list:
+    keys = [()] + [key for i in range(3) for key in ((i,), (i, 0), (i, 1), (0, i), (1, i), (2, i, 7))]
+    return [substream(seed, *key).bit_generator.state
+            for seed in (0, 5, 2**32 - 1, 2**32 + 5, 2**70 + 12345, 2**130 + 1) for key in keys]  # fmt: skip
+
+
 PARTS = {
     "fits": part_fits,
     "statistics": part_statistics,
     "studies": part_studies,
     "analysis": part_analysis,
     "critvals": part_critvals,
+    "streams": part_streams,
 }
 
 
