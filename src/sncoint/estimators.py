@@ -77,16 +77,27 @@ def _qr_solve(y: np.ndarray, X: np.ndarray):
     the SSRs on X's first j columns), Xs and R^{-1}. A row is degenerate where a
     column of X is zero or not finite, y is not finite, or the rank rule fails:
     the least of R's k singular values (those of Xs) is not above _RANK_RCOND
-    times the largest. It is solved as zeros with R = I and gets NaN theta and root."""
-    k = X.shape[2]
+    times the largest. It is solved as zeros with R = I and gets NaN theta and root.
+
+    [Xs, y] is written time-contiguous, into one (c, k + r, T) buffer, so the
+    equilibrating divide runs along time rather than over rows of k; the QR
+    reads its (c, T, k + r) transposed view, which LAPACK receives as the same
+    Fortran matrix, and Xs is returned as that view. The norms are summed over
+    X as the callers build it, row-major (c, T, k): there einsum adds in time
+    order (k > 1) or takes its contiguous path (k = 1), and summed over the
+    time-contiguous buffer they would round differently."""
+    c, T, k = X.shape
     Y = y if y.ndim == 3 else y[:, :, None]
     norms = np.sqrt(np.einsum("ctj,ctj->cj", X, X))
     degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(Y).all(axis=(1, 2)))
-    if degenerate.any():  # masking costs more than the QR of one short row, so only when needed
+    if masked := degenerate.any():  # masking costs more than the QR of one short row, so only when needed
         norms[degenerate] = 1.0
-        X, Y = (np.where(degenerate[:, None, None], 0.0, a) for a in (X, Y))
-    Xs = X / norms[:, None, :]
-    Raug = np.linalg.qr(np.concatenate([Xs, Y], axis=2), mode="r")
+    aug = np.empty((c, k + Y.shape[2], T))
+    np.divide(X.transpose(0, 2, 1), norms[:, :, None], out=aug[:, :k])
+    aug[:, k:] = Y.transpose(0, 2, 1)
+    if masked:
+        aug[degenerate] = 0.0
+    Raug = np.linalg.qr(aug.transpose(0, 2, 1), mode="r")
     R = Raug[:, :k, :k]
     sv = np.linalg.svd(R, compute_uv=False)
     degenerate |= ~((sv.shape[1] == k) & (sv[:, -1] > _RANK_RCOND * sv[:, 0]))
@@ -97,6 +108,7 @@ def _qr_solve(y: np.ndarray, X: np.ndarray):
     root = Rinv / norms[:, :, None]
     if masked:
         theta[degenerate] = root[degenerate] = np.nan
+    Xs = aug[:, :k].transpose(0, 2, 1)
     return theta if y.ndim == 3 else theta[:, :, 0], norms, root, degenerate, Raug[:, :, k:], Xs, Rinv
 
 
@@ -170,13 +182,6 @@ class ImOlsFit:
         return slice(self.n_det, self.n_det + self.n_reg)
 
 
-def _augmented(x: np.ndarray, det: Deterministics) -> np.ndarray:
-    """Z = [cumsum(d), cumsum(x), x] for levels ``x`` of shape (..., T, m)."""
-    Sd = np.cumsum(build_deterministics(det, x.shape[-2]), axis=0)
-    Sd = np.broadcast_to(Sd, x.shape[:-1] + Sd.shape[-1:])
-    return np.concatenate([Sd, np.cumsum(x, axis=-2), x], axis=-1)
-
-
 def batch_rows(T: int, width: int) -> int:
     """Rows per batch so that one (rows, T, width) array holds about 2^17
     elements (1 MiB); depends on the shape only, never on workers. Bootstrap
@@ -184,11 +189,27 @@ def batch_rows(T: int, width: int) -> int:
     return max(1, _BATCH_ELEMENTS // (T * width))
 
 
+def _set_columns(out: np.ndarray, a: np.ndarray) -> None:
+    """``out[..., j] = a[..., j]`` for each column j of a row-major (..., T, k)
+    ``out``, one copy per column: a single copy would loop innermost over the
+    k columns, several times slower than over time."""
+    for j in range(out.shape[-1]):
+        out[..., j] = a[..., j]
+
+
 def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     """IM-OLS of each row of ``y`` (c, T) on the levels ``x`` (c, T, m).
 
     Rows :func:`im_ols` would reject as collinear have NaN ``params``,
     ``resid``, ``scaled_cov`` and ``root``.
+
+    Z is built row-major, (c, T, k) C-contiguous, and returned as
+    ``regressors``; the kernel sums its column norms over it. The equilibrated
+    Zs is the kernel's time-contiguous view, and the reversed partial sums C
+    and Y = C R^{-1} are built time-contiguous too, as (c, k, T), so each pass
+    over them runs along time. The fitted values Zs theta are taken from a
+    row-major copy of Zs: BLAS sums a row's k products in another order when
+    the matrix is time-contiguous.
     """
     # The kernel's stacked QR of the equilibrated [Z, Sy] yields R^{-1}.
     # The sandwich (Z'Z)^{-1} (C'C) (Z'Z)^{-1}, with C the reversed partial
@@ -196,18 +217,34 @@ def im_ols_batch(y: np.ndarray, x: np.ndarray, det: Deterministics) -> ImOlsFit:
     # error then scales with the condition number of R rather than of the
     # Gram matrix, which raw partial-sum columns push beyond float64 for
     # long samples. Degenerate rows get a NaN sandwich.
-    Z = _augmented(x, det)
+    c, T, m = x.shape
+    p = det.n_columns
+    k = p + 2 * m
+    Z = np.empty((c, T, k))
+    _set_columns(Z[:, :, :p], np.cumsum(build_deterministics(det, T), axis=0))
+    np.cumsum(x, axis=1, out=Z[:, :, p : p + m])
+    _set_columns(Z[:, :, p + m :], x)
     Sy = np.cumsum(y, axis=1)
     theta, norms, root, degenerate, _, Zs, Rinv = _qr_solve(Sy, Z)
-    c, _, k = Z.shape
-    SZ = np.cumsum(Zs, axis=1)
-    C = SZ[:, -1:] - np.concatenate([np.zeros((c, 1, k)), SZ[:, :-1]], axis=1)
-    Y = C @ Rinv
-    V = Rinv @ (Y.transpose(0, 2, 1) @ Y) @ Rinv.transpose(0, 2, 1)
+    # A fresh array this large is paged in anew on every call, at about the cost
+    # of a pass over it, so buffers are reused once read: the residuals go into
+    # Sy, C into the row-major copy of Zs, and Y into Zs.
+    Zr = np.empty((c, T, k))
+    _set_columns(Zr, Zs)
+    resid = np.subtract(Sy, (Zr @ theta[:, :, None])[:, :, 0], out=Sy)
+    # C_t = SZ_T - SZ_{t-1}, SZ the partial sums of Zs and SZ_0 = 0, in one buffer:
+    # SZ_1..SZ_{T-1} go to columns 1..T-1, SZ_T = SZ_{T-1} + Zs_T (cumsum's own
+    # last step) to column 0, and columns 1..T-1 are then subtracted from it in place.
+    Zt = Zs.transpose(0, 2, 1)
+    C = Zr.reshape(c, k, T)
+    np.cumsum(Zt[:, :, :-1], axis=2, out=C[:, :, 1:])
+    np.add(C[:, :, -1], Zt[:, :, -1], out=C[:, :, 0])
+    np.subtract(C[:, :, :1], C[:, :, 1:], out=C[:, :, 1:])
+    Y = np.matmul(Rinv.transpose(0, 2, 1), C, out=Zt)
+    V = Rinv @ (Y @ Y.transpose(0, 2, 1)) @ Rinv.transpose(0, 2, 1)
     V = 0.5 * (V + V.transpose(0, 2, 1)) / (norms[:, :, None] * norms[:, None, :])
     V[degenerate] = np.nan
-    resid = Sy - (Zs @ theta[:, :, None])[:, :, 0]
-    return ImOlsFit(theta / norms, Z, resid, V, root, n_det=det.n_columns, n_reg=x.shape[2])
+    return ImOlsFit(theta / norms, Z, resid, V, root, n_det=p, n_reg=m)
 
 
 def im_ols(sample: CointegrationSample | FittedSample) -> ImOlsFit:

@@ -115,6 +115,16 @@ class TestQrSolve:
                 resid = ols(y[i], X[i, :, :j]).resid
                 assert tails[j] == pytest.approx(resid @ resid, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equilibrated_columns_are_the_row_major_quotient(self, k):
+        from sncoint.estimators import _qr_solve
+
+        rng = np.random.default_rng(34 + k)
+        X = np.cumsum(rng.standard_normal((4, 50, k)), axis=1) * np.array([1.0, 1e3, 1e-3])[:k]
+        Xs = _qr_solve(rng.standard_normal((4, 50)), X)[5]
+        assert Xs.shape == X.shape
+        np.testing.assert_array_equal(Xs, X / np.sqrt(np.einsum("ctj,ctj->cj", X, X))[:, None, :])
+
 
 class TestImOls:
     def test_noiseless_recovers_beta_exactly(self):
@@ -203,6 +213,33 @@ class TestImOlsBatch:
             np.testing.assert_allclose(batch.root[i], fit.root, rtol=1e-9)
         assert np.isnan(batch.params[-1]).all() and np.isnan(batch.scaled_cov[-1]).all()
         assert np.isnan(batch.root[-1]).all()
+
+    @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.INTERCEPT, Deterministics.TREND])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_input_layout_does_not_matter(self, m, det):
+        """A strided y and an x sliced from a wider array or Fortran-ordered
+        give the fit of their contiguous copies bit for bit, on healthy and
+        degenerate rows alike, with C-contiguous (c, T, k) regressors."""
+        from sncoint.estimators import im_ols_batch
+
+        c, T = 5, 60
+        rng = np.random.default_rng(10 * m + det.n_columns)
+        y = rng.standard_normal((c, 2 * T))[:, ::2]
+        x = np.cumsum(rng.standard_normal((c, T, m + 2)), axis=1)[:, :, 1 : m + 1]
+        x[1, :, 0] = 0.0  # a zero regressor
+        y[2, 7] = np.nan
+        if m > 1:
+            x[3, :, 1] = 2.0 * x[3, :, 0]  # a collinear pair
+        expected = im_ols_batch(np.ascontiguousarray(y), np.ascontiguousarray(x), det)
+        assert np.isnan(expected.params[[1, 2] + [3] * (m > 1)]).all()
+        assert not np.isnan(expected.params[[0, 4]]).any()
+        for x_in in (x, np.asfortranarray(x)):
+            assert not x_in.flags.c_contiguous
+            fit = im_ols_batch(y, x_in, det)
+            for name in ("params", "regressors", "resid", "scaled_cov", "root"):
+                np.testing.assert_array_equal(getattr(fit, name), getattr(expected, name), err_msg=name)
+            assert fit.regressors.flags.c_contiguous
+            assert fit.regressors.shape == (c, T, det.n_columns + 2 * m)
 
 
 class TestScaledVariance:

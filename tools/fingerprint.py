@@ -6,8 +6,10 @@ covariance, FM-OLS and D-OLS), the five statistics on a stack, a size
 study, a four-statistic size-adjusted power study, ``run_analysis``,
 ``bootstrap_test`` for each bootstrap statistic,
 ``simulate_critical_values`` for a panel with and without deterministics,
-and the generator states of ``substream`` over seeds of one to five 32-bit
-words and key paths of length 0 to 3.
+the generator states of ``substream`` over seeds of one to five 32-bit
+words and key paths of length 0 to 3, ``simulate_limit_components`` and
+``local_power`` on short walks, and ``im_ols_batch`` on a strided y and an
+x sliced from a wider array.
 Wall time and a study's layout (chunk size, task and process counts) are
 left out, so the digest measures results only.
 
@@ -31,6 +33,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 import sncoint as sn  # noqa: E402
+from sncoint.asymptotics import simulate_limit_components  # noqa: E402
+from sncoint.estimators import im_ols_batch  # noqa: E402
 from sncoint.selfnorm import traditional_statistic  # noqa: E402
 from sncoint.streams import substream  # noqa: E402
 
@@ -144,6 +148,23 @@ def part_streams() -> list:
             for seed in (0, 5, 2**32 - 1, 2**32 + 5, 2**70 + 12345, 2**130 + 1) for key in keys]  # fmt: skip
 
 
+def part_limit() -> list:
+    return [simulate_limit_components(m, s, n_grid=300, reps=200, seed=11) for m, s in ((1, 1), (3, 2))] + [
+        sn.local_power([0.0, 5.0, 10.0], reps=200, seed=12, n_grid=300)
+    ]
+
+
+def part_layout() -> list:
+    rng = np.random.default_rng(13)
+    out = []
+    for m, det in ((1, sn.Deterministics.NONE), (2, sn.Deterministics.INTERCEPT), (3, sn.Deterministics.TREND)):
+        y, x = stack(rng, 5, 90, m, det)
+        wide_y, wide_x = np.zeros((5, 180)), np.zeros((5, 90, m + 2))
+        wide_y[:, ::2], wide_x[:, :, 1:-1] = y, x
+        out.append(im_ols_batch(wide_y[:, ::2], wide_x[:, :, 1:-1], det))
+    return out
+
+
 PARTS = {
     "fits": part_fits,
     "statistics": part_statistics,
@@ -151,6 +172,8 @@ PARTS = {
     "analysis": part_analysis,
     "critvals": part_critvals,
     "streams": part_streams,
+    "limit": part_limit,
+    "layout": part_layout,
 }
 
 
