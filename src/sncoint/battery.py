@@ -186,7 +186,7 @@ def _bootstrap_test(statistic, kernel, config, fitted, restriction, seeds) -> np
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
     return np.array([
         np.nan if np.isnan(obs) else bootstrap_test(CointegrationSample(y, x, fitted.det), restriction,
-                                                    replace(config, seed=seed), statistic, kernel).reject
+                                                    replace(config, seed=seed, workers=1), statistic, kernel).reject
         for y, x, seed, obs in zip(fitted.y, fitted.x, seeds, observed)
     ])  # fmt: skip
 
@@ -202,7 +202,8 @@ def standard_battery(
     ``fitted`` is a stacked :class:`~sncoint.estimators.FittedSample` whose
     fits the tests share, ``seeds`` one integer per row, and the decisions
     one per row: 1 reject, 0 not, NaN where the sample is degenerate. Only
-    the bootstrap tests run per row, each from its row's seed.
+    the bootstrap tests run per row, each from its row's seed, in the study's
+    own processes: ``boot.workers`` does not apply inside a battery.
 
     Recognized tags: ``SN-asymptotic``, ``SN-bootstrap``, ``Wald-IM``,
     ``Wald-FM``, ``Wald-D``, ``Wald-IM-bootstrap``, ``tau1-bootstrap``.

@@ -19,7 +19,7 @@ substream and discarded if still degenerate. Every draw keeps its own
 substream keyed by (seed, replication index, attempt), all of a chunk's
 from one :func:`~sncoint.streams.substreams` call, and the chunking
 depends only on the sample shape, so results match at any worker count.
-The draws do depend on the chunk size: the VAR product spans its rows.
+A draw's last bits do depend on the chunk size: the VAR product spans its rows.
 """
 
 from __future__ import annotations
@@ -265,8 +265,10 @@ def generate_bootstrap_batch(
     from the centered residual pool, from its own substream (seed, i,
     attempt); one ``substreams`` call gives the batch's streams. The
     recursion starts from zeros and advances all draws L =
-    _BLOCK steps per product with the model's ``block_map``; L is fixed, so
-    no draw's bits depend on the chunk size or worker count. The last T
+    _BLOCK steps per product with the model's ``block_map``. BLAS can round
+    a row of that product differently by the batch's row count and the
+    row's place in it, so a draw's last bits depend on how the draws are
+    split into batches, never on the other draws in its batch. The last T
     steps are kept: the regressors are partial sums of the simulated
     innovations and y uses the restricted coefficient vector, so the null
     holds exactly. Returns ``y`` (c, T) and ``x`` (c, T, m).
@@ -301,8 +303,9 @@ def generate_bootstrap_sample(
     replication_index: int,
     attempt: int = 0,
 ) -> CointegrationSample:
-    """One regenerated sample: draw ``replication_index`` of
-    :func:`generate_bootstrap_batch`."""
+    """One regenerated sample: :func:`generate_bootstrap_batch` of the one
+    draw ``replication_index``, which can differ in the last bits from that
+    draw in a larger batch."""
     y, x = generate_bootstrap_batch(
         model, T, beta_restricted, det, delta, config, np.array([replication_index]), attempt
     )

@@ -118,8 +118,10 @@ def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
     Raises :class:`numpy.linalg.LinAlgError` when ``X`` is rank deficient or the data are not finite.
     """
     y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     X = X[:, None] if X.ndim == 1 else X
+    if X.shape[0] < X.shape[1]:
+        raise np.linalg.LinAlgError(_DEFICIENT)
     theta, norms, root, degenerate, *_ = _qr_solve(y[None], X[None])
     if degenerate[0]:
         raise np.linalg.LinAlgError(_DEFICIENT)

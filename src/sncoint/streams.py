@@ -9,42 +9,31 @@ stream-compatibility policy and its mixing is elementwise, so
 seeds each row's ``PCG64`` from the words; :func:`substream` is its one-row
 case. Replication ``i`` always sees the same stream regardless of how many
 workers execute the loop, which :func:`replication_map`, the one driver,
-runs in fixed chunks. When
-``threadpoolctl`` is installed, BLAS is also pinned to one thread inside
-replication work (threaded kernels can round differently from the
-single-threaded ones forked workers fall back to); ``BLAS_PINNED`` says
-whether that pinning is active, and drivers record it with their results.
+runs in fixed chunks. Its pool workers run numpy's bundled OpenBLAS on
+one thread (a worker otherwise keeps the parent's thread count, and
+threaded kernels can round differently and crowd the cores);
+``BLAS_PINNED`` says whether that OpenBLAS was found, and drivers record
+it with their results. An in-process run leaves the caller's BLAS as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-try:  # pragma: no cover
-    from threadpoolctl import threadpool_limits
-
-    BLAS_PINNED = True
-
-    @contextmanager
-    def _single_threaded_blas():
-        with threadpool_limits(limits=1):
-            yield
-
-except ImportError:
-    BLAS_PINNED = False
-
-    @contextmanager
-    def _single_threaded_blas():
-        yield
-
+# The OpenBLAS numpy's wheel ships, and its thread-count setter by its name in numpy 2, then 1.x.
+_DLLS = [ctypes.CDLL(lib) for lib in glob.glob(os.path.join(np.__path__[0] + ".libs", "*openblas*"))]
+_SET_THREADS = next((getattr(dll, name) for dll in _DLLS for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_") if hasattr(dll, name)), None)  # fmt: skip
+BLAS_PINNED = _SET_THREADS is not None
 
 __all__ = ["BLAS_PINNED", "substream", "substreams", "pool_layout", "replication_map"]
 
@@ -158,8 +147,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _call_chunk(fn, n: int, size: int, chunk: int):
-    with _single_threaded_blas():
-        return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
+    return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
+
+
+def _pin_blas() -> None:
+    """Pool worker initializer: numpy's OpenBLAS on one thread, where found."""
+    if BLAS_PINNED:
+        _SET_THREADS(1)
 
 
 def pool_layout(n: int, size: int, workers: int) -> tuple[int, int]:
@@ -181,5 +175,5 @@ def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, worke
     task, (chunks, workers) = partial(_call_chunk, fn, n, size), pool_layout(n, size, workers)
     if workers == 1:
         return [task(chunk) for chunk in range(chunks)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         return list(pool.map(task, range(chunks), chunksize=max(1, chunks // (8 * workers))))

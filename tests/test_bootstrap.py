@@ -320,6 +320,23 @@ class TestBlockedRecursion:
         w = _blocked_w(model, cfg, np.arange(8), T)
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("T", [100, 1000])
+    @pytest.mark.parametrize("rows", [2, 3, 7, 50])
+    def test_draw_does_not_depend_on_its_batch_companions(self, T, rows):
+        # BLAS may round a row of the VAR product by the batch's row count
+        # and the row's place in it, but never by the other rows' values
+        rng = substream(133, 0)
+        w = rng.standard_normal((300, 3))
+        w[1:] += 0.5 * w[:-1]
+        model = yule_walker(w, 2)
+        args = (model, T, np.ones(2), Deterministics.NONE, np.array([]), BootstrapConfig(n_boot=199, seed=5))
+        half = rows // 2
+        y, x = generate_bootstrap_batch(*args, np.arange(rows))
+        y2, x2 = generate_bootstrap_batch(*args, np.r_[np.arange(half), 1000 + np.arange(rows - half)])
+        np.testing.assert_array_equal(y2[:half], y[:half])
+        np.testing.assert_array_equal(x2[:half], x[:half])
+        assert not np.array_equal(y2[half:], y[half:])
+
     def test_map_built_once_per_sieve_fit(self, count_calls):
         from sncoint.estimators import batch_rows
 

@@ -79,6 +79,18 @@ class TestOls:
         with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
             ols(np.arange(10.0), X)
 
+    def test_fewer_rows_than_columns(self):
+        with pytest.raises(np.linalg.LinAlgError, match="regressor matrix is rank deficient"):
+            ols(np.ones(2), np.arange(6.0).reshape(2, 3))
+
+    def test_memory_order_does_not_change_the_bits(self):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((50, 3))
+        y = rng.standard_normal(50)
+        c, f = ols(y, X), ols(y, np.asfortranarray(X))
+        np.testing.assert_array_equal(f.params, c.params)
+        np.testing.assert_array_equal(f.resid, c.resid)
+
     def test_root_factors_inverse_moments(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((30, 3)) * [1.0, 1e3, 1e-3]

@@ -24,7 +24,7 @@ from sncoint import (
     traditional_wald,
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
-from sncoint import montecarlo
+from sncoint import montecarlo, streams
 from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, replication_map, substream
 
@@ -149,6 +149,26 @@ class TestSizeExperiment:
         runs = [size_experiment(config, battery, reps=60, seed=13, workers=w) for w in (1, 4)]
         assert [r.meta["processes"] for r in runs] == [1, min(4, os.cpu_count() or 1)]
         assert runs[0].rates == runs[1].rates
+
+    def test_bootstrap_battery_opens_no_pool_inside_a_study(self, monkeypatch):
+        # 199 draws at T = 200 are two bootstrap chunks, a pool of two at boot.workers=2
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool opened inside the study")
+
+        config = DgpConfig(T=200, rho1=0.6, rho2=0.6)
+        decisions = {}
+        for workers in (1, 2):
+            test = standard_battery(["SN-bootstrap"], boot=BootstrapConfig(n_boot=199, workers=workers))["SN-bootstrap"]
+
+            def logged(fitted, restriction, seeds, test=test, log=decisions.setdefault(workers, [])):
+                log.append(test(fitted, restriction, seeds))
+                return log[-1]
+
+            if workers == 2:
+                monkeypatch.setattr(streams, "ProcessPoolExecutor", no_pool)
+            result = size_experiment(config, {"SN-bootstrap": logged}, reps=6, seed=23)
+            assert result.meta["processes"] == 1
+        np.testing.assert_array_equal(np.concatenate(decisions[2]), np.concatenate(decisions[1]))
 
     def test_result_metadata(self):
         result = size_experiment(DgpConfig(T=50), {"coin": coin_flip_test}, reps=50, seed=14)

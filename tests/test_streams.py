@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+from sncoint import streams
 from sncoint.montecarlo import _test_seeds
-from sncoint.streams import _seed_words, replication_map, substream, substreams
+from sncoint.streams import BLAS_PINNED, _seed_words, replication_map, substream, substreams
 
 
 def _draws(indices):
@@ -39,6 +42,24 @@ class TestReplicationMap:
         for (i1, d1), (i2, d2) in zip(serial, pooled):
             np.testing.assert_array_equal(i1, i2)
             np.testing.assert_array_equal(d1, d2)
+
+    @pytest.mark.skipif(not BLAS_PINNED, reason="numpy's bundled OpenBLAS not found")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: no pool")
+    def test_pool_workers_run_blas_on_one_thread(self):
+        before = _blas_threads()
+        streams._SET_THREADS(2)
+        try:
+            assert replication_map(_blas_threads, 4, 1, 2) == [1] * 4
+            assert _blas_threads() == 2
+        finally:
+            streams._SET_THREADS(before)
+        assert _blas_threads() == before
+
+
+def _blas_threads(indices=None) -> int:
+    """This process's thread count of numpy's bundled OpenBLAS."""
+    (dll,) = streams._DLLS
+    return getattr(dll, streams._SET_THREADS.__name__.replace("_set_", "_get_"))()
 
 
 # One to five 32-bit words: 2**130 + 1 has more entropy words than the pool
