@@ -339,6 +339,7 @@ def _cmd_simulate(args) -> int:
         "tasks": result.meta["tasks"],
         "processes": result.meta["processes"],
         "blas_pinned": result.meta["blas_pinned"],
+        "memory_retained": result.meta["memory_retained"],
         "version": __version__,
         "results_csv": out_path,
     }

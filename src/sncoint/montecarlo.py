@@ -39,7 +39,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .estimators import FittedSample, RestrictionSpec
-from .streams import BLAS_PINNED, _seed_words, pool_layout, replication_map, substreams
+from .streams import BLAS_PINNED, MEMORY_RETAINED, _seed_words, pool_layout, replication_map, substreams
 from .timeseries import CointegrationSample, Deterministics
 
 __all__ = [
@@ -245,6 +245,7 @@ def _run_chunks(task, reps: int, workers: int, T: int, rows: int) -> tuple[np.nd
         "tasks": tasks,
         "processes": processes,
         "blas_pinned": BLAS_PINNED,
+        "memory_retained": MEMORY_RETAINED,
     }
 
 

@@ -6,8 +6,6 @@ the stated replication counts. Total runtime is a few minutes on two
 cores.
 """
 
-import os
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -36,9 +34,9 @@ from sncoint import (
     yule_walker,
 )
 from sncoint.bootstrap import companion_spectral_radius
-from sncoint.streams import substream
+from sncoint.streams import _cores, substream
 
-WORKERS = min(8, os.cpu_count() or 1)
+WORKERS = min(8, _cores())
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -325,7 +323,7 @@ def test_criterion_11_determinism_across_workers(chunks_of_8):
     size_rates = [run.rates for run in size_runs]
     # chunks of 8 make the 24 replications 3 tasks, so workers 4 and 8 run them on a pool
     processes = [run.meta["processes"] for run in size_runs]
-    assert processes == [1] + [min(3, os.cpu_count() or 1)] * 2, processes
+    assert processes == [1] + [min(3, _cores())] * 2, processes
 
     boot_ok = boot_outcomes[0] == boot_outcomes[1] == boot_outcomes[2]
     size_ok = size_rates[0] == size_rates[1] == size_rates[2]

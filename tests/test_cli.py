@@ -376,6 +376,7 @@ class TestCommandLine:
         assert manifest["reps"] == 30
         assert manifest["chunk_size"] == 8 and manifest["tasks"] == 4
         assert manifest["blas_pinned"] is sncoint.streams.BLAS_PINNED
+        assert manifest["memory_retained"] is sncoint.streams.MEMORY_RETAINED
 
     def test_simulate_manifest_records_the_pool(self, tmp_path):
         config = {"kind": "size", "T": 100, "reps": 200, "seed": 2, "workers": 2, "tests": ["SN-asymptotic"]}
@@ -384,7 +385,7 @@ class TestCommandLine:
         assert main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "rates.csv")]) == 0
         manifest = json.loads((tmp_path / "rates_manifest.json").read_text())
         assert (manifest["chunk_size"], manifest["tasks"]) == (25, 8)
-        assert manifest["processes"] == min(2, os.cpu_count() or 1)
+        assert manifest["processes"] == min(2, sncoint.streams._cores())
 
     def test_simulate_power_command(self, tmp_path):
         config = {

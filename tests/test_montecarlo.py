@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from sncoint import (
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
 from sncoint import montecarlo, streams
 from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
-from sncoint.streams import BLAS_PINNED, replication_map, substream
+from sncoint.streams import BLAS_PINNED, MEMORY_RETAINED, _cores, replication_map, substream
 
 
 class TestGarchInnovations:
@@ -147,7 +146,7 @@ class TestSizeExperiment:
         battery = standard_battery(["SN-asymptotic"])
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
         runs = [size_experiment(config, battery, reps=60, seed=13, workers=w) for w in (1, 4)]
-        assert [r.meta["processes"] for r in runs] == [1, min(4, os.cpu_count() or 1)]
+        assert [r.meta["processes"] for r in runs] == [1, min(4, _cores())]
         assert runs[0].rates == runs[1].rates
 
     def test_bootstrap_battery_opens_no_pool_inside_a_study(self, monkeypatch):
@@ -178,6 +177,7 @@ class TestSizeExperiment:
         assert "runtime_s" in result.meta
         assert result.meta["chunk_size"] == 25 and result.meta["tasks"] == 2
         assert result.meta["blas_pinned"] is BLAS_PINNED
+        assert result.meta["memory_retained"] is MEMORY_RETAINED
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, monkeypatch, workers):
@@ -306,7 +306,7 @@ SIZE_GOLDEN_RATES = {
 def assert_pool(meta, workers):
     """The study ran several tasks, on as many processes as the host allows."""
     assert meta["tasks"] > 1
-    assert meta["processes"] == min(workers, meta["tasks"], os.cpu_count() or 1)
+    assert meta["processes"] == min(workers, meta["tasks"], _cores())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -375,7 +375,7 @@ class TestChunkRule:
         runs = [size_adjusted_power(DgpConfig(T=100), stats, self.BENCH_GRID, reps=100, seed=1, workers=w)
                 for w in (1, 2)]  # fmt: skip
         assert [(r.meta["chunk_size"], r.meta["tasks"]) for r in runs] == [(25, 4), (25, 4)]
-        assert [r.meta["processes"] for r in runs] == [1, min(2, os.cpu_count() or 1)]
+        assert [r.meta["processes"] for r in runs] == [1, min(2, _cores())]
         assert runs[0].rates["SN"].tolist() == runs[1].rates["SN"].tolist()
         assert runs[0].meta["adjusted_critical_values"] == runs[1].meta["adjusted_critical_values"]
 

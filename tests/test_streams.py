@@ -1,11 +1,23 @@
 import os
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from sncoint import streams
 from sncoint.montecarlo import _test_seeds
-from sncoint.streams import BLAS_PINNED, _seed_words, replication_map, substream, substreams
+from sncoint.streams import (
+    BLAS_PINNED,
+    MEMORY_RETAINED,
+    _cores,
+    _seed_words,
+    pool_layout,
+    replication_map,
+    substream,
+    substreams,
+)
 
 
 def _draws(indices):
@@ -44,7 +56,7 @@ class TestReplicationMap:
             np.testing.assert_array_equal(d1, d2)
 
     @pytest.mark.skipif(not BLAS_PINNED, reason="numpy's bundled OpenBLAS not found")
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: no pool")
+    @pytest.mark.skipif(_cores() < 2, reason="one core: no pool")
     def test_pool_workers_run_blas_on_one_thread(self):
         before = _blas_threads()
         streams._SET_THREADS(2)
@@ -60,6 +72,119 @@ def _blas_threads(indices=None) -> int:
     """This process's thread count of numpy's bundled OpenBLAS."""
     (dll,) = streams._DLLS
     return getattr(dll, streams._SET_THREADS.__name__.replace("_set_", "_get_"))()
+
+
+def test_pool_layout_counts_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_layout(100, 10, 4) == (10, 1)
+
+
+ARRAY_BYTES = 48_000_000
+PAGES = ARRAY_BYTES // resource.getpagesize()
+
+
+def _fresh_array(indices=None) -> int:
+    """Minor page faults of allocating, touching and freeing one 48 MB array
+    (a bytearray, which is zeroed on allocation; numpy would ask for huge pages)."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    len(bytearray(ARRAY_BYTES))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _after_inner_loop(indices) -> int:
+    replication_map(len, 1, 1)
+    return _fresh_array()
+
+
+def _second_array(indices) -> int:
+    _fresh_array()
+    return _fresh_array()
+
+
+def _loops() -> None:
+    for _ in range(500):
+        replication_map(len, 2, 1)
+
+
+def _raise_after_array(indices):
+    _fresh_array()
+    raise ValueError("chunk failed")
+
+
+class TestMemoryRetention:
+    """Freed memory stays in the process while a replication loop runs,
+    seen in the loop's minor page faults, and is handed back after."""
+
+    pytestmark = pytest.mark.skipif(not MEMORY_RETAINED, reason="glibc's mallopt not found")
+
+    def assert_handed_back(self):
+        assert streams._depth == 0
+        assert _fresh_array() > 0.9 * PAGES
+
+    def test_in_process_chunks_reuse_pages(self):
+        assert sum(replication_map(_fresh_array, 4, 1)) < 1.5 * PAGES
+        self.assert_handed_back()
+
+    def test_handed_back_when_a_chunk_raises(self):
+        with pytest.raises(ValueError, match="chunk failed"):
+            replication_map(_raise_after_array, 2, 1)
+        self.assert_handed_back()
+
+    def test_nested_loop_keeps_the_outer_retention(self):
+        assert sum(replication_map(_after_inner_loop, 4, 1)) < 1.5 * PAGES
+        self.assert_handed_back()
+
+    @pytest.mark.skipif(_cores() < 2, reason="one core: no pool")
+    def test_pool_workers_retain(self):
+        assert pool_layout(2, 1, 2) == (2, 2)
+        assert max(replication_map(_second_array, 2, 1, 2)) < 0.5 * PAGES
+
+
+class TestMemoryRetentionSwitch:
+    def fake_allocator(self, monkeypatch, retained: bool, verdict: int) -> list:
+        calls = []
+        monkeypatch.setattr(streams, "MEMORY_RETAINED", retained)
+        monkeypatch.setattr(streams, "_MALLOPT", lambda *args: calls.append(args) or verdict)
+        monkeypatch.setattr(streams, "_MALLOC_TRIM", lambda *args: calls.append(args) or 1)
+        return calls
+
+    def test_without_glibc_nothing_is_set(self, monkeypatch):
+        expected = replication_map(_draws, 20, 3)
+        calls = self.fake_allocator(monkeypatch, False, 1)
+        for (i1, d1), (i2, d2) in zip(replication_map(_draws, 20, 3), expected, strict=True):
+            np.testing.assert_array_equal(i1, i2)
+            np.testing.assert_array_equal(d1, d2)
+        assert calls == []
+
+    def test_set_once_for_the_outermost_loop(self, monkeypatch):
+        calls = self.fake_allocator(monkeypatch, True, 1)
+        replication_map(_after_inner_loop, 3, 1)
+        assert calls == [*streams._RETAIN.items(), *streams._RESTORE.items(), (0,)]
+
+    def test_threads_share_one_depth_count(self, monkeypatch):
+        calls = self.fake_allocator(monkeypatch, True, 1)
+        threads = [threading.Thread(target=_loops) for _ in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert streams._depth == 0
+        # Each retain is followed by one restore and trim before the next.
+        retain, restore = [*streams._RETAIN.items()], [*streams._RESTORE.items(), (0,)]
+        assert calls and len(calls) % 5 == 0
+        for k in range(0, len(calls), 5):
+            assert calls[k : k + 2] == retain and calls[k + 2 : k + 5] == restore
+
+    def test_refused_setting_warns(self, monkeypatch):
+        self.fake_allocator(monkeypatch, True, 0)
+        with pytest.warns(RuntimeWarning, match="mallopt refused"):
+            assert replication_map(len, 3, 2) == [2, 1]
 
 
 # One to five 32-bit words: 2**130 + 1 has more entropy words than the pool

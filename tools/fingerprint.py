@@ -10,9 +10,9 @@ the generator states of ``substream`` over seeds of one to five 32-bit
 words and key paths of length 0 to 3, ``simulate_limit_components`` and
 ``local_power`` on short walks, and ``im_ols_batch`` on a strided y and an
 x sliced from a wider array.
-Wall time, a study's layout (chunk size, task and process counts) and
-whether its pool workers pinned BLAS are left out, so the digest measures
-results only.
+Wall time, a study's layout (chunk size, task and process counts),
+whether its pool workers pinned BLAS and whether it kept freed memory in
+the process are left out, so the digest measures results only.
 
     PYTHONPATH=src python tools/fingerprint.py [--parts]
 
@@ -39,8 +39,8 @@ from sncoint.estimators import im_ols_batch  # noqa: E402
 from sncoint.selfnorm import traditional_statistic  # noqa: E402
 from sncoint.streams import substream  # noqa: E402
 
-# Wall time, how a study was split into tasks and its BLAS pinning: not results.
-RUN_LAYOUT = {"runtime_s", "chunk_size", "tasks", "processes", "blas_pinned"}
+# Wall time, how a study was split into tasks, its BLAS pinning and memory retention: not results.
+RUN_LAYOUT = {"runtime_s", "chunk_size", "tasks", "processes", "blas_pinned", "memory_retained"}
 DETS = (sn.Deterministics.NONE, sn.Deterministics.INTERCEPT, sn.Deterministics.TREND)
 KERNELS = (sn.KernelSpec("bartlett", "andrews"), sn.KernelSpec("qs", "andrews"))
 
