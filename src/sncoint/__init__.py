@@ -11,6 +11,7 @@ from .asymptotics import (
 from .battery import AnalysisReport, ar1_persistence, run_analysis, standard_battery, standard_statistics
 from .bootstrap import (
     BootstrapConfig,
+    NullModel,
     VarSieveModel,
     bootstrap_test,
     generate_bootstrap_sample,

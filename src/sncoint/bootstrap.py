@@ -1,11 +1,12 @@
 """VAR sieve bootstrap critical values for the Wald-type statistics.
 
-The fitted-model residuals of the regression in levels are stacked with
-the regressor innovations, approximated by a Yule-Walker VAR(q), and the
-centered VAR residuals are resampled with replacement to regenerate
-samples that satisfy the null restriction by construction. The observed
-statistic is compared against the (B+1)(1-alpha)-th smallest of the B
-bootstrap statistics.
+A test fits one :class:`NullModel` (:meth:`NullModel.fit`): a Yule-Walker
+VAR(q) of the fitted-model residuals in levels stacked with the regressor
+innovations, and the restricted coefficient vector with the deterministic
+part. Every draw regenerates a sample from it, resampling the centered VAR
+residuals with replacement, so the null restriction holds by construction.
+The observed statistic is compared against the (B+1)(1-alpha)-th smallest
+of the B bootstrap statistics.
 
 Replications run in fixed-size chunks, batch_rows(T, p + 2m) draws each
 (about 2^17 elements per (draws, T, .) array), through the package's one
@@ -45,6 +46,7 @@ from .timeseries import CointegrationSample, Deterministics, build_deterministic
 
 __all__ = [
     "VarSieveModel",
+    "NullModel",
     "BootstrapConfig",
     "yule_walker",
     "max_sieve_order",
@@ -249,23 +251,43 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
     return model
 
 
+@dataclass(frozen=True)
+class NullModel:
+    """What every bootstrap draw regenerates a sample of length T from."""
+
+    sieve: VarSieveModel  # of w = [u, v]
+    T: int
+    beta: np.ndarray  # (m,) restricted long-run coefficients
+    det: Deterministics
+    delta: np.ndarray  # (p,) deterministic coefficients
+
+    @classmethod
+    def fit(
+        cls, sample: CointegrationSample | FittedSample, restriction: RestrictionSpec, order: str | int
+    ) -> NullModel:
+        """The null model of one sample or its one-row :class:`FittedSample`.
+
+        The sieve (:func:`yule_walker` of ``order``) is fitted to the
+        unrestricted IM-OLS residuals in levels paired with the regressor
+        innovations (restricted residuals would cost power under the
+        alternative), while ``beta`` is the fit projected onto the null.
+        """
+        fitted = FittedSample.one(sample, "NullModel.fit")
+        sample, fit = fitted.sample, fitted.im
+        w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[0]])
+        return cls(yule_walker(w_hat, order), sample.nobs, restricted_im_ols(fit, restriction), sample.det, fit.delta)
+
+
 def generate_bootstrap_batch(
-    model: VarSieveModel,
-    T: int,
-    beta_restricted: np.ndarray,
-    det: Deterministics,
-    delta: np.ndarray,
-    config: BootstrapConfig,
-    indices: np.ndarray,
-    attempt: int = 0,
+    null: NullModel, config: BootstrapConfig, indices: np.ndarray, attempt: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regenerate the null-imposed samples ``indices`` from the fitted sieve.
+    """Regenerate the null-imposed samples ``indices`` from the null model.
 
     Draw i takes ``burn_in + order + T`` innovations i.i.d. with replacement
-    from the centered residual pool, from its own substream (seed, i,
-    attempt); one ``substreams`` call gives the batch's streams. The
+    from the sieve's centered residual pool, from its own substream (seed,
+    i, attempt); one ``substreams`` call gives the batch's streams. The
     recursion starts from zeros and advances all draws L =
-    _BLOCK steps per product with the model's ``block_map``. BLAS can round
+    _BLOCK steps per product with the sieve's ``block_map``. BLAS can round
     a row of that product differently by the batch's row count and the
     row's place in it, so a draw's last bits depend on how the draws are
     split into batches, never on the other draws in its batch. The last T
@@ -273,8 +295,9 @@ def generate_bootstrap_batch(
     innovations and y uses the restricted coefficient vector, so the null
     holds exactly. Returns ``y`` (c, T) and ``x`` (c, T, m).
     """
-    q, k = model.order, model.n_series
-    pool = model.resid_pool
+    sieve, T = null.sieve, null.T
+    q, k = sieve.order, sieve.n_series
+    pool = sieve.resid_pool
     n_steps = config.burn_in + q + T
     keys = np.column_stack([indices, np.full_like(indices, attempt)])
     picks = [rng.integers(0, pool.shape[0], size=n_steps) for rng in substreams(config.seed, keys)]
@@ -283,41 +306,28 @@ def generate_bootstrap_batch(
     w[:, q:] = pool[np.stack(picks)]
     for t in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - t)
-        block = w[:, t : t + q + n].reshape(c, -1) @ model.block_map[: (q + n) * k, : n * k]
+        block = w[:, t : t + q + n].reshape(c, -1) @ sieve.block_map[: (q + n) * k, : n * k]
         w[:, q + t : q + t + n] = block.reshape(c, n, k)
     w = w[:, -T:]
     x = np.cumsum(w[:, :, 1:], axis=1)
-    y = x @ beta_restricted + w[:, :, 0]
-    if det.n_columns:
-        y += build_deterministics(det, T) @ delta
+    y = x @ null.beta + w[:, :, 0]
+    if null.det.n_columns:
+        y += build_deterministics(null.det, T) @ null.delta
     return y, x
 
 
 def generate_bootstrap_sample(
-    model: VarSieveModel,
-    T: int,
-    beta_restricted: np.ndarray,
-    det: Deterministics,
-    delta: np.ndarray,
-    config: BootstrapConfig,
-    replication_index: int,
-    attempt: int = 0,
+    null: NullModel, config: BootstrapConfig, replication_index: int, attempt: int = 0
 ) -> CointegrationSample:
     """One regenerated sample: :func:`generate_bootstrap_batch` of the one
     draw ``replication_index``, which can differ in the last bits from that
     draw in a larger batch."""
-    y, x = generate_bootstrap_batch(
-        model, T, beta_restricted, det, delta, config, np.array([replication_index]), attempt
-    )
-    return CointegrationSample(y=y[0], x=x[0], det=det)
+    y, x = generate_bootstrap_batch(null, config, np.array([replication_index]), attempt)
+    return CointegrationSample(y=y[0], x=x[0], det=null.det)
 
 
 def bootstrap_draws(
-    model: VarSieveModel,
-    T: int,
-    beta_restricted: np.ndarray,
-    det: Deterministics,
-    delta: np.ndarray,
+    null: NullModel,
     config: BootstrapConfig,
     restriction: RestrictionSpec,
     statistic: str,
@@ -331,12 +341,12 @@ def bootstrap_draws(
     is NaN, for the caller to count as discarded.
     """
     indices = np.asarray(indices)
-    y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices)
-    draws = bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
+    y, x = generate_bootstrap_batch(null, config, indices)
+    draws = bootstrap_statistic(FittedSample(y, x, null.det), restriction, statistic, kernel)
     retry = np.flatnonzero(np.isnan(draws))
     if retry.size:
-        y, x = generate_bootstrap_batch(model, T, beta_restricted, det, delta, config, indices[retry], 1)
-        draws[retry] = bootstrap_statistic(FittedSample(y, x, det), restriction, statistic, kernel)
+        y, x = generate_bootstrap_batch(null, config, indices[retry], 1)
+        draws[retry] = bootstrap_statistic(FittedSample(y, x, null.det), restriction, statistic, kernel)
     return draws, retry.size
 
 
@@ -347,35 +357,17 @@ def bootstrap_test(
     statistic: str = "sn",
     kernel: KernelSpec | None = None,
 ) -> TestOutcome:
-    """Full sieve-bootstrap test of R beta = value on ``sample``.
-
-    The sieve is fitted to the unrestricted residuals in levels paired
-    with the regressor innovations (restricted residuals would cost power
-    under the alternative), while the regenerated samples impose the null
-    through the restricted coefficient vector. The outcome also carries
-    the bootstrap p-value (1 + #{tau* >= tau}) / (B_eff + 1).
+    """Full sieve-bootstrap test of R beta = value on ``sample``: the
+    observed statistic against draws from :meth:`NullModel.fit` of the
+    sample. The outcome also carries the bootstrap p-value
+    (1 + #{tau* >= tau}) / (B_eff + 1).
     """
     fitted = FittedSample.one(sample, "bootstrap_test")
-    sample, fit = fitted.sample, fitted.im
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
+    null = NullModel.fit(fitted, restriction, config.order_rule)
 
-    w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[0]])
-    model = yule_walker(w_hat, config.order_rule)
-    beta_restricted = restricted_im_ols(fit, restriction)
-
-    draw = partial(
-        bootstrap_draws,
-        model,
-        sample.nobs,
-        beta_restricted,
-        sample.det,
-        fit.delta,
-        config,
-        restriction,
-        statistic,
-        kernel,
-    )
-    rows = batch_rows(sample.nobs, len(fit.params))
+    draw = partial(bootstrap_draws, null, config, restriction, statistic, kernel)
+    rows = batch_rows(null.T, len(fitted.im.params))
     chunks = replication_map(draw, config.n_boot, rows, config.workers)
     draws = np.concatenate([draws for draws, _ in chunks])
     n_retried = sum(retried for _, retried in chunks)
@@ -400,8 +392,8 @@ def bootstrap_test(
         p_value=p_value,
         warnings=notes,
         diagnostics={
-            "sieve_order": model.order,
-            "spectral_radius": model.spectral_radius,
+            "sieve_order": null.sieve.order,
+            "spectral_radius": null.sieve.spectral_radius,
             "n_retried": n_retried,
             "n_discarded": n_discarded,
         },

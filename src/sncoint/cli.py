@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 
@@ -175,20 +176,26 @@ def _restriction_from_args(args, m: int) -> RestrictionSpec:
     return restriction
 
 
+def _scalars(value, path: str = ""):
+    """(path, scalar) of every leaf of a JSON payload: keys and list indices
+    joined by dots, e.g. ``outcomes.0.statistic`` or ``omega.0.1``."""
+    if not isinstance(value, (dict, list)):
+        yield path, value
+        return
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        yield from _scalars(item, f"{path}.{key}" if path else str(key))
+
+
 def _emit(payload: dict, args) -> None:
+    """``payload`` as indented JSON, or as CSV: one ``path,value`` row per
+    scalar, a string as it is and any other value as its JSON text."""
     if args.out == "json":
         text = json.dumps(payload, indent=2)
     else:
-        lines = []
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                for k2, v2 in value.items():
-                    lines.append(f"{key}.{k2},{v2}")
-            elif isinstance(value, list):
-                lines.append(f"{key}," + ",".join(str(v) for v in value))
-            else:
-                lines.append(f"{key},{value}")
-        text = "\n".join(lines)
+        buffer = io.StringIO()
+        rows = ((path, v if isinstance(v, str) else json.dumps(v)) for path, v in _scalars(payload))
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        text = buffer.getvalue().rstrip("\n")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -328,21 +335,10 @@ def _cmd_simulate(args) -> int:
     out_path = args.output or f"{kind}_results.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    manifest = {
-        "kind": kind,
-        "config": cfg,
-        "seed": seed,
-        "reps": reps,
-        "workers": workers,
-        "runtime_s": result.meta["runtime_s"],
-        "chunk_size": result.meta["chunk_size"],
-        "tasks": result.meta["tasks"],
-        "processes": result.meta["processes"],
-        "blas_pinned": result.meta["blas_pinned"],
-        "memory_retained": result.meta["memory_retained"],
-        "version": __version__,
-        "results_csv": out_path,
-    }
+    # the study's meta, but the JSON file's config in place of the DgpConfig
+    meta = {key: value for key, value in result.meta.items() if key != "config"}
+    manifest = {"kind": kind, "config": cfg, "seed": seed, "reps": reps, "workers": workers} | meta
+    manifest |= {"version": __version__, "results_csv": out_path}
     manifest_path = out_path.rsplit(".", 1)[0] + "_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

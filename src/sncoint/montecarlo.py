@@ -25,7 +25,8 @@ Both studies stack a phase's samples in one
 statistic fits and evaluates the whole chunk in one call, and one check
 refuses a missing or NaN value. No row's fits depend on the rows stacked
 with it, so the chunk size sets the speed, never the results. ``ExperimentResult.meta``
-records the chunk size, task count, processes and BLAS pinning.
+records the chunk size, task count, processes, BLAS pinning and memory
+retention.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimators import FittedSample, RestrictionSpec
 from .streams import BLAS_PINNED, MEMORY_RETAINED, _seed_words, pool_layout, replication_map, substreams
@@ -138,7 +138,11 @@ def _dgp_paths(config: DgpConfig, mixed: np.ndarray) -> tuple[np.ndarray, np.nda
     nu_prev = np.concatenate([np.zeros(nu.shape[:-2] + (1, 2)), nu[..., :-1, :]], axis=-2)
 
     forcing = e + config.phi * e_prev + config.rho2 * nu.sum(axis=-1)
-    u = lfilter([1.0], [1.0, -config.rho1], forcing, axis=-1)
+    # u_t = f_t + rho1 u_{t-1}, u_0 = f_0: the operations of scipy.signal.lfilter's direct form, so its bits
+    u = np.moveaxis(forcing, -1, 0).copy()
+    for t in range(1, u.shape[0]):
+        u[t] += config.rho1 * u[t - 1]
+    u = np.moveaxis(u, 0, -1)
     v = nu + 0.5 * nu_prev
     return np.cumsum(v[..., config.burn_in :, :], axis=-2), u[..., config.burn_in :]
 

@@ -8,6 +8,7 @@ from sncoint import (
     BootstrapConfig,
     CointegrationSample,
     Deterministics,
+    NullModel,
     RestrictionSpec,
     VarSieveModel,
     bootstrap_statistic,
@@ -192,12 +193,44 @@ class TestSelectOrder:
         assert len(passes) == 1
 
 
+class TestNullModel:
+    @pytest.mark.parametrize("order", [2, "aic"])
+    @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.TREND])
+    def test_fit_matches_hand_derivation(self, det, order):
+        from sncoint import FittedSample, levels_residuals, restricted_im_ols
+
+        rng = substream(134, det.n_columns)
+        base = mild_sample(rng, T=120)
+        sample = CointegrationSample(y=base.y + 0.5 * np.arange(120) * (det is Deterministics.TREND), x=base.x, det=det)
+        restriction = RestrictionSpec(R=np.array([[1.0, -1.0]]), value=np.array([0.0]))
+        fit = im_ols(sample)
+        sieve = yule_walker(np.column_stack([levels_residuals(sample, fit), sample.innovations()]), order)
+        beta = restricted_im_ols(fit, restriction)
+        for given in (sample, FittedSample(sample)):
+            null = NullModel.fit(given, restriction, order)
+            assert (null.T, null.det, null.sieve.order) == (120, det, sieve.order)
+            np.testing.assert_array_equal(null.sieve.coefs, sieve.coefs)
+            np.testing.assert_array_equal(null.sieve.resid_pool, sieve.resid_pool)
+            np.testing.assert_array_equal(null.sieve.sigma, sieve.sigma)
+            np.testing.assert_array_equal(null.beta, beta)
+            np.testing.assert_array_equal(null.delta, fit.delta)
+
+    def test_fit_refuses_a_stack(self):
+        from sncoint import FittedSample
+
+        sample = mild_sample(substream(135, 0))
+        stack = FittedSample(np.stack([sample.y, sample.y]), np.stack([sample.x, sample.x]))
+        with pytest.raises(ValueError, match="NullModel.fit tests one sample"):
+            NullModel.fit(stack, RestrictionSpec(R=np.eye(2), value=np.ones(2)), 1)
+
+
 class TestGenerateBootstrapSample:
     def test_degenerate_model_replays_residual(self):
         r = np.array([[0.5, -0.25, 1.0]])
         model = VarSieveModel(order=1, coefs=np.zeros((1, 3, 3)), resid_pool=r, sigma=np.zeros((3, 3)))
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=0)
-        star = generate_bootstrap_sample(model, 20, np.array([1.0, 1.0]), Deterministics.NONE, np.array([]), cfg, 0)
+        null = NullModel(model, 20, np.array([1.0, 1.0]), Deterministics.NONE, np.array([]))
+        star = generate_bootstrap_sample(null, cfg, 0)
         # every innovation equals the single pooled residual
         np.testing.assert_allclose(np.diff(star.x, axis=0), np.tile(r[0, 1:], (19, 1)))
         u_star = star.y - star.x @ np.array([1.0, 1.0])
@@ -206,33 +239,29 @@ class TestGenerateBootstrapSample:
     def test_deterministic_per_index(self):
         rng = substream(106, 0)
         model = yule_walker(rng.standard_normal((150, 3)), 1)
+        null = NullModel(model, 60, np.ones(2), Deterministics.NONE, np.array([]))
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=42)
-        a = generate_bootstrap_sample(model, 60, np.ones(2), Deterministics.NONE, np.array([]), cfg, 7)
-        b = generate_bootstrap_sample(model, 60, np.ones(2), Deterministics.NONE, np.array([]), cfg, 7)
+        a = generate_bootstrap_sample(null, cfg, 7)
+        b = generate_bootstrap_sample(null, cfg, 7)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.x, b.x)
-        c = generate_bootstrap_sample(model, 60, np.ones(2), Deterministics.NONE, np.array([]), cfg, 8)
+        c = generate_bootstrap_sample(null, cfg, 8)
         assert not np.array_equal(a.y, c.y)
 
     def test_null_holds_in_generated_data(self):
         rng = substream(107, 0)
         sample = mild_sample(rng, T=100)
-        fit = im_ols(sample)
         restriction = RestrictionSpec(R=np.array([[1.0, 1.0]]), value=np.array([2.0]))
-        from sncoint import levels_residuals, restricted_im_ols
-
-        beta_r = restricted_im_ols(fit, restriction)
-        assert np.abs(restriction.R @ beta_r - restriction.value).max() < 1e-10
-        w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
-        model = yule_walker(w_hat, 1)
+        null = NullModel.fit(sample, restriction, 1)
+        assert np.abs(restriction.R @ null.beta - restriction.value).max() < 1e-10
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=3)
-        star = generate_bootstrap_sample(model, 100, beta_r, sample.det, fit.delta, cfg, 0)
+        star = generate_bootstrap_sample(null, cfg, 0)
         # the generated outcome is exactly linear in the coefficient vector:
         # regenerating with a shifted vector changes y by x* times the shift,
-        # so the star data's true coefficients are beta_r (which satisfies
+        # so the star data's true coefficients are null.beta (which satisfies
         # the restriction exactly)
         shift = np.array([0.3, -0.1])
-        star2 = generate_bootstrap_sample(model, 100, beta_r + shift, sample.det, fit.delta, cfg, 0)
+        star2 = generate_bootstrap_sample(replace(null, beta=null.beta + shift), cfg, 0)
         np.testing.assert_array_equal(star.x, star2.x)
         np.testing.assert_allclose(star2.y - star.y, star.x @ shift, atol=1e-12)
 
@@ -249,8 +278,9 @@ class TestGenerateBootstrapSample:
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=11, burn_in=200)
         draws0, draws1 = [], []
         T = 200
+        null = NullModel(model, T, np.array([1.0]), Deterministics.NONE, np.array([]))
         for i in range(2000):
-            star = generate_bootstrap_sample(model, T, np.array([1.0]), Deterministics.NONE, np.array([]), cfg, i)
+            star = generate_bootstrap_sample(null, cfg, i)
             u = star.y - star.x[:, 0]  # first component of the regenerated series
             v = np.diff(star.x[:, 0], prepend=0.0)
             ws = np.column_stack([u, v])
@@ -281,9 +311,8 @@ def _per_step_w(model, cfg, indices, n_steps):
 def _blocked_w(model, cfg, indices, T):
     """A chunk's simulated series w = [u, v], read back from
     :func:`generate_bootstrap_batch` with a zero coefficient vector."""
-    y, x = generate_bootstrap_batch(
-        model, T, np.zeros(model.n_series - 1), Deterministics.NONE, np.array([]), cfg, indices
-    )
+    null = NullModel(model, T, np.zeros(model.n_series - 1), Deterministics.NONE, np.array([]))
+    y, x = generate_bootstrap_batch(null, cfg, indices)
     return np.concatenate([y[..., None], np.diff(x, axis=1, prepend=0.0)], axis=2)
 
 
@@ -329,7 +358,7 @@ class TestBlockedRecursion:
         w = rng.standard_normal((300, 3))
         w[1:] += 0.5 * w[:-1]
         model = yule_walker(w, 2)
-        args = (model, T, np.ones(2), Deterministics.NONE, np.array([]), BootstrapConfig(n_boot=199, seed=5))
+        args = (NullModel(model, T, np.ones(2), Deterministics.NONE, np.array([])), BootstrapConfig(n_boot=199, seed=5))
         half = rows // 2
         y, x = generate_bootstrap_batch(*args, np.arange(rows))
         y2, x2 = generate_bootstrap_batch(*args, np.r_[np.arange(half), 1000 + np.arange(rows - half)])
@@ -434,15 +463,13 @@ class TestBootstrapTest:
         # draws differ only through seed-equivalent resampling
         from scipy.stats import ks_2samp
 
-        from sncoint import levels_residuals, restricted_im_ols
         from sncoint.bootstrap import bootstrap_draws
 
         rng = substream(116, 0)
         sample = mild_sample(rng, T=100)
         restriction = RestrictionSpec(R=np.eye(2), value=np.array([1.0, 1.0]))
-        fit = im_ols(sample)
-        w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
-        model = yule_walker(w_hat, 1)
+        null = NullModel.fit(sample, restriction, 1)
+        model = null.sieve
         perm = substream(116, 1).permutation(model.resid_pool.shape[0])
         permuted = VarSieveModel(
             order=model.order,
@@ -450,20 +477,17 @@ class TestBootstrapTest:
             resid_pool=model.resid_pool[perm],
             sigma=model.sigma,
         )
-        beta_r = restricted_im_ols(fit, restriction)
         cfg = BootstrapConfig(n_boot=299, alpha=0.05, seed=21)
         draws = {}
-        for name, mod in (("base", model), ("perm", permuted)):
-            draws[name], _ = bootstrap_draws(
-                mod, sample.nobs, beta_r, sample.det, fit.delta, cfg, restriction, "sn", None, np.arange(cfg.n_boot)
-            )
+        for name, mod in (("base", null), ("perm", replace(null, sieve=permuted))):
+            draws[name], _ = bootstrap_draws(mod, cfg, restriction, "sn", None, np.arange(cfg.n_boot))
         assert ks_2samp(draws["base"], draws["perm"]).pvalue > 0.01
 
 
-def _reference_draw(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, index):
+def _reference_draw(null, cfg, restriction, statistic, kernel, index):
     """Per-sample reference: retry once from the attempt-1 substream, then NaN."""
     for attempt in (0, 1):
-        star = generate_bootstrap_sample(model, T, beta_r, det, delta, cfg, index, attempt)
+        star = generate_bootstrap_sample(null, cfg, index, attempt)
         try:
             return bootstrap_statistic(star, restriction, statistic, kernel), attempt
         except (ValueError, np.linalg.LinAlgError):
@@ -471,20 +495,18 @@ def _reference_draw(model, T, beta_r, det, delta, cfg, restriction, statistic, k
     return np.nan, 1
 
 
-def _reference_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel):
-    pairs = [
-        _reference_draw(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, i) for i in range(cfg.n_boot)
-    ]
+def _reference_draws(null, cfg, restriction, statistic, kernel):
+    pairs = [_reference_draw(null, cfg, restriction, statistic, kernel, i) for i in range(cfg.n_boot)]
     return np.array([d for d, _ in pairs]), sum(a for _, a in pairs)
 
 
-def _kernel_draws(model, T, beta_r, det, delta, cfg, restriction, statistic, kernel, rows):
+def _kernel_draws(null, cfg, restriction, statistic, kernel, rows):
     from functools import partial
 
     from sncoint.bootstrap import bootstrap_draws
     from sncoint.streams import replication_map
 
-    draw = partial(bootstrap_draws, model, T, beta_r, det, delta, cfg, restriction, statistic, kernel)
+    draw = partial(bootstrap_draws, null, cfg, restriction, statistic, kernel)
     chunks = replication_map(draw, cfg.n_boot, rows, 1)
     return np.concatenate([draws for draws, _ in chunks]), sum(retried for _, retried in chunks)
 
@@ -494,7 +516,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.TREND])
     def test_matches_per_sample_reference(self, statistic, m, det):
-        from sncoint import BARTLETT, KernelSpec, levels_residuals, restricted_im_ols
+        from sncoint import BARTLETT, KernelSpec
 
         rng = substream(117, m, det.n_columns)
         T = 90
@@ -503,13 +525,9 @@ class TestBatchedKernel:
         y = x @ np.ones(m) + rng.standard_normal(T) + 0.4 * v.sum(axis=1)
         sample = CointegrationSample(y=y, x=x, det=det)
         restriction = RestrictionSpec(R=np.eye(m), value=np.ones(m))
-        fit = im_ols(sample)
-        w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
-        model = yule_walker(w_hat, 2)
-        beta_r = restricted_im_ols(fit, restriction)
         cfg = BootstrapConfig(n_boot=39, alpha=0.05, seed=8)
         kernel = KernelSpec(BARTLETT, "andrews")
-        args = (model, T, beta_r, det, fit.delta, cfg, restriction, statistic, kernel)
+        args = (NullModel.fit(sample, restriction, 2), cfg, restriction, statistic, kernel)
         # 16-draw chunks: the 39 draws span three chunks, the last one partial
         draws, retried = _kernel_draws(*args, rows=16)
         expected, expected_retried = _reference_draws(*args)
@@ -524,7 +542,7 @@ class TestBatchedKernel:
         model = VarSieveModel(order=1, coefs=np.zeros((1, 3, 3)), resid_pool=r, sigma=np.zeros((3, 3)))
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=0)
         restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
-        args = (model, 20, np.ones(2), Deterministics.NONE, np.array([]), cfg, restriction, "sn", None)
+        args = (NullModel(model, 20, np.ones(2), Deterministics.NONE, np.array([])), cfg, restriction, "sn", None)
         draws, retried = _kernel_draws(*args, rows=8)
         expected, expected_retried = _reference_draws(*args)
         assert np.isnan(expected).all() and expected_retried == 19
@@ -538,7 +556,7 @@ class TestBatchedKernel:
         model = VarSieveModel(order=1, coefs=np.zeros((1, 2, 2)), resid_pool=pool, sigma=np.eye(2))
         cfg = BootstrapConfig(n_boot=199, alpha=0.05, seed=4, burn_in=0)
         restriction = RestrictionSpec(R=np.eye(1), value=np.ones(1))
-        args = (model, 5, np.ones(1), Deterministics.NONE, np.array([]), cfg, restriction, "sn", None)
+        args = (NullModel(model, 5, np.ones(1), Deterministics.NONE, np.array([])), cfg, restriction, "sn", None)
         draws, retried = _kernel_draws(*args, rows=64)
         expected, expected_retried = _reference_draws(*args)
         assert retried == expected_retried > 0
@@ -563,6 +581,20 @@ class TestDeterminismAcrossChunks:
         assert outcomes[0] == outcomes[1]
 
 
+def _discarding(monkeypatch, share):
+    """Patch the draws so that a ``share`` of them come back NaN (discarded)."""
+    from sncoint import bootstrap
+
+    real = bootstrap.bootstrap_draws
+
+    def draws(null, config, restriction, statistic, kernel, indices):
+        values, retried = real(null, config, restriction, statistic, kernel, indices)
+        values[np.asarray(indices) < share * config.n_boot] = np.nan
+        return values, retried
+
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", draws)
+
+
 class TestDiagnostics:
     def test_outcome_reports_sieve_and_counts(self):
         rng = substream(119, 0)
@@ -573,3 +605,17 @@ class TestDiagnostics:
         assert 0.0 <= out.diagnostics["spectral_radius"] < 1.0
         assert out.diagnostics["n_retried"] == 0
         assert out.diagnostics["n_discarded"] == 0
+
+    def test_discard_note(self, monkeypatch):
+        _discarding(monkeypatch, 0.1)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.array([1.0, 1.0]))
+        out = bootstrap_test(mild_sample(substream(119, 0)), restriction, BootstrapConfig(n_boot=39, seed=5))
+        assert out.diagnostics["n_discarded"] == 4
+        assert out.warnings == ("4 of 39 bootstrap replications discarded",)
+        assert out.p_value * 36 == pytest.approx(round(out.p_value * 36), abs=1e-9)
+
+    def test_all_degenerate_raises(self, monkeypatch):
+        _discarding(monkeypatch, 1.0)
+        restriction = RestrictionSpec(R=np.eye(2), value=np.array([1.0, 1.0]))
+        with pytest.raises(RuntimeError, match="all bootstrap replications degenerate"):
+            bootstrap_test(mild_sample(substream(119, 0)), restriction, BootstrapConfig(n_boot=39, seed=5))

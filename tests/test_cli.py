@@ -323,6 +323,33 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "argv",
+        [["test", "--y", "rate", "--x", "price", "--det", "const"],
+         ["boottest", "--y", "rate", "--x", "price", "--B", "19"],
+         ["lrv", "--columns", "rate,price"]],
+        ids=["test", "boottest", "lrv"],
+    )  # fmt: skip
+    def test_csv_output_is_one_row_per_scalar(self, tmp_path, argv):
+        import csv
+
+        path = synthetic_csv(tmp_path)
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--data", path, "--out", fmt, "--output", str(tmp_path / f"out.{fmt}")]) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows and all(len(row) == 2 for row in rows)
+        leaves = 0
+        for key, text in rows:
+            value = payload
+            for part in key.split("."):
+                value = value[int(part)] if isinstance(value, list) else value[part]
+            assert not isinstance(value, (dict, list))
+            assert (text if isinstance(value, str) else json.loads(text)) == value
+            leaves += 1
+        assert leaves == sum(1 for _ in cli._scalars(payload))
+
+    @pytest.mark.parametrize(
+        "argv",
         [["lrv", "--columns", "rate,price"],
          ["test", "--y", "rate", "--x", "price", "--out", "json"]],
         ids=["lrv", "test"],
@@ -353,6 +380,13 @@ class TestCommandLine:
         table = load_table(str(out_file))
         assert table.m == 1 and table.s == 1
 
+    def test_critvals_command_prints_the_table(self, capsys):
+        argv = ["critvals", "--m", "1", "--s", "1", "--n-grid", "1000", "--reps", "1000", "--seed", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "m=1 s=1 det=none"
+        assert [float(line.split("%")[0]) for line in lines[1:]] == [100 * prob for prob in sorted(_PROBS)]
+
     def test_simulate_command(self, tmp_path, chunks_of_8):
         config = {
             "kind": "size",
@@ -377,6 +411,11 @@ class TestCommandLine:
         assert manifest["chunk_size"] == 8 and manifest["tasks"] == 4
         assert manifest["blas_pinned"] is sncoint.streams.BLAS_PINNED
         assert manifest["memory_retained"] is sncoint.streams.MEMORY_RETAINED
+        assert list(manifest) == [
+            "kind", "config", "seed", "reps", "workers", "runtime_s", "chunk_size", "tasks", "processes",
+            "blas_pinned", "memory_retained", "version", "results_csv",
+        ]  # fmt: skip
+        assert manifest["config"] == config
 
     def test_simulate_manifest_records_the_pool(self, tmp_path):
         config = {"kind": "size", "T": 100, "reps": 200, "seed": 2, "workers": 2, "tests": ["SN-asymptotic"]}
@@ -409,6 +448,23 @@ class TestCommandLine:
         first = rows[1].split(",")
         assert float(first[0]) == 1.0
         assert 0.0 <= float(first[1]) <= 1.0
+        manifest = json.loads((tmp_path / "power_manifest.json").read_text())
+        assert list(manifest) == [
+            "kind", "config", "seed", "reps", "workers", "alpha", "adjusted_critical_values", "runtime_s",
+            "chunk_size", "tasks", "processes", "blas_pinned", "memory_retained", "version", "results_csv",
+        ]  # fmt: skip
+        assert manifest["config"] == config and manifest["alpha"] == 0.05
+        assert list(manifest["adjusted_critical_values"]) == ["SN"]
+
+    def test_simulate_power_command_with_a_listed_grid(self, tmp_path):
+        config = {"kind": "power", "T": 50, "reps": 10, "seed": 3, "statistics": ["SN"], "beta_grid": [1.0, 1.25]}
+        cfg_path = tmp_path / "power.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "power.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--output", str(out_path)]) == 0
+        rows = out_path.read_text().strip().splitlines()
+        assert rows[0] == "beta,SN"
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [1.0, 1.25]
 
     @pytest.mark.parametrize(
         "setting, message",

@@ -215,6 +215,12 @@ class TestConditional:
             conditional_lrv(omega)
 
 
+    def test_one_column_is_its_variance(self):
+        est = estimate_lrv(np.random.default_rng(23).standard_normal((80, 1)), KernelSpec(BARTLETT, "andrews"))
+        assert est.omega.shape == (1, 1)
+        assert est.conditional == est.omega[0, 0]
+
+
 class TestFftAutocovariances:
     def test_matches_lag_loop(self):
         """The QS kernel's FFT pass against the lag-by-lag sums it replaces."""

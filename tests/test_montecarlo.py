@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from sncoint import (
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
 from sncoint import montecarlo, streams
-from sncoint.montecarlo import _fitted_samples, _garch, null_restriction
+from sncoint.montecarlo import _dgp_paths, _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, MEMORY_RETAINED, _cores, replication_map, substream
 
 
@@ -118,6 +122,31 @@ class TestGenerateDgp:
                 single = generate_dgp(replace(config, beta=beta), substream(4, 1, i))
                 np.testing.assert_array_equal(stack.y[2 * r + g], single.y)
                 np.testing.assert_array_equal(stack.x[2 * r + g], single.x)
+
+    @pytest.mark.parametrize("rho1", [-0.7, 0.0, 0.3, 0.6, 0.95])
+    @pytest.mark.parametrize("T", [10, 100, 1000])
+    def test_error_recursion_matches_lfilter(self, rho1, T):
+        from scipy.signal import lfilter
+
+        config = DgpConfig(T=T, rho1=rho1, rho2=0.4, phi=0.3)
+        for lead in ((), (4,), (3, 2)):
+            mixed = substream(7, T, len(lead)).standard_normal(lead + (config.burn_in + T, 3))
+            e, nu = mixed[..., 0], mixed[..., 1:]
+            e_prev = np.concatenate([np.zeros(lead + (1,)), e[..., :-1]], axis=-1)
+            forcing = e + config.phi * e_prev + config.rho2 * nu.sum(axis=-1)
+            expected = lfilter([1.0], [1.0, -rho1], forcing, axis=-1)[..., config.burn_in :]
+            np.testing.assert_array_equal(_dgp_paths(config, mixed)[1], expected)
+
+    def test_import_loads_no_scipy_signal(self):
+        # a fresh interpreter, since other test modules import scipy.signal themselves
+        code = "import sys, sncoint; print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_burn_in_insensitivity(self):
         battery = standard_battery(["SN-asymptotic"])

@@ -78,6 +78,17 @@ class TestWaldStatistic:
         for kappa in (0.1, 1.0, 7.3):
             assert wald_statistic(fit, r, kappa) * kappa == pytest.approx(base, rel=1e-12)
 
+    def test_singular_block_is_nan_in_a_stack(self):
+        from sncoint.selfnorm import _quadratic_form
+
+        gap = np.array([[1.0, 2.0], [0.5, -1.5]])
+        middle = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.3], [0.3, 1.1]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(middle, gap[..., None])
+        out = _quadratic_form(gap, middle)
+        assert np.isnan(out[0])
+        assert out[1] == _quadratic_form(gap[1], middle[1])
+
     def test_zero_when_restriction_satisfied(self):
         rng = np.random.default_rng(3)
         fit = im_ols(make_sample(rng))
