@@ -113,7 +113,7 @@ def _resolve_table(m: int, s: int, det: Deterministics, seed: int) -> CriticalVa
 
 
 def run_analysis(
-    sample: CointegrationSample,
+    sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
     alpha: float = 0.05,
     kernel: KernelSpec | None = None,
@@ -127,17 +127,17 @@ def run_analysis(
     Always runs the asymptotic self-normalized test and the traditional
     fully-modified Wald test; adds the bootstrap-assisted self-normalized
     test when a bootstrap configuration is supplied, run at ``alpha``
-    whatever ``boot.alpha`` says. The critical-value
-    table is loaded from the packaged quantiles, or simulated on demand
-    for combinations outside them. Every estimate and test reads one
-    :class:`~sncoint.estimators.FittedSample`, so the sample is fitted once.
+    whatever ``boot.alpha`` says. The critical-value table is loaded from
+    the packaged quantiles, or simulated on demand for combinations outside
+    them. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
+    (``sample``'s, or ``sample`` itself, a row of a stack included), so it is fitted once.
     """
     kernel = kernel or KernelSpec(BARTLETT, "andrews")
-    fitted = FittedSample(sample)
-    static, fit, fm = fitted.static, fitted.im, fitted.fm(kernel)
+    fitted = FittedSample.one(sample, "run_analysis")
+    static, fit, fm, det = fitted.static, fitted.im, fitted.fm(kernel), fitted.det
 
     if table is None:
-        table = _resolve_table(sample.n_regressors, restriction.n_restrictions, sample.det, seed)
+        table = _resolve_table(fitted.x.shape[2], restriction.n_restrictions, det, seed)
     outcomes = [
         self_normalized_test(fitted, restriction, table, alpha),
         traditional_wald("FM", fitted, restriction, kernel, alpha),
@@ -147,7 +147,7 @@ def run_analysis(
 
     return AnalysisReport(
         estimates={
-            "ols": static.params[sample.det.n_columns :],
+            "ols": static.params[det.n_columns :],
             "im_ols": fit.beta,
             "fm_ols": fm.beta,
         },
@@ -158,7 +158,7 @@ def run_analysis(
             "alpha": alpha,
             "kernel": kernel.kind,
             "bandwidth": kernel.bandwidth if isinstance(kernel.bandwidth, str) else float(kernel.bandwidth),
-            "det": sample.det.value,
+            "det": det.value,
             "version": __version__,
             **(provenance or {}),
         },
@@ -182,12 +182,12 @@ def _wald_test(tag, kernel, alpha, fitted, restriction, seeds) -> np.ndarray:
 
 
 def _bootstrap_test(statistic, kernel, config, fitted, restriction, seeds) -> np.ndarray:
-    """Each row's bootstrap test from its own seed; NaN where the row is degenerate."""
+    """Each row's bootstrap test on its fits in the stack, from its own seed; NaN where the row is degenerate."""
     observed = bootstrap_statistic(fitted, restriction, statistic, kernel)
     return np.array([
-        np.nan if np.isnan(obs) else bootstrap_test(CointegrationSample(y, x, fitted.det), restriction,
-                                                    replace(config, seed=seed, workers=1), statistic, kernel).reject
-        for y, x, seed, obs in zip(fitted.y, fitted.x, seeds, observed)
+        np.nan if np.isnan(obs) else
+        bootstrap_test(fitted.row(i), restriction, replace(config, seed=seed, workers=1), statistic, kernel).reject
+        for i, (seed, obs) in enumerate(zip(seeds, observed))
     ])  # fmt: skip
 
 

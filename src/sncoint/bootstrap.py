@@ -64,7 +64,7 @@ __all__ = [
 _BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class VarSieveModel:
     """Yule-Walker VAR(q) fit: coefficient stack and centered residual pool."""
 
@@ -251,7 +251,7 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
     return model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class NullModel:
     """What every bootstrap draw regenerates a sample of length T from."""
 
@@ -265,7 +265,7 @@ class NullModel:
     def fit(
         cls, sample: CointegrationSample | FittedSample, restriction: RestrictionSpec, order: str | int
     ) -> NullModel:
-        """The null model of one sample or its one-row :class:`FittedSample`.
+        """The null model of one sample, or of its :class:`FittedSample` row.
 
         The sieve (:func:`yule_walker` of ``order``) is fitted to the
         unrestricted IM-OLS residuals in levels paired with the regressor
@@ -274,7 +274,7 @@ class NullModel:
         """
         fitted = FittedSample.one(sample, "NullModel.fit")
         sample, fit = fitted.sample, fitted.im
-        w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[0]])
+        w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[fitted._index]])
         return cls(yule_walker(w_hat, order), sample.nobs, restricted_im_ols(fit, restriction), sample.det, fit.delta)
 
 

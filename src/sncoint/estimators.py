@@ -19,19 +19,20 @@ lead/lag candidates from the y column of the kernel's triangular factor.
 
 :class:`FittedSample` fits a stack of samples that share T, m and the
 deterministics, every fit in one stacked call, built once and kept in one
-memo under its key. A single sample is its one-row case: each of its fits
-is row 0 of the stacked one, built once. :func:`im_ols`, :func:`fm_ols`
-and :func:`d_ols` read their fits from it.
+memo under its key. One sample is a row of a stack: its fits are that row
+of the stacked ones, built once. :func:`im_ols`, :func:`fm_ols` and
+:func:`d_ols` read their fits from it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, LrvEstimate, _first_row, estimate_lrv
+from .kernels import KernelSpec, LrvEstimate, _series, estimate_lrv
 from .timeseries import CointegrationSample, Deterministics, _increments, build_deterministics
 
 __all__ = [
@@ -417,12 +418,13 @@ class FittedSample:
     One memo keeps every stacked fit under its key, ``static``, ``im``,
     ``lrv(kernel)``, ``fm(kernel)`` or ``dols(K)``, and the rows read from it.
 
-    ``FittedSample(sample)`` is the one-row case, with the sample kept as
-    ``sample`` (None for a stack). Its fits are row 0 of the stacked ones,
-    without the leading axis, each built once; a row raises its fit's error
-    where its parameters are NaN. :func:`im_ols`, :func:`fm_ols`, :func:`d_ols` and the
-    statistics in :mod:`sncoint.selfnorm` take either in place of a sample
-    and read its fits instead of refitting.
+    One sample is a row of a stack: ``row(i)`` is a view of row i that shares
+    the stack's memo, with the row's sample kept as ``sample`` (None for a
+    stack), and ``FittedSample(sample)`` is row 0 of a one-row stack. Its fits
+    are row i of the stacked ones, without the leading axis, each built once
+    under a key that carries i; a row raises its fit's error where its
+    parameters are NaN. :func:`im_ols`, :func:`fm_ols`, :func:`d_ols` and the
+    statistics and tests take either in place of a sample and read its fits.
     """
 
     def __init__(
@@ -438,7 +440,15 @@ class FittedSample:
                 raise ValueError(f"need y (c, T) and x (c, T, m), got {self.y.shape} and {self.x.shape}")
         else:
             self.y, self.x, self.det = self.sample.y[None], self.sample.x[None], self.sample.det
+        self._index = None if self.sample is None else 0
         self._memo: dict = {}
+
+    def row(self, i: int) -> FittedSample:
+        """Row ``i`` of the stack as one sample, reading its fits from the stack's."""
+        self._innovations  # cached before the copy, so that every row shares it
+        view = copy.copy(self)  # shares y, x and the memo
+        view.sample, view._index = CointegrationSample(self.y[i], self.x[i], self.det), range(len(self.y))[i]
+        return view
 
     @classmethod
     def of(cls, sample: CointegrationSample | FittedSample) -> FittedSample:
@@ -471,24 +481,24 @@ class FittedSample:
         fit = self._stacked(name, *args)
         if name == "static":
             fit = fit[0]
-        if self.sample is None:
+        if self._index is None:
             return fit
-        key = (name, *args, "row")
+        key = (name, *args, "row", self._index)
         if key not in self._memo:
             self._memo[key] = self._row(name, fit, *args)
         return self._memo[key]
 
     def _row(self, name: str, fit, *args):
-        """Row 0 of the stacked ``fit``, raising its fit's error where the
-        parameters are NaN. The LRV row raises the static error first, then
-        :func:`~sncoint.kernels._first_row`'s; the FM row raises the LRV
-        row's first; the D-OLS row is trimmed to its own K."""
+        """This sample's row of the stacked ``fit``, raising its fit's error where
+        the parameters are NaN. The LRV row raises the static error first, then
+        :func:`~sncoint.kernels._series`'s; the FM row raises the LRV row's
+        first; the D-OLS row is trimmed to its own K."""
         if name == "lrv":
             self.static  # raises where the static fit does
-            return _first_row(fit)
+            return _series(fit, self._index)
         if name == "fm":
             self.lrv(*args)  # raises where the long-run covariance does
-        row = type(fit)(**{k: v[0] if isinstance(v, np.ndarray) else v for k, v in vars(fit).items()})
+        row = type(fit)(**{k: v[self._index] if isinstance(v, np.ndarray) else v for k, v in vars(fit).items()})
         if name == "dols":
             K = int(row.leads_lags)
             width = row.n_det + row.n_reg * (2 * K + 2)
@@ -511,7 +521,7 @@ class FittedSample:
 
     @property
     def design(self) -> np.ndarray:
-        return self._design if self.sample is None else self._design[0]
+        return self._design if self._index is None else self._design[self._index]
 
     @property
     def static(self) -> OlsFit:

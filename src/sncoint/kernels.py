@@ -294,14 +294,14 @@ def conditional_lrv(omega: np.ndarray) -> float:
     return float(value)
 
 
-def _first_row(est: LrvEstimate) -> LrvEstimate:
-    """The estimate of the first series of a stacked estimate, raising
-    where a single-series estimate would."""
-    if np.isnan(est.bandwidth[0]):
+def _series(est: LrvEstimate, i: int) -> LrvEstimate:
+    """The estimate of series ``i`` of a stacked estimate, raising where a
+    single-series estimate would."""
+    if np.isnan(est.bandwidth[i]):
         raise ValueError(_DEGENERATE)
-    if np.isnan(est.conditional[0]):
+    if np.isnan(est.conditional[i]):
         raise np.linalg.LinAlgError("regressor long-run variance singular")
-    return LrvEstimate(est.omega[0], float(est.conditional[0]), float(est.bandwidth[0]), est.kind, est.one_sided[0])
+    return LrvEstimate(est.omega[i], float(est.conditional[i]), float(est.bandwidth[i]), est.kind, est.one_sided[i])
 
 
 def estimate_lrv(w: np.ndarray, kernel: KernelSpec) -> LrvEstimate:
@@ -314,6 +314,6 @@ def estimate_lrv(w: np.ndarray, kernel: KernelSpec) -> LrvEstimate:
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 3:
-        return _first_row(estimate_lrv(_as_time_matrix(w)[None], kernel))
+        return _series(estimate_lrv(_as_time_matrix(w)[None], kernel), 0)
     omega, one_sided, bandwidth = _kernel_sums(w, kernel)
     return LrvEstimate(omega, _conditional(omega), bandwidth, kernel.kind, one_sided)

@@ -223,6 +223,19 @@ class TestNullModel:
         with pytest.raises(ValueError, match="NullModel.fit tests one sample"):
             NullModel.fit(stack, RestrictionSpec(R=np.eye(2), value=np.ones(2)), 1)
 
+    def test_models_compare_and_hash_by_identity(self):
+        sample = mild_sample(substream(136, 0), T=100)
+        w = np.column_stack([sample.y - sample.x.sum(axis=1), sample.innovations()[:, 0]])
+        a, b = yule_walker(w, 1), yule_walker(w, 1)
+        np.testing.assert_array_equal(a.coefs, b.coefs)
+        assert a != b and a == a and len({hash(a), hash(b)}) == 2
+        restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
+        null = NullModel.fit(sample, restriction, 1)
+        shifted = replace(null, beta=null.beta + 1.0)
+        assert null != shifted and null == null and len({null, shifted}) == 2
+        np.testing.assert_array_equal(shifted.beta, null.beta + 1.0)
+        assert shifted.sieve is null.sieve
+
 
 class TestGenerateBootstrapSample:
     def test_degenerate_model_replays_residual(self):

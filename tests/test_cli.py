@@ -222,6 +222,24 @@ class TestRunAnalysis:
         assert calls == [(5, 1, Deterministics.NONE, 10_000, 10_000, 7)]
         assert dict(report.outcomes[0].diagnostics) == {"n_grid": 10_000, "reps": 10_000}
 
+    def test_row_of_a_stack_gives_its_sample_report(self):
+        from sncoint import FittedSample
+
+        samples = [make_sample(seed, T=120) for seed in (11, 12, 13)]
+        y, x = np.stack([s.y for s in samples]), np.stack([s.x for s in samples])
+        stack = FittedSample(y, x, Deterministics.INTERCEPT)
+        restriction = RestrictionSpec(R=np.eye(1), value=np.array([1.0]))
+        boot = BootstrapConfig(n_boot=19, alpha=0.10, seed=5)
+        for i in range(3):
+            report = run_analysis(stack.row(i), restriction, alpha=0.10, boot=boot, seed=5)
+            single = run_analysis(CointegrationSample(y[i], x[i], Deterministics.INTERCEPT), restriction,
+                                  alpha=0.10, boot=boot, seed=5)  # fmt: skip
+            assert report.to_json() == single.to_json()
+        assert run_analysis(FittedSample(samples[0]), restriction, seed=5).to_json() == \
+            run_analysis(samples[0], restriction, seed=5).to_json()  # fmt: skip
+        with pytest.raises(ValueError, match="^run_analysis tests one sample, got a stacked FittedSample of 3 rows$"):
+            run_analysis(stack, restriction)
+
 
 class TestFitOnce:
     """One analysis fits its sample once: the static OLS of y on [d, x],

@@ -881,6 +881,84 @@ class TestRowsIndependentOfStackMates:
         assert results[0] == results[1] == results[2]
 
 
+class TestRowView:
+    """``row(i)`` of a stack is the one-sample FittedSample of row i: the same
+    bits and the same errors, read from the stack's fits."""
+
+    KERNELS = (KernelSpec("bartlett", "andrews"), KernelSpec("qs", "andrews"))
+
+    @classmethod
+    def reads(cls, fitted):
+        """Every one-sample read, by name: a fit, the design or a statistic."""
+        from sncoint.selfnorm import bootstrap_statistic
+
+        restriction = RestrictionSpec(R=np.eye(1, fitted.x.shape[2]), value=np.ones(1))
+        reads = {"static": lambda: fitted.static, "im": lambda: fitted.im, "design": lambda: fitted.design}
+        for kernel in cls.KERNELS:
+            reads[f"lrv {kernel.kind}"] = lambda kernel=kernel: fitted.lrv(kernel)
+            reads[f"fm {kernel.kind}"] = lambda kernel=kernel: fitted.fm(kernel)
+        reads["dols"] = lambda: fitted.dols(2)
+        for statistic in ("sn", "tau1", "wald-lrv"):
+            reads[statistic] = lambda statistic=statistic: bootstrap_statistic(fitted, restriction, statistic, cls.KERNELS[0])
+        return reads
+
+    @staticmethod
+    def assert_identical(mine, theirs, name):
+        if isinstance(theirs, np.ndarray) or np.isscalar(theirs):
+            assert np.array_equal(mine, theirs), name
+            return
+        assert type(mine) is type(theirs), name
+        for field, value in vars(theirs).items():
+            assert np.array_equal(getattr(mine, field), value), (name, field)
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read(), None
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return None, (type(exc), str(exc))
+
+    @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.INTERCEPT, Deterministics.TREND])
+    def test_rows_match_one_sample_fits(self, det):
+        y, x = stacked_rows(60, 5, 80, 2, det)
+        x[3, :, 1] = 0.0  # a degenerate row: a zero regressor column
+        stack = FittedSample(y, x, det)
+        for i in range(5):
+            view = stack.row(i)
+            assert np.array_equal(view.sample.y, y[i]) and np.array_equal(view.sample.x, x[i]) and view.det is det
+            row, one = self.reads(view), self.reads(FittedSample(CointegrationSample(y[i], x[i], det)))
+            raised = set()
+            for name in one:
+                (mine, mine_error), (theirs, their_error) = self.outcome(row[name]), self.outcome(one[name])
+                assert mine_error == their_error, (i, name)
+                if their_error is None:
+                    self.assert_identical(mine, theirs, (i, name))
+                else:
+                    raised.add(name)
+            assert raised == (set(one) - {"design"} if i == 3 else set()), i
+
+    def test_views_share_the_stacked_fits_but_not_their_rows(self, count_calls):
+        from sncoint.estimators import _static_batch, im_ols_batch
+
+        im_calls, static_calls = count_calls(im_ols_batch), count_calls(_static_batch)
+        y, x = stacked_rows(61, 4, 70, 2, Deterministics.INTERCEPT)
+        stack = FittedSample(y, x, Deterministics.INTERCEPT)
+        kernel = self.KERNELS[0]
+        first, second = stack.row(0), stack.row(1)
+        fits = [(view.static, view.im, view.lrv(kernel), view.fm(kernel), view.dols(2)) for view in (first, second)]
+        for i, view_fits in enumerate(fits):
+            np.testing.assert_array_equal(view_fits[1].params, stack.im.params[i])
+            np.testing.assert_array_equal(view_fits[0].params, stack.static.params[i])
+            np.testing.assert_array_equal(view_fits[2].omega, stack.lrv(kernel).omega[i])
+            np.testing.assert_array_equal(view_fits[3].params, stack.fm(kernel).params[i])
+            assert view_fits[4].leads_lags == stack.dols(2).leads_lags[i]
+        assert not any(a is b for a, b in zip(*fits))
+        assert stack.row(-4).im is first.im and stack.row(1).im is second.im
+        assert len(im_calls) == len(static_calls) == 1
+        with pytest.raises(IndexError):
+            stack.row(4)
+
+
 def test_fm_ols_as_precise_as_static_ols():
     """On a cubic trend 1 + 2t + 3t^2 + 4t^3, the FM-OLS beta, formed from the
     static QR, is as close to an 80-digit solve of its normal equations as

@@ -468,6 +468,34 @@ class TestStandardBattery:
                 assert decisions[name][i] == float(per_sample(name, sample, seed).reject), (name, i)
         assert 0.0 < np.mean(list(decisions.values())) < 1.0
 
+    def test_bootstrap_rows_read_the_stack_fits(self, monkeypatch):
+        """A battery's bootstrap tests fit the stack once: no IM-OLS, static
+        OLS or long-run covariance is built again for one of its rows. A
+        call is told by its y, since a retry batch of draws can have one row."""
+        from sncoint import estimators
+
+        config = DgpConfig(T=75, rho1=0.8, rho2=0.8)
+        fitted = _fitted_samples(config, 17, 0, np.arange(8), [config.beta])
+        fitted_ys = []
+        for name in ("im_ols_batch", "_static_batch", "_lrv_batch"):
+            build = getattr(estimators, name)
+
+            def counted(first, *args, build=build, name=name):
+                fitted_ys.append((name, first if name == "im_ols_batch" else first.y))
+                return build(first, *args)
+
+            monkeypatch.setattr(estimators, name, counted)
+        battery = standard_battery(["SN-bootstrap", "Wald-IM-bootstrap"], boot=BootstrapConfig(n_boot=19))
+        for test in battery.values():
+            test(fitted, null_restriction(config), [1000 + i for i in range(8)])
+        builds = {name: 0 for name in ("im_ols_batch", "_static_batch", "_lrv_batch")}
+        for name, y in fitted_ys:
+            stack_rows = sum(any(np.array_equal(row, own) for own in fitted.y) for row in y)
+            assert stack_rows in (0, 8) and (stack_rows == 0 or y.shape[0] == 8), (name, y.shape, stack_rows)
+            builds[name] += stack_rows == 8
+        assert builds == {"im_ols_batch": 1, "_static_batch": 1, "_lrv_batch": 1}
+        assert len(fitted_ys) > 3  # the bootstrap draws were fitted through the same builders
+
     def test_all_tags_execute(self):
         config = DgpConfig(T=75, rho1=0.3, rho2=0.3)
         sample = generate_dgp(config, substream(17, 0))

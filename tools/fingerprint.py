@@ -3,7 +3,8 @@ leaves every number bit-identical.
 
 Covers the stacked and one-row fits (static OLS, IM-OLS, the long-run
 covariance, FM-OLS and D-OLS), the five statistics on a stack, a size
-study, a four-statistic size-adjusted power study, ``run_analysis``,
+study with every test tag (the three bootstrap tests included), a
+four-statistic size-adjusted power study, ``run_analysis``,
 ``bootstrap_test`` for each bootstrap statistic,
 ``simulate_critical_values`` for a panel with and without deterministics,
 the generator states of ``substream`` over seeds of one to five 32-bit
@@ -115,8 +116,8 @@ def part_statistics() -> list:
 
 def part_studies() -> list:
     config = sn.DgpConfig(T=60, rho1=0.5, rho2=0.5)
-    battery = sn.standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM", "Wald-D", "SN-bootstrap"],
-                                  boot=sn.BootstrapConfig(n_boot=19))  # fmt: skip
+    battery = sn.standard_battery(["SN-asymptotic", "Wald-IM", "Wald-FM", "Wald-D", "SN-bootstrap", "tau1-bootstrap",
+                                   "Wald-IM-bootstrap"], boot=sn.BootstrapConfig(n_boot=19))  # fmt: skip
     stats = sn.standard_statistics(["SN", "Wald-IM", "Wald-FM", "Wald-D"])
     return [
         sn.size_experiment(config, battery, reps=20, seed=4),
