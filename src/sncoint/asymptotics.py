@@ -34,7 +34,7 @@ from .estimators import RestrictionSpec, batch_rows, im_ols_batch
 from .selfnorm import _chi2_critical, _normalizer, _wald_unit
 from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
-from .timeseries import Deterministics
+from .timeseries import Deterministics, _check_nobs
 
 __all__ = [
     "LocalPowerCurve",
@@ -55,8 +55,7 @@ def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: i
         raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
-    if n_grid < 2 * m + det.n_columns + 3:
-        raise ValueError(f"need n_grid >= {2 * m + det.n_columns + 3} for m={m} and det={det.value}, got {n_grid}")
+    _check_nobs(n_grid, m, det, "need n_grid >= {need} for m={m} and det={det}, got {T}")
     return RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
 
 

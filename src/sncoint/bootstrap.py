@@ -274,7 +274,7 @@ class NullModel:
         """
         fitted = FittedSample.one(sample, "NullModel.fit")
         sample, fit = fitted.sample, fitted.im
-        w_hat = np.column_stack([levels_residuals(sample, fit), fitted._innovations[fitted._index]])
+        w_hat = np.column_stack([levels_residuals(sample, fit), sample.innovations()])
         return cls(yule_walker(w_hat, order), sample.nobs, restricted_im_ols(fit, restriction), sample.det, fit.delta)
 
 

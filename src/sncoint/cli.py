@@ -129,6 +129,9 @@ def _checked(build, *args, **kwargs):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers are built by this class too
+        super().__init__(allow_abbrev=False, **kwargs)  # no option prefixes: --out is not --output
+
     def error(self, message: str):  # exit code 1 instead of argparse's 2
         raise UsageError(message)
 
@@ -223,6 +226,8 @@ def _print_report(report: AnalysisReport) -> None:
 
 def _cmd_test(args) -> int:
     """``test``, and ``boottest``, which adds the bootstrap test."""
+    if args.output and not args.out:
+        raise UsageError("--output needs --out json or --out csv")
     sample = _sample_from_args(args)
     restriction = _restriction_from_args(args, sample.n_regressors)
     provenance = {"input": args.data, "input_sha256": _sha256(args.data)}

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .kernels import KernelSpec, LrvEstimate, _series, estimate_lrv
-from .timeseries import CointegrationSample, Deterministics, _increments, build_deterministics
+from .timeseries import CointegrationSample, Deterministics, _check_nobs, _increments, build_deterministics
 
 __all__ = [
     "OlsFit",
@@ -88,6 +87,8 @@ def _qr_solve(y: np.ndarray, X: np.ndarray):
     order (k > 1) or takes its contiguous path (k = 1), and summed over the
     time-contiguous buffer they would round differently."""
     c, T, k = X.shape
+    if T < k:
+        raise np.linalg.LinAlgError(_DEFICIENT)
     Y = y if y.ndim == 3 else y[:, :, None]
     norms = np.sqrt(np.einsum("ctj,ctj->cj", X, X))
     degenerate = ~(((norms > 0.0) & (norms < np.inf)).all(axis=1) & np.isfinite(Y).all(axis=(1, 2)))
@@ -121,8 +122,6 @@ def ols(y: np.ndarray, X: np.ndarray) -> OlsFit:
     y = np.asarray(y, dtype=float)
     X = np.ascontiguousarray(X, dtype=float)
     X = X[:, None] if X.ndim == 1 else X
-    if X.shape[0] < X.shape[1]:
-        raise np.linalg.LinAlgError(_DEFICIENT)
     theta, norms, root, degenerate, *_ = _qr_solve(y[None], X[None])
     if degenerate[0]:
         raise np.linalg.LinAlgError(_DEFICIENT)
@@ -383,9 +382,9 @@ def _dols_design(fitted: FittedSample, K: int, lo: int, hi: int):
     lo..hi, of each row of ``fitted``."""
     rows = slice(lo - 1, hi)
     y = fitted.y[:, rows]
-    windows = np.lib.stride_tricks.sliding_window_view(fitted._innovations, 2 * K + 1, axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(fitted._stacked("innovations"), 2 * K + 1, axis=1)
     leads_lags = windows[:, lo - 1 - K : hi - K].swapaxes(-1, -2).reshape(y.shape + (-1,))  # j-major
-    return y, np.concatenate([fitted._design[:, rows], leads_lags], axis=-1)
+    return y, np.concatenate([fitted._stacked("design")[:, rows], leads_lags], axis=-1)
 
 
 def d_ols(sample: CointegrationSample | FittedSample, max_leads_lags: int) -> DOlsFit:
@@ -404,9 +403,10 @@ class FittedSample:
     once, on first use, for every row at once.
 
     ``FittedSample(y, x, det)`` holds the rows of ``y`` (c, T) and ``x``
-    (c, T, m); row i is the sample ``CointegrationSample(y[i], x[i], det)``.
-    Each fit comes from one stacked call and carries a leading axis of
-    length c, NaN on a row where the per-sample fit would raise:
+    (c, T, m); row i is the sample ``CointegrationSample(y[i], x[i], det)``,
+    and T must be as long as that sample needs. Each fit comes from one
+    stacked call and carries a leading axis of length c, NaN on a row where
+    the per-sample fit would raise:
 
     * ``design``, the static regressors [d, x], and ``static``, the OLS of
       y on them;
@@ -415,8 +415,9 @@ class FittedSample:
     * ``fm(kernel)``, the FM-OLS fit;
     * ``dols(max_leads_lags)``, the D-OLS fit.
 
-    One memo keeps every stacked fit under its key, ``static``, ``im``,
-    ``lrv(kernel)``, ``fm(kernel)`` or ``dols(K)``, and the rows read from it.
+    One memo, the only cache, keeps every stacked entry under its key,
+    ``design``, ``innovations`` (v), ``static``, ``im``, ``lrv(kernel)``,
+    ``fm(kernel)`` or ``dols(K)``, and the rows read from it.
 
     One sample is a row of a stack: ``row(i)`` is a view of row i that shares
     the stack's memo, with the row's sample kept as ``sample`` (None for a
@@ -438,6 +439,7 @@ class FittedSample:
             self.y, self.x, self.det = np.asarray(y, dtype=float), np.asarray(x, dtype=float), det
             if self.y.ndim != 2 or self.x.ndim != 3 or self.x.shape[:2] != self.y.shape:
                 raise ValueError(f"need y (c, T) and x (c, T, m), got {self.y.shape} and {self.x.shape}")
+            _check_nobs(*self.x.shape[1:], det)
         else:
             self.y, self.x, self.det = self.sample.y[None], self.sample.x[None], self.sample.det
         self._index = None if self.sample is None else 0
@@ -445,7 +447,6 @@ class FittedSample:
 
     def row(self, i: int) -> FittedSample:
         """Row ``i`` of the stack as one sample, reading its fits from the stack's."""
-        self._innovations  # cached before the copy, so that every row shares it
         view = copy.copy(self)  # shares y, x and the memo
         view.sample, view._index = CointegrationSample(self.y[i], self.x[i], self.det), range(len(self.y))[i]
         return view
@@ -467,12 +468,13 @@ class FittedSample:
         return self.y.shape[1]
 
     def _stacked(self, name: str, *args):
-        """The stacked fit ``name`` under ``args``, built on first use; the
+        """The stacked entry ``name`` under ``args``, built on first use; the
         static entry pairs the fit with the coefficients of v on [d, x]."""
         key = (name, *args)
         if key not in self._memo:  # builders are looked up per call, so a patched module function is used
-            build = {"static": _static_batch, "im": lambda f: im_ols_batch(f.y, f.x, f.det),
-                     "lrv": _lrv_batch, "fm": _fm_ols_batch, "dols": _d_ols_batch}[name]  # fmt: skip
+            build = {"design": _design_batch, "innovations": lambda f: _increments(f.x), "static": _static_batch,
+                     "im": lambda f: im_ols_batch(f.y, f.x, f.det), "lrv": _lrv_batch, "fm": _fm_ols_batch,
+                     "dols": _d_ols_batch}[name]  # fmt: skip
             self._memo[key] = build(self, *args)
         return self._memo[key]
 
@@ -490,9 +492,11 @@ class FittedSample:
 
     def _row(self, name: str, fit, *args):
         """This sample's row of the stacked ``fit``, raising its fit's error where
-        the parameters are NaN. The LRV row raises the static error first, then
-        :func:`~sncoint.kernels._series`'s; the FM row raises the LRV row's
-        first; the D-OLS row is trimmed to its own K."""
+        the parameters are NaN. An array's row is its index. The LRV row raises
+        the static error first, then :func:`~sncoint.kernels._series`'s; the FM
+        row raises the LRV row's first; the D-OLS row is trimmed to its own K."""
+        if isinstance(fit, np.ndarray):
+            return fit[self._index]
         if name == "lrv":
             self.static  # raises where the static fit does
             return _series(fit, self._index)
@@ -507,21 +511,9 @@ class FittedSample:
             raise np.linalg.LinAlgError("augmented regression singular" if name == "im" else _DEFICIENT)
         return row
 
-    @cached_property
-    def _innovations(self) -> np.ndarray:
-        """v_t = x_t - x_{t-1} with v_1 = x_1, of every row (c, T, m)."""
-        return _increments(self.x)
-
-    @cached_property
-    def _design(self) -> np.ndarray:
-        p = self.det.n_columns
-        X = np.empty(self.x.shape[:2] + (p + self.x.shape[2],))
-        X[:, :, :p], X[:, :, p:] = build_deterministics(self.det, self.nobs), self.x
-        return X
-
     @property
     def design(self) -> np.ndarray:
-        return self._design if self._index is None else self._design[self._index]
+        return self._fit("design")
 
     @property
     def static(self) -> OlsFit:
@@ -544,11 +536,17 @@ class FittedSample:
         return self._fit("dols", int(max_leads_lags))
 
 
+def _design_batch(fitted: FittedSample) -> np.ndarray:
+    """The static regressors [d, x] of every row (c, T, p + m)."""
+    d = build_deterministics(fitted.det, fitted.nobs)
+    return np.concatenate([np.broadcast_to(d, fitted.x.shape[:2] + d.shape[1:]), fitted.x], axis=2)
+
+
 def _static_batch(fitted: FittedSample) -> tuple[OlsFit, np.ndarray]:
     """The static OLS of y on [d, x] of every row, and the coefficients of v
     on [d, x] (c, p + m, m) from the same QR."""
-    X = fitted._design
-    theta, norms, root, *_ = _qr_solve(np.concatenate([fitted.y[:, :, None], fitted._innovations], axis=2), X)
+    X = fitted._stacked("design")
+    theta, norms, root, *_ = _qr_solve(np.concatenate([fitted.y[:, :, None], fitted._stacked("innovations")], axis=2), X)
     coefs = theta / norms[:, :, None]
     resid = fitted.y - (X @ coefs[:, :, :1])[:, :, 0]
     return OlsFit(coefs[:, :, 0], resid, root), coefs[:, :, 1:]
@@ -556,7 +554,7 @@ def _static_batch(fitted: FittedSample) -> tuple[OlsFit, np.ndarray]:
 
 def _lrv_batch(fitted: FittedSample, kernel: KernelSpec) -> LrvEstimate:
     """Long-run covariance of [static residual, v] of every row."""
-    w = np.concatenate([fitted._stacked("static")[0].resid[:, :, None], fitted._innovations], axis=2)
+    w = np.concatenate([fitted._stacked("static")[0].resid[:, :, None], fitted._stacked("innovations")], axis=2)
     return estimate_lrv(w, kernel)
 
 
@@ -580,7 +578,7 @@ def _fm_ols_batch(fitted: FittedSample, kernel: KernelSpec) -> FmOlsFit:
     params[~ok] = np.nan
     return FmOlsFit(
         params=params,
-        resid=fitted.y - (fitted._design @ params[:, :, None])[:, :, 0],
+        resid=fitted.y - (fitted._stacked("design") @ params[:, :, None])[:, :, 0],
         n_det=p,
         conditional_lrv=est.conditional,
         moment_inv_beta=(root @ root.transpose(0, 2, 1))[:, p:, p:],

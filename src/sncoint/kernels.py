@@ -76,7 +76,7 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "andrews":
                 raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif self.bandwidth <= 0:
+        elif not self.bandwidth > 0:  # NaN too
             raise ValueError("fixed bandwidth must be positive")
 
 

@@ -91,6 +91,9 @@ class DgpConfig:
             raise ValueError("rho3 must lie in (-0.5, 1) for a positive definite mix")
         if self.burn_in < 1:
             raise ValueError("burn_in must be positive")
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def mixing_matrix(self) -> np.ndarray:
         """Cholesky factor of the equicorrelation matrix with off-diagonal rho3."""

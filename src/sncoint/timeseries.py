@@ -88,6 +88,16 @@ def _increments(x: np.ndarray) -> np.ndarray:
     return np.diff(x, axis=-2, prepend=np.zeros_like(x[..., :1, :]))
 
 
+_TOO_SHORT = "need at least {need} observations for m={m} regressors and {p} deterministic columns, got {T}"
+
+
+def _check_nobs(T: int, m: int, det: Deterministics, message: str = _TOO_SHORT) -> None:
+    """Raise ValueError(``message``) unless T reaches the 2m + p + 3 observations
+    that a regression on m integrated regressors and ``det`` needs."""
+    if T < (need := 2 * m + det.n_columns + 3):
+        raise ValueError(message.format(need=need, m=m, p=det.n_columns, det=det.value, T=T))
+
+
 def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
     """Return the T x p matrix with column j holding t^j for t = 1..T.
 
@@ -133,13 +143,7 @@ class CointegrationSample:
                 bad = np.flatnonzero(~np.isfinite(column))
                 if bad.size:
                     raise ValueError(f"{name} holds a non-finite value ({column[bad[0]]}) at t = {bad[0] + 1}")
-        T, m = x.shape
-        p = self.det.n_columns
-        if T < 2 * m + p + 3:
-            raise ValueError(
-                f"need at least {2 * m + p + 3} observations for m={m} regressors "
-                f"and {p} deterministic columns, got {T}"
-            )
+        _check_nobs(*x.shape, self.det)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 

@@ -506,12 +506,13 @@ class TestCommandLine:
          ({"kind": "size", "T": 75, "workers": 1.5}, "'workers' must be an integer >= 1, got 1.5"),
          ({"kind": "size", "T": 75, "workers": "2"}, "'workers' must be an integer >= 1, got '2'"),
          ({"kind": "size", "T": 5}, "bad config: sample size too small"),
+         ({"kind": "size", "T": 75, "rho1": float("nan")}, "bad config: rho1 must be finite, got nan"),
          ({"kind": "size", "T": 75, "beta": [1.0]}, "bad config: beta needs one coefficient per regressor (two)"),
          ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2"),
          ({"kind": "size", "T": 75, "alpha": 0.2, "tests": ["SN-asymptotic"]},
           "bad config: no tabulated quantile at probability 0.8")],
-        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "beta", "alpha",
-             "alpha-untabulated"],
+        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "nan-rho1", "beta",
+             "alpha", "alpha-untabulated"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -569,6 +570,28 @@ class TestCommandLine:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["test", "--y", "rate", "--x", "price"], ["lrv", "--columns", "rate,price"]], ids=["test", "lrv"]
+    )
+    def test_nan_bandwidth_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--data", synthetic_csv(tmp_path), "--bandwidth", "nan"]) == 1
+        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got 'nan'\n"
+
+    @pytest.mark.parametrize("command", ["test", "boottest"])
+    def test_output_needs_a_format(self, tmp_path, capsys, command):
+        # the data file does not exist: the flags are refused before it is read
+        argv = [command, "--data", str(tmp_path / "missing.csv"), "--y", "rate", "--x", "price"]
+        assert main(argv + ["--output", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == "error: --output needs --out json or --out csv\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_prefixes_are_not_options(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["critvals", "--m", "1", "--s", "1", "--reps", "1000", "--n-grid", "1000", "--out", "json"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --out json\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_lrv_command(self, tmp_path, capsys):
         rng = substream(8, 0)

@@ -959,6 +959,40 @@ class TestRowView:
             stack.row(4)
 
 
+class TestOneCacheOneLengthRule:
+    """The design and v live in the stack's memo, and a stack is as long as its rows must be."""
+
+    def test_views_share_the_stack_design(self, count_calls):
+        from sncoint.estimators import _design_batch, _increments
+
+        design_calls, increment_calls = count_calls(_design_batch), count_calls(_increments)
+        y, x = stacked_rows(62, 4, 50, 2, Deterministics.INTERCEPT)
+        stack = FittedSample(y, x, Deterministics.INTERCEPT)
+        stack.row(0).static
+        assert np.shares_memory(stack.row(1).design, stack.design)
+        np.testing.assert_array_equal(stack.row(1).design, np.column_stack([np.ones(50), x[1]]))
+        stack.row(2).lrv(KernelSpec("bartlett", "andrews"))
+        stack.dols(1)
+        assert len(design_calls) == len(increment_calls) == 1
+
+    @pytest.mark.parametrize("T", [3, 5])
+    def test_short_stack_is_refused(self, T):
+        y, x = np.ones((2, T)), np.cumsum(np.ones((2, T, 2)), axis=1)
+        with pytest.raises(ValueError) as one:
+            CointegrationSample(y[0], x[0])
+        with pytest.raises(ValueError) as stacked:
+            FittedSample(y, x)
+        message = f"need at least 7 observations for m=2 regressors and 0 deterministic columns, got {T}"
+        assert str(stacked.value) == str(one.value) == message
+
+    def test_short_batch_is_rank_deficient(self):
+        from sncoint.estimators import im_ols_batch
+
+        rng = np.random.default_rng(63)
+        with pytest.raises(np.linalg.LinAlgError, match="^regressor matrix is rank deficient$"):
+            im_ols_batch(rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 2)), Deterministics.NONE)
+
+
 def test_fm_ols_as_precise_as_static_ols():
     """On a cubic trend 1 + 2t + 3t^2 + 4t^3, the FM-OLS beta, formed from the
     static QR, is as close to an 80-digit solve of its normal equations as

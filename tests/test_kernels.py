@@ -169,6 +169,10 @@ class TestLrvMatrix:
         with pytest.raises(ValueError):
             KernelSpec(BARTLETT, -1.0)
 
+    def test_nan_bandwidth(self):
+        with pytest.raises(ValueError, match="^fixed bandwidth must be positive$"):
+            KernelSpec(BARTLETT, float("nan"))
+
 
 class TestOneSided:
     def test_small_bandwidth_keeps_lag_zero(self):

@@ -70,6 +70,12 @@ class TestGarchInnovations:
         with pytest.raises(ValueError):
             DgpConfig(T=100, rho1=1.0)
 
+    @pytest.mark.parametrize("field", ["rho1", "rho2", "rho3", "phi", "a1", "b1", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DgpConfig(T=100, **{field: (1.0, value) if field == "beta" else value})
+
 
 class TestGenerateDgp:
     def test_collapsed_recursions_give_iid_errors(self):

@@ -2,7 +2,9 @@
 leaves every number bit-identical.
 
 Covers the stacked and one-row fits (static OLS, IM-OLS, the long-run
-covariance, FM-OLS and D-OLS), the five statistics on a stack, a size
+covariance, FM-OLS and D-OLS), every fit and the design of each row view
+of a stack, read before the stack's own so that the views fill its memo,
+the five statistics on a stack, a size
 study with every test tag (the three bootstrap tests included), a
 four-statistic size-adjusted power study, ``run_analysis``,
 ``bootstrap_test`` for each bootstrap statistic,
@@ -102,6 +104,28 @@ def part_fits() -> list:
     return out
 
 
+def outcome(read):
+    """``read()``, or the type and message of the error it raises."""
+    try:
+        return read()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def part_views() -> list:
+    rng = np.random.default_rng(14)
+    out = []
+    for m, det in ((1, sn.Deterministics.NONE), (2, sn.Deterministics.INTERCEPT), (3, sn.Deterministics.TREND)):
+        y, x = stack(rng, 4, 80, m, det)
+        fitted = sn.FittedSample(y, x, det)
+        for view in map(fitted.row, range(4)):
+            reads = [lambda: view.static, lambda: view.im, lambda: view.dols(2), lambda: view.design]
+            reads += [lambda f=f, k=k: f(k) for k in KERNELS for f in (view.lrv, view.fm)]
+            out.append([outcome(read) for read in reads])
+        out.append(fits(fitted) + [fitted.design])
+    return out
+
+
 def part_statistics() -> list:
     rng = np.random.default_rng(2)
     out = []
@@ -169,6 +193,7 @@ def part_layout() -> list:
 
 PARTS = {
     "fits": part_fits,
+    "views": part_views,
     "statistics": part_statistics,
     "studies": part_studies,
     "analysis": part_analysis,
