@@ -20,11 +20,12 @@ one-series estimate would reject is NaN.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import fft
 
 __all__ = [
     "BARTLETT",
@@ -76,7 +77,7 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "andrews":
                 raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:  # NaN too
+        elif not 0 < self.bandwidth < math.inf:  # NaN and inf too
             raise ValueError("fixed bandwidth must be positive")
 
 
@@ -196,13 +197,29 @@ def autocovariances(w: np.ndarray, max_lag: int) -> np.ndarray:
     return np.stack([w[..., : T - h, :].swapaxes(-1, -2) @ w[..., h:, :] / T for h in range(max_lag + 1)], axis=-3)
 
 
+@lru_cache
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c at least ``n``: a length
+    numpy's real FFT factors into its fast radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # p35 times the least power of 2 reaching n
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _all_autocovariances(w: np.ndarray) -> np.ndarray:
     """:func:`autocovariances` of each series of a stack ``w`` (c, T, k) at
-    every lag 0..T-1, from one zero-padded FFT pass: O(T log T), not O(T^2)."""
+    every lag 0..T-1, from one pass of numpy's real FFT, zero-padded to the
+    5-smooth length :func:`_fast_length` of 2T - 1: O(T log T), not O(T^2)."""
     T = w.shape[1]
-    n = fft.next_fast_len(2 * T - 1, real=True)
-    F = fft.rfft(w, n=n, axis=1)
-    return fft.irfft(F.conj()[:, :, :, None] * F[:, :, None, :], n=n, axis=1)[:, :T] / T
+    n = _fast_length(2 * T - 1)
+    F = np.fft.rfft(w, n=n, axis=1)
+    return np.fft.irfft(F.conj()[:, :, :, None] * F[:, :, None, :], n=n, axis=1)[:, :T] / T
 
 
 def _kernel_sums(w: np.ndarray, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

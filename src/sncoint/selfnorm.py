@@ -24,7 +24,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .estimators import FittedSample, ImOlsFit, RestrictionSpec
 from .kernels import BARTLETT, KernelSpec, lrv_matrix
@@ -222,6 +221,8 @@ def traditional_statistic(
 
 def _chi2_critical(s: int, alpha: float) -> float:
     """The 1 - alpha quantile of chi-square(s)."""
+    from scipy import special  # on first use, so that importing the package loads no scipy
+
     return float(2 * special.gammaincinv(s / 2, 1 - alpha))
 
 
@@ -246,6 +247,8 @@ def traditional_wald(
     statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions
     critical = _chi2_critical(s, alpha)
+    from scipy import special  # on first use, as in _chi2_critical
+
     return TestOutcome(
         statistic=statistic,
         critical_value=critical,

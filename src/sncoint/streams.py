@@ -34,7 +34,6 @@ import operator
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import Callable
@@ -247,5 +246,7 @@ def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, worke
     if workers == 1:
         with _retained():
             return [task(chunk) for chunk in range(chunks)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
         return list(pool.map(task, range(chunks), chunksize=max(1, chunks // (8 * workers))))

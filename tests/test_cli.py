@@ -578,6 +578,13 @@ class TestCommandLine:
         assert main(argv + ["--data", synthetic_csv(tmp_path), "--bandwidth", "nan"]) == 1
         assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got 'nan'\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["test", "--y", "rate", "--x", "price"], ["lrv", "--columns", "rate,price"]], ids=["test", "lrv"]
+    )
+    def test_infinite_bandwidth_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--data", synthetic_csv(tmp_path), "--bandwidth", "inf"]) == 1
+        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got 'inf'\n"
+
     @pytest.mark.parametrize("command", ["test", "boottest"])
     def test_output_needs_a_format(self, tmp_path, capsys, command):
         # the data file does not exist: the flags are refused before it is read

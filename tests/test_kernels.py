@@ -173,6 +173,10 @@ class TestLrvMatrix:
         with pytest.raises(ValueError, match="^fixed bandwidth must be positive$"):
             KernelSpec(BARTLETT, float("nan"))
 
+    def test_infinite_bandwidth(self):
+        with pytest.raises(ValueError, match="^fixed bandwidth must be positive$"):
+            KernelSpec(QUADRATIC_SPECTRAL, float("inf"))
+
 
 class TestOneSided:
     def test_small_bandwidth_keeps_lag_zero(self):
@@ -235,6 +239,28 @@ class TestFftAutocovariances:
             w = rng.standard_normal((3, T, 2)) * [1.0, 1e3]
             expected = autocovariances(w, T - 1)
             assert np.abs(_all_autocovariances(w) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_fast_length_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        from sncoint.kernels import _fast_length
+
+        assert [_fast_length(n) for n in range(1, 20_001)] == [next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+    @pytest.mark.parametrize("c, k", [(1, 2), (5, 3), (3, 5), (25, 3)])
+    def test_matches_scipy_fft_bit_for_bit(self, c, k):
+        """numpy's FFT gives the autocovariances of the scipy.fft pass it replaced, to the last bit."""
+        from scipy import fft
+
+        from sncoint.kernels import _all_autocovariances
+
+        rng = np.random.default_rng(23)
+        for T in (7, 8, 100, 250, 1000, 1021, 10_000):
+            w = rng.standard_normal((c, T, k))
+            n = fft.next_fast_len(2 * T - 1, real=True)
+            F = fft.rfft(w, n=n, axis=1)
+            expected = fft.irfft(F.conj()[:, :, :, None] * F[:, :, None, :], n=n, axis=1)[:, :T] / T
+            np.testing.assert_array_equal(_all_autocovariances(w), expected)
 
 
 class TestEstimateLrv:

@@ -27,7 +27,7 @@ from sncoint import (
     traditional_wald,
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
-from sncoint import montecarlo, streams
+from sncoint import montecarlo
 from sncoint.montecarlo import _dgp_paths, _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, MEMORY_RETAINED, _cores, replication_map, substream
 
@@ -144,15 +144,19 @@ class TestGenerateDgp:
             np.testing.assert_array_equal(_dgp_paths(config, mixed)[1], expected)
 
     def test_import_loads_no_scipy_signal(self):
-        # a fresh interpreter, since other test modules import scipy.signal themselves
-        code = "import sys, sncoint; print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+        # a fresh interpreter, since other test modules import scipy themselves; no scipy module at all
+        # loads with the package, and the chi-square forms import theirs on first use
+        code = (
+            "import sys, sncoint; print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "from sncoint.selfnorm import _chi2_critical; print(repr(_chi2_critical(2, 0.05)))"
+        )
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )  # fmt: skip
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "5.991464547107979"]
 
     def test_burn_in_insensitivity(self):
         battery = standard_battery(["SN-asymptotic"])
@@ -199,7 +203,7 @@ class TestSizeExperiment:
                 return log[-1]
 
             if workers == 2:
-                monkeypatch.setattr(streams, "ProcessPoolExecutor", no_pool)
+                monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
             result = size_experiment(config, {"SN-bootstrap": logged}, reps=6, seed=23)
             assert result.meta["processes"] == 1
         np.testing.assert_array_equal(np.concatenate(decisions[2]), np.concatenate(decisions[1]))
