@@ -5,11 +5,12 @@ finite-sample statistic on pure random walks of length ``n_grid``: i.i.d.
 standard normal innovations, zero long-run coefficients, and the null
 that fixes the first s of them at zero. One chunk task, :func:`_walk_chunk`,
 run by :func:`~sncoint.streams.replication_map`, draws the walks of every
-consumer, one ``substream(seed, chunk)`` call per ``_chunk_size`` chunk,
-so a (seed, n_grid, reps) triple always yields the same table.
-``estimators.im_ols_batch`` fits each row block, and one reducer,
-:func:`_components`, turns the fit into the statistic's numerator tau(1)
-and its self-normalizer.
+consumer from one ``substream(seed, chunk)`` per ``_chunk_size`` chunk,
+so a (seed, n_grid, reps) triple always yields the same table. It draws
+and fits the chunk one ``batch_rows`` block at a time, so one block of
+walks, not the chunk, is held in memory. ``estimators.im_ols_batch`` fits
+each block, and one reducer, :func:`_components`, turns the fit into the
+statistic's numerator tau(1) and its self-normalizer.
 
 Without deterministic terms the walks start one step late (a zero first
 innovation, the last draw dropped), which reproduces the Brownian-lattice
@@ -25,6 +26,7 @@ numerator, denominator and ratio all equal the lattice's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -48,9 +50,15 @@ __all__ = [
 def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: int) -> RestrictionSpec:
     """The null beta_1 = ... = beta_s = 0 of an (m, s, det) simulation.
 
-    Raises ValueError unless 1 <= s <= m, reps >= 1, and n_grid is at
-    least the 2m + p + 3 observations the regression needs.
+    Raises TypeError unless n_grid and reps are integers, and ValueError
+    unless 1 <= s <= m, reps >= 1, and n_grid is at least the 2m + p + 3
+    observations the regression needs.
     """
+    for name, value in (("n_grid", n_grid), ("reps", reps)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
     if reps < 1:
@@ -67,7 +75,8 @@ def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int) ->
 
 
 def _chunk_size(n_grid: int, m: int) -> int:
-    # Keep the largest intermediate array around ~5e6 elements; the size keys the walks' stream.
+    # The size keys the walks' stream, so changing it changes every draw, and it sets the
+    # pool's task size; it no longer bounds memory, which holds one block at a time.
     return max(4, int(5e6 / (n_grid * max(1, 2 * m))))
 
 
@@ -78,13 +87,17 @@ def _lag(a: np.ndarray) -> np.ndarray:
 
 def _walk_chunk(fn, m: int, det: Deterministics, T: int, seed: int, size: int, indices: np.ndarray) -> list:
     """``fn(y, x)`` on each ``batch_rows(T, p + 2m)`` block of the walks
-    ``indices``, one ``size`` chunk drawn by one substream call: y (rows, T)
-    the innovations, x (rows, T, m) the random-walk regressors. Without
+    ``indices``, one ``size`` chunk: y (rows, T) the innovations, x (rows,
+    T, m) the random-walk regressors. Each block is drawn from the chunk's
+    substream just before it is fitted, in block order, so only one block
+    is held at a time; numpy fills a draw in C order, so the blocks are
+    the rows of one (len(indices), T, m + 1) draw, bit for bit. Without
     deterministic terms the draws start one step late (module docstring).
     """
-    w = substream(seed, indices[0] // size).standard_normal((len(indices), T, m + 1))
+    rng = substream(seed, indices[0] // size)
     rows = batch_rows(T, det.n_columns + 2 * m)
-    blocks = (w[start : start + rows] for start in range(0, len(w), rows))
+    counts = (len(indices[start : start + rows]) for start in range(0, len(indices), rows))
+    blocks = (rng.standard_normal((count, T, m + 1)) for count in counts)
     if det is Deterministics.NONE:
         blocks = map(_lag, blocks)
     return [fn(block[:, :, 0], np.cumsum(block[:, :, 1:], axis=1)) for block in blocks]
@@ -181,6 +194,8 @@ def local_power(c_grid, reps: int = 20_000, seed: int = 0, n_grid: int = 10_000)
     """
     _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps)
     c_grid = np.asarray(c_grid, dtype=float)
+    if c_grid.ndim != 1 or not np.isfinite(c_grid).all():
+        raise ValueError(f"c_grid must be a 1-D array of finite values, got {c_grid.tolist()}")
     sn_crit = default_table(1, 1, Deterministics.NONE).critical_value(0.05)
     hit = partial(_local_hits, c_grid, n_grid, sn_crit, _chi2_critical(1, 0.05))
     hits_trad, hits_sn = np.sum(_on_walks(hit, 1, Deterministics.NONE, n_grid, reps, seed), axis=0)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,7 @@ from sncoint import (
     simulate_limit_statistics,
 )
 from sncoint.asymptotics import _chunk_size, _components, _walk_chunk, simulate_limit_components
-from sncoint.estimators import FittedSample, RestrictionSpec, im_ols_batch
+from sncoint.estimators import FittedSample, RestrictionSpec, batch_rows, im_ols_batch
 from sncoint.selfnorm import bootstrap_statistic
 from sncoint.streams import replication_map, substream
 
@@ -98,6 +99,34 @@ class TestArgumentChecks:
     def test_local_power(self, n_grid, reps, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             local_power([0.0], reps=reps, n_grid=n_grid)
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda n_grid, reps: simulate_critical_values(1, 1, Deterministics.NONE, n_grid=n_grid, reps=reps),
+         lambda n_grid, reps: simulate_limit_statistics(1, 1, Deterministics.NONE, n_grid, reps, seed=0),
+         lambda n_grid, reps: simulate_limit_components(1, 1, n_grid, reps, seed=0),
+         lambda n_grid, reps: local_power([0.0], reps=reps, n_grid=n_grid)],
+        ids=["critical-values", "statistics", "components", "local-power"],
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "n_grid, reps, message",
+        [(1000.0, 1000, "n_grid must be an integer, got 1000.0"),
+         (1000, 1000.5, "reps must be an integer, got 1000.5"),
+         (1000, "1000", "reps must be an integer, got '1000'")],
+        ids=["float-n-grid", "float-reps", "str-reps"],
+    )  # fmt: skip
+    def test_integer_sizes(self, run, n_grid, reps, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run(n_grid, reps)
+
+    @pytest.mark.parametrize(
+        "c_grid",
+        [[np.nan, 1.0], [np.inf], [0.0, -np.inf], [[0.0, 1.0], [2.0, 3.0]], 3.0],
+        ids=["nan", "inf", "minus-inf", "2-d", "scalar"],
+    )
+    def test_local_power_grid(self, c_grid):
+        with pytest.raises(ValueError, match="^c_grid must be a 1-D array of finite values"):
+            local_power(c_grid, reps=10, n_grid=100)
 
     @pytest.mark.parametrize("det", list(Deterministics))
     def test_shortest_grid_is_accepted(self, det):
@@ -310,3 +339,38 @@ def test_components_rows_do_not_depend_on_block_mates(m, s, det):
     for rows in blocks:
         for j, (mine, theirs) in enumerate(zip(reduce(y[rows], x[rows]), full)):
             assert np.array_equal(mine, theirs[rows]), (j, rows)
+
+
+class TestWalkBlocks:
+    """``_walk_chunk`` draws its chunk one ``batch_rows`` block at a time."""
+
+    @pytest.mark.parametrize("m, det", [(1, Deterministics.NONE), (2, Deterministics.INTERCEPT)])
+    def test_blocks_are_rows_of_one_chunk_draw(self, m, det):
+        # chunk 2 of size 50, short (37 walks), so blocks of 32 or 13 rows end in a short one
+        T, seed, size, indices = 2000, 21, 50, np.arange(100, 137)
+        w = substream(seed, 2).standard_normal((len(indices), T, m + 1))
+        if det is Deterministics.NONE:
+            w = np.concatenate([np.zeros_like(w[:, :1]), w[:, :-1]], axis=1)
+        rows = batch_rows(T, det.n_columns + 2 * m)
+        assert len(indices) % rows
+        blocks = _walk_chunk(lambda y, x: (y, x), m, det, T, seed, size, indices)
+        assert len(blocks) == -(-len(indices) // rows)
+        for k, (y, x) in enumerate(blocks):
+            ref = w[k * rows : (k + 1) * rows]
+            np.testing.assert_array_equal(y, ref[:, :, 0])
+            np.testing.assert_array_equal(x, np.cumsum(ref[:, :, 1:], axis=1))
+        # each block is its own array, so a reducer may keep views of it
+        assert not any(np.shares_memory(a[0], b[0]) for a, b in zip(blocks, blocks[1:]))
+
+    @pytest.mark.parametrize("m, s, det", [(1, 1, Deterministics.NONE), (2, 1, Deterministics.INTERCEPT)])
+    def test_peak_memory_is_a_block_not_a_chunk(self, m, s, det):
+        T = 10_000
+        size = _chunk_size(T, m)
+        reduce = partial(_components, RestrictionSpec(R=np.eye(s, m), value=np.zeros(s)), det)
+        tracemalloc.start()
+        try:
+            _walk_chunk(reduce, m, det, T, 0, size, np.arange(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * T * (m + 1) * 8 / 4

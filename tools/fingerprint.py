@@ -11,8 +11,9 @@ four-statistic size-adjusted power study, ``run_analysis``,
 ``simulate_critical_values`` for a panel with and without deterministics,
 the generator states of ``substream`` over seeds of one to five 32-bit
 words and key paths of length 0 to 3, ``simulate_limit_components`` and
-``local_power`` on short walks, and ``im_ols_batch`` on a strided y and an
-x sliced from a wider array.
+``local_power`` on short walks, a ``simulate_limit_components`` draw of
+three chunks, each of several row blocks ending in a short one, and
+``im_ols_batch`` on a strided y and an x sliced from a wider array.
 Wall time, a study's layout (chunk size, task and process counts),
 whether its pool workers pinned BLAS and whether it kept freed memory in
 the process are left out, so the digest measures results only.
@@ -180,6 +181,11 @@ def part_limit() -> list:
     ]
 
 
+def part_chunks() -> list:
+    # 3 chunks of at most 416 walks at (n_grid, m) = (2000, 3), fitted in blocks of 10 rows
+    return [simulate_limit_components(3, 2, n_grid=2000, reps=1000, seed=13)]
+
+
 def part_layout() -> list:
     rng = np.random.default_rng(13)
     out = []
@@ -200,6 +206,7 @@ PARTS = {
     "critvals": part_critvals,
     "streams": part_streams,
     "limit": part_limit,
+    "chunks": part_chunks,
     "layout": part_layout,
 }
 
