@@ -26,7 +26,6 @@ numerator, denominator and ratio all equal the lattice's.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,7 +35,7 @@ from .estimators import RestrictionSpec, batch_rows, im_ols_batch
 from .selfnorm import _chi2_critical, _normalizer, _wald_unit
 from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
-from .timeseries import Deterministics, _check_nobs
+from .timeseries import Deterministics, _check_integers, _check_nobs
 
 __all__ = [
     "LocalPowerCurve",
@@ -47,18 +46,14 @@ __all__ = [
 ]
 
 
-def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: int) -> RestrictionSpec:
+def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> RestrictionSpec:
     """The null beta_1 = ... = beta_s = 0 of an (m, s, det) simulation.
 
-    Raises TypeError unless n_grid and reps are integers, and ValueError
+    Raises TypeError unless n_grid, reps and seed are integers, and ValueError
     unless 1 <= s <= m, reps >= 1, and n_grid is at least the 2m + p + 3
     observations the regression needs.
     """
-    for name, value in (("n_grid", n_grid), ("reps", reps)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    _check_integers(n_grid=n_grid, reps=reps, seed=seed)
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
     if reps < 1:
@@ -67,9 +62,9 @@ def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: i
     return RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
 
 
-def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int) -> None:
+def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> None:
     """Raise ValueError unless the arguments make a critical-value table."""
-    _limit_restriction(m, s, det, n_grid, reps)
+    _limit_restriction(m, s, det, n_grid, reps, seed)
     if n_grid < 1_000 or reps < 1_000:
         raise ValueError(f"need n_grid >= 1000 and reps >= 1000, got n_grid={n_grid}, reps={reps}")
 
@@ -126,7 +121,7 @@ def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int)
     statistic.
     """
     det = Deterministics.NONE
-    restriction = _limit_restriction(m, s, det, n_grid, reps)
+    restriction = _limit_restriction(m, s, det, n_grid, reps, seed)
     nums, dens = zip(*_on_walks(partial(_components, restriction, det), m, det, n_grid, reps, seed))
     return np.concatenate(nums), np.concatenate(dens)
 
@@ -134,7 +129,7 @@ def simulate_limit_components(m: int, s: int, n_grid: int, reps: int, seed: int)
 def _random_walk_statistics(m: int, s: int, det: Deterministics, T: int, reps: int, seed: int) -> np.ndarray:
     """Self-normalized statistic on the walks of :func:`_walk_chunk`,
     batched over reps, with the restriction fixing the first s coefficients."""
-    restriction = _limit_restriction(m, s, det, T, reps)
+    restriction = _limit_restriction(m, s, det, T, reps, seed)
     pairs = _on_walks(partial(_components, restriction, det), m, det, T, reps, seed)
     return np.concatenate([unit / kappa for unit, kappa in pairs])
 
@@ -153,7 +148,7 @@ def simulate_critical_values(
     without deterministic terms it is also the size of the Brownian
     lattice whose functionals those walks reproduce exactly.
     """
-    _check_table(m, s, det, n_grid, reps)
+    _check_table(m, s, det, n_grid, reps, seed)
     draws = simulate_limit_statistics(m, s, det, n_grid, reps, seed)
     quantiles = {float(p): float(q) for p, q in zip(_PROBS, np.quantile(draws, _PROBS))}
     meta = {"n_grid": n_grid, "reps": reps, "seed": seed}
@@ -192,7 +187,7 @@ def local_power(c_grid, reps: int = 20_000, seed: int = 0, n_grid: int = 10_000)
     coefficient is c / T. All grid points share the same draws, so the
     curves are smooth in c.
     """
-    _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps)
+    _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps, seed)
     c_grid = np.asarray(c_grid, dtype=float)
     if c_grid.ndim != 1 or not np.isfinite(c_grid).all():
         raise ValueError(f"c_grid must be a 1-D array of finite values, got {c_grid.tolist()}")

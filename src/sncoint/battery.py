@@ -21,7 +21,7 @@ from . import __version__
 from .asymptotics import simulate_critical_values
 from .bootstrap import BootstrapConfig, bootstrap_test
 from .estimators import FittedSample, RestrictionSpec, ols
-from .kernels import BARTLETT, KernelSpec
+from .kernels import KernelSpec
 from .selfnorm import (
     _METHOD_TAGS,
     TestOutcome,
@@ -32,7 +32,7 @@ from .selfnorm import (
     traditional_wald,
 )
 from .tables import _PROBS, CriticalValueTable, _level, default_table
-from .timeseries import CointegrationSample, Deterministics
+from .timeseries import CointegrationSample, Deterministics, _check_alpha
 
 __all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
 
@@ -129,15 +129,20 @@ def run_analysis(
     test when a bootstrap configuration is supplied, run at ``alpha``
     whatever ``boot.alpha`` says. The critical-value table is loaded from
     the packaged quantiles, or simulated on demand for combinations outside
-    them. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
+    them. ``alpha``, the table and its level are checked before anything
+    is fitted. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
     (``sample``'s, or ``sample`` itself, a row of a stack included), so it is fitted once.
     """
-    kernel = kernel or KernelSpec(BARTLETT, "andrews")
+    _check_alpha(alpha)
+    kernel = kernel or KernelSpec()
     fitted = FittedSample.one(sample, "run_analysis")
-    static, fit, fm, det = fitted.static, fitted.im, fitted.fm(kernel), fitted.det
-
+    m, s, det = fitted.x.shape[2], restriction.n_restrictions, fitted.det
     if table is None:
-        table = _resolve_table(fitted.x.shape[2], restriction.n_restrictions, det, seed)
+        table = _resolve_table(m, s, det, seed)
+    table.require(m, s, det)
+    table.critical_value(alpha)
+
+    static, fit, fm = fitted.static, fitted.im, fitted.fm(kernel)
     outcomes = [
         self_normalized_test(fitted, restriction, table, alpha),
         traditional_wald("FM", fitted, restriction, kernel, alpha),
@@ -211,9 +216,8 @@ def standard_battery(
     (simulated from its first seed outside them); ``kernel`` defaults to
     Bartlett with the plug-in bandwidth. ``alpha`` is checked here, before any test runs.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    kernel = kernel or KernelSpec(BARTLETT, "andrews")
+    _check_alpha(alpha)
+    kernel = kernel or KernelSpec()
     battery: dict[str, object] = {}
     for name in names:
         if name == "SN-asymptotic":
@@ -234,7 +238,7 @@ def standard_statistics(names: Iterable[str], kernel: KernelSpec | None = None) 
     one value per row, NaN where a sample is degenerate, of a stacked
     :class:`~sncoint.estimators.FittedSample`; one value of a sample or its
     one-row ``FittedSample``."""
-    kernel = kernel or KernelSpec(BARTLETT, "andrews")
+    kernel = kernel or KernelSpec()
     stats: dict[str, object] = {}
     for name in names:
         if name == "SN":

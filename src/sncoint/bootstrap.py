@@ -39,10 +39,10 @@ from .estimators import (
     levels_residuals,
     restricted_im_ols,
 )
-from .kernels import KernelSpec, autocovariances
+from .kernels import KernelSpec, _as_time_matrix, autocovariances
 from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic
 from .streams import replication_map, substreams
-from .timeseries import CointegrationSample, Deterministics, build_deterministics
+from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_integers, build_deterministics
 
 __all__ = [
     "VarSieveModel",
@@ -59,8 +59,8 @@ __all__ = [
     "bootstrap_test",
 ]
 
-# VAR steps per matrix product: fixed, so sums run alike at any chunk size, and
-# small, so BLAS does not thread the product and oversubscribe a worker pool.
+# VAR steps per matrix product: a fixed constant, because the product's length
+# sets how its sums round, so every draw's bits depend on it.
 _BLOCK = 8
 
 
@@ -100,8 +100,8 @@ class BootstrapConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        _check_integers(n_boot=self.n_boot, seed=self.seed, burn_in=self.burn_in, workers=self.workers)
+        _check_alpha(self.alpha)
         if self.n_boot < 1:
             raise ValueError("need at least one bootstrap replication")
         rank = (self.n_boot + 1) * (1.0 - self.alpha)
@@ -217,9 +217,7 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
     the companion spectral radius is verified after every fit.
     """
     rule = _check_order_rule(order)
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
+    w = _as_time_matrix(w)
     T, k = w.shape
     if isinstance(rule, int):
         q_max, orders = rule, [rule]

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``test``     -- self-normalized test with asymptotic critical values
-* ``boottest`` -- sieve-bootstrap tests (self-normalized and Wald variants)
+* ``boottest`` -- ``test``'s two tests plus the sieve-bootstrap self-normalized test
 * ``critvals`` -- simulate and store critical-value tables
 * ``simulate`` -- size / size-adjusted-power experiments from a JSON config
 * ``lrv``      -- standalone long-run variance estimation
@@ -27,17 +27,15 @@ from .asymptotics import _check_table, simulate_critical_values
 from .battery import AnalysisReport, run_analysis, standard_battery, standard_statistics
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
-from .kernels import BARTLETT, QUADRATIC_SPECTRAL, KernelSpec, estimate_lrv
+from .kernels import _KINDS, KernelSpec, estimate_lrv
 from .montecarlo import DgpConfig, size_adjusted_power, size_experiment
 from .tables import _PROBS, _level, load_table, save_table
-from .timeseries import CointegrationSample, Deterministics
+from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_alpha
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
 
-# The names each command-line option accepts, one table per option.
-_DETS = ("none", "const", "trend", "quad", "cubic")
-_KERNELS = {"bartlett": BARTLETT, "qs": QUADRATIC_SPECTRAL}
 _FORMATS = ("csv", "json")
+_DEFAULT_KERNEL = KernelSpec()  # the library's default, for --kernel, --bandwidth and configs
 
 
 class UsageError(Exception):
@@ -139,12 +137,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_kernel(name, bandwidth) -> KernelSpec:
     """Kernel specification from a kernel name and an 'andrews' or
     numeric bandwidth, as given on the command line or in a config."""
-    if name not in _KERNELS:
-        raise UsageError(f"kernel must be one of {', '.join(_KERNELS)}, got {name!r}")
-    if bandwidth == "andrews":
-        return KernelSpec(_KERNELS[name], "andrews")
+    if name not in _KINDS:
+        raise UsageError(f"kernel must be one of {', '.join(_KINDS)}, got {name!r}")
     try:
-        return KernelSpec(_KERNELS[name], float(bandwidth))
+        return KernelSpec(name, bandwidth if bandwidth == "andrews" else float(bandwidth))
     except (TypeError, ValueError):
         raise UsageError(f"bandwidth must be 'andrews' or a positive number, got {bandwidth!r}") from None
 
@@ -266,7 +262,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_critvals(args) -> int:
     det = Deterministics.from_alias(args.det)
-    _checked(_check_table, args.m, args.s, det, args.n_grid, args.reps)
+    _checked(_check_table, args.m, args.s, det, args.n_grid, args.reps, args.seed)
     table = simulate_critical_values(
         args.m, args.s, det, n_grid=args.n_grid, reps=args.reps, seed=args.seed
     )
@@ -307,11 +303,11 @@ def _cmd_simulate(args) -> int:
     seed = _config_int(cfg, "seed", args.seed, 0)
     workers = _config_int(cfg, "workers", args.workers, 1)
     alpha = cfg.get("alpha", 0.05)
-    kernel = _parse_kernel(cfg.get("kernel", "bartlett"), cfg.get("bandwidth", "andrews"))
+    kernel = _parse_kernel(cfg.get("kernel", _DEFAULT_KERNEL.kind),
+                           cfg.get("bandwidth", _DEFAULT_KERNEL.bandwidth))
     # Every setting is checked here, before the study runs and writes.
     try:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+        _check_alpha(alpha)
         design = {key: cfg[key] for key in ("rho1", "rho2", "rho3", "phi", "a1", "b1", "beta") if key in cfg}
         dgp = DgpConfig(T=_config_int(cfg, "T", None, 1), **design)
         if kind == "size":
@@ -374,12 +370,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--data", required=True, help="CSV file with a header row")
         p.add_argument("--y", required=True, help="dependent variable column")
         p.add_argument("--x", action="append", required=True, help="regressor column (repeatable)")
-        p.add_argument("--det", default="none", choices=_DETS)
+        p.add_argument("--det", default="none", choices=tuple(_ALIASES))
         p.add_argument("--R1", default=None, help="restriction matrix, e.g. '1,0;0,1'")
         p.add_argument("--r0", default=None, help="restriction value, e.g. '1;1'")
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--kernel", default="bartlett", choices=tuple(_KERNELS))
-        p.add_argument("--bandwidth", default="andrews")
+        p.add_argument("--kernel", default=_DEFAULT_KERNEL.kind, choices=_KINDS)
+        p.add_argument("--bandwidth", default=_DEFAULT_KERNEL.bandwidth)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--table", default=None, help="critical value table file")
         p.add_argument("--out", default=None, choices=_FORMATS)
@@ -399,7 +395,7 @@ def _build_parser() -> _Parser:
     p_crit = sub.add_parser("critvals", help="simulate critical values")
     p_crit.add_argument("--m", type=int, required=True)
     p_crit.add_argument("--s", type=int, required=True)
-    p_crit.add_argument("--det", default="none", choices=_DETS)
+    p_crit.add_argument("--det", default="none", choices=tuple(_ALIASES))
     p_crit.add_argument(
         "--n-grid", type=int, default=10_000, dest="n_grid",
         help="random-walk length (default 10000); 1000 gives quantiles biased low, by a median of about 5.6%%",
@@ -419,8 +415,8 @@ def _build_parser() -> _Parser:
     p_lrv = sub.add_parser("lrv", help="standalone long-run variance estimation")
     p_lrv.add_argument("--data", required=True)
     p_lrv.add_argument("--columns", required=True, help="comma-separated column names")
-    p_lrv.add_argument("--kernel", default="bartlett", choices=tuple(_KERNELS))
-    p_lrv.add_argument("--bandwidth", default="andrews")
+    p_lrv.add_argument("--kernel", default=_DEFAULT_KERNEL.kind, choices=_KINDS)
+    p_lrv.add_argument("--bandwidth", default=_DEFAULT_KERNEL.bandwidth)
     p_lrv.add_argument("--out", default="json", choices=_FORMATS)
     p_lrv.add_argument("--output", default=None)
     p_lrv.set_defaults(func=_cmd_lrv)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .estimators import FittedSample, RestrictionSpec
 from .streams import BLAS_PINNED, MEMORY_RETAINED, _seed_words, pool_layout, replication_map, substreams
-from .timeseries import CointegrationSample, Deterministics
+from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_integers
 
 __all__ = [
     "DgpConfig",
@@ -78,6 +78,7 @@ class DgpConfig:
     burn_in: int = 100
 
     def __post_init__(self) -> None:
+        _check_integers(T=self.T, burn_in=self.burn_in)
         object.__setattr__(self, "beta", tuple(self.beta))
         if self.T < 10:
             raise ValueError("sample size too small")
@@ -272,6 +273,7 @@ def size_experiment(
     naming the test and the replication. The restriction fixes the
     coefficients at their true values, so rates estimate empirical size.
     """
+    _check_integers(reps=reps, seed=seed, workers=workers)
     restriction = null_restriction(config)
     task = partial(_size_chunk, config, list(tests.items()), restriction, seed)
     outcomes, meta = _run_chunks(task, reps, workers, config.T, 1)
@@ -322,8 +324,8 @@ def size_adjusted_power(
     replication. Both phases of a replication run in the same task, so the
     study opens one pool.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_integers(reps=reps, seed=seed, workers=workers)
+    _check_alpha(alpha)
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)
     task = partial(_power_chunk, config, list(statistics.items()), restriction, beta_grid, seed)

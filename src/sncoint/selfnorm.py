@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FittedSample, ImOlsFit, RestrictionSpec
-from .kernels import BARTLETT, KernelSpec, lrv_matrix
+from .kernels import KernelSpec, lrv_matrix
 from .tables import CriticalValueTable
-from .timeseries import CointegrationSample, first_difference
+from .timeseries import CointegrationSample, _check_alpha, first_difference
 
 __all__ = [
     "TestOutcome",
@@ -241,8 +241,7 @@ def traditional_wald(
     the static-OLS residuals; ``diagnostics["bandwidth"]`` records its
     numeric bandwidth.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     fitted = FittedSample.one(sample, "traditional_wald")
     statistic = traditional_statistic(estimator, fitted, restriction, kernel)
     s = restriction.n_restrictions
@@ -273,5 +272,5 @@ def diff_residual_lrv(fit: ImOlsFit, kernel: KernelSpec | None = None) -> float:
         raise ValueError("need at least 3 observations")
     diffs = first_difference(fit.resid)
     if kernel is None:
-        kernel = KernelSpec(BARTLETT, bandwidth=float(diffs.shape[0]))
+        kernel = KernelSpec(bandwidth=float(diffs.shape[0]))
     return float(lrv_matrix(diffs[:, None], kernel)[0, 0])

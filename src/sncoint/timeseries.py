@@ -98,6 +98,20 @@ def _check_nobs(T: int, m: int, det: Deterministics, message: str = _TOO_SHORT) 
         raise ValueError(message.format(need=need, m=m, p=det.n_columns, det=det.value, T=T))
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the test level ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def _check_integers(**settings) -> None:
+    """Raise TypeError naming the first setting that is not a Python or
+    numpy integer; a bool is not one."""
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
     """Return the T x p matrix with column j holding t^j for t = 1..T.
 
