@@ -131,11 +131,9 @@ def critical_rank(n: int, alpha: float) -> int:
 
 def max_sieve_order(T: int) -> int:
     """Largest candidate order, the integer cube root of T (at least 1)."""
-    q = int(round(T ** (1.0 / 3.0)))
+    q = int(round(T ** (1.0 / 3.0)))  # never below the floor: only a step down can be needed
     while q**3 > T:
         q -= 1
-    while (q + 1) ** 3 <= T:
-        q += 1
     return max(q, 1)
 
 

@@ -15,11 +15,12 @@ i.i.d. standard normals, which is the same code path.
 
 The drivers split the replications into equal chunks sized from the study's
 shape (:func:`_chunk_size`), each a task of one
-:func:`~sncoint.streams.replication_map` call: a study opens one process
-pool for all its phases, and uses at most as many processes as it has
-chunks. A chunk runs the GARCH recursion once over time for all its
-replications, each drawn from its own ``substream(seed, phase, i)``, all
-from one ``substreams`` call (:func:`generate_dgp` is the one-row case).
+:func:`~sncoint.streams.replication_map` call, so all its phases run on
+the one process pool the process keeps (later studies reuse its warm
+workers), and it uses at most as many processes as it has chunks. A
+chunk runs the GARCH recursion once over time for all its replications,
+each drawn from its own ``substream(seed, phase, i)``, all from one
+``substreams`` call (:func:`generate_dgp` is the one-row case).
 Both studies stack a phase's samples in one
 :class:`~sncoint.estimators.FittedSample`, so each test or
 statistic fits and evaluates the whole chunk in one call, and one check
@@ -237,7 +238,7 @@ def _chunk_size(reps: int, T: int, rows: int) -> int:
 
 def _run_chunks(task, reps: int, workers: int, T: int, rows: int) -> tuple[np.ndarray, dict]:
     """``task`` over the replications in chunks of :func:`_chunk_size`, one
-    pool for the study; the stacked results and the run's metadata."""
+    ``replication_map`` call for the study; the stacked results and the run's metadata."""
     if reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:
@@ -322,7 +323,7 @@ def size_adjusted_power(
     statistics, and the array their c values. A NaN value raises
     :class:`ValueError` naming the statistic, the phase and the
     replication. Both phases of a replication run in the same task, so the
-    study opens one pool.
+    study makes one ``replication_map`` call.
     """
     _check_integers(reps=reps, seed=seed, workers=workers)
     _check_alpha(alpha)

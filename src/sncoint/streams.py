@@ -24,6 +24,15 @@ loop keeps it from the outermost :func:`replication_map` call's entry to
 its exit, then restores the thresholds and hands the free memory back.
 ``MEMORY_RETAINED`` says whether glibc's ``mallopt`` and ``malloc_trim``
 were found; elsewhere nothing is changed. No number depends on it.
+
+A process keeps one pool for its life, keyed by its pid and process count:
+the first :func:`replication_map` call that needs one starts it, later
+calls at that count reuse its warm workers, a call at another count
+replaces it, and a forked child starts its own, leaving its parent's
+alone. A broken pool (a worker died) is dropped and its error raised; the
+pool is shut down when the process exits. Workers fork when the pool
+starts, so they see module state as it was then: a monkeypatch made later
+does not reach them. An idle worker keeps its heap, retained for life.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ _RETAIN = {_M_MMAP_THRESHOLD: 1 << 30, _M_TRIM_THRESHOLD: 2**31 - 1}
 _RESTORE = {_M_MMAP_THRESHOLD: 32 << 20, _M_TRIM_THRESHOLD: 64 << 20}
 _depth = 0  # nesting of in-process loops; a pool worker is at 1 for life
 _depth_lock = threading.Lock()
+_pool = None  # ((pid, processes), executor): the process pool this process keeps
+_pool_lock = threading.Lock()
 
 __all__ = ["BLAS_PINNED", "MEMORY_RETAINED", "substream", "substreams", "pool_layout", "replication_map"]
 
@@ -227,6 +238,19 @@ def pool_layout(n: int, size: int, workers: int) -> tuple[int, int]:
     return chunks, max(1, min(workers, chunks, _cores()))
 
 
+def _shutdown_pool(pool=None) -> None:
+    """Forget the kept pool (only if it is ``pool``, when given) and, if this
+    process started it, shut it down and wait for its workers to exit."""
+    global _pool
+    with _pool_lock:
+        kept = _pool
+        if kept is None or pool not in (None, kept[1]):
+            return
+        _pool = None
+    if kept[0][0] == os.getpid():
+        kept[1].shutdown()
+
+
 def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, workers: int = 1) -> list:
     """Evaluate ``fn(indices)`` over consecutive chunks of ``size`` indices
     of 0..n-1, on a pool of :func:`pool_layout`'s processes when that is above 1.
@@ -237,16 +261,41 @@ def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, worke
     either. ``fn`` must be picklable when workers > 1 (module-level
     function or functools.partial of one).
 
+    The pool is kept for the life of the process, keyed by its pid and
+    process count, and shut down at exit (see the module docstring): its
+    workers see module state as it was when the pool started, and keep
+    their heaps while idle. A call with another process count replaces it;
+    a worker's death raises ``BrokenProcessPool`` and drops it.
+
     Freed memory stays in the process while the chunks run (see the module
     docstring): in each pool worker for its life; in process until the
     outermost call returns or raises, when the heap is trimmed, so a
     nested call leaves its caller's loop as it was.
     """
+    global _pool
     task, (chunks, workers) = partial(_call_chunk, fn, n, size), pool_layout(n, size, workers)
     if workers == 1:
         with _retained():
             return [task(chunk) for chunk in range(chunks)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-        return list(pool.map(task, range(chunks), chunksize=max(1, chunks // (8 * workers))))
+    key = (os.getpid(), workers)
+    try:
+        with _pool_lock:  # the tasks are queued before another thread may replace the pool
+            if _pool is None or _pool[0] != key:
+                if _pool is not None and _pool[0][0] == key[0]:
+                    _pool[1].shutdown()
+                else:
+                    # This process's first pool, or its first since a shutdown: shut it down at
+                    # exit, in a multiprocessing child too (which joins its children before atexit
+                    # hooks run), and before the pool's queues close (their priority is 10).
+                    Finalize(None, _shutdown_pool, exitpriority=20)
+                _pool = key, ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+            pool = _pool[1]
+            results = pool.map(task, range(chunks), chunksize=max(1, chunks // (8 * workers)))
+        return list(results)
+    except BrokenProcessPool:
+        _shutdown_pool(pool)
+        raise

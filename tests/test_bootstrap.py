@@ -135,6 +135,14 @@ class TestSelectOrder:
         assert max_sieve_order(1000) == 10
         assert max_sieve_order(8) == 2
 
+    def test_max_order_is_the_integer_cube_root(self):
+        # the exact root by integer arithmetic: the count of cubes n**3 <= T with n >= 1
+        T = np.arange(1, 200_001)
+        exact = np.searchsorted(np.arange(1, 60) ** 3, T, side="right")
+        assert [max_sieve_order(int(t)) for t in T] == exact.tolist()
+        for n in range(2, 10_001):
+            assert (max_sieve_order(n**3), max_sieve_order(n**3 - 1)) == (n, n - 1)
+
     def test_fixed_order_passthrough(self):
         w = np.random.default_rng(1).standard_normal((200, 2))
         assert yule_walker(w, 3).order == 3

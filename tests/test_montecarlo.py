@@ -27,7 +27,7 @@ from sncoint import (
     traditional_wald,
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
-from sncoint import montecarlo
+from sncoint import montecarlo, streams
 from sncoint.montecarlo import _dgp_paths, _fitted_samples, _garch, null_restriction
 from sncoint.streams import BLAS_PINNED, MEMORY_RETAINED, _cores, replication_map, substream
 
@@ -202,7 +202,8 @@ class TestSizeExperiment:
                 log.append(test(fitted, restriction, seeds))
                 return log[-1]
 
-            if workers == 2:
+            if workers == 2:  # with no pool kept, a pool call must start one
+                monkeypatch.setattr(streams, "_pool", None)
                 monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
             result = size_experiment(config, {"SN-bootstrap": logged}, reps=6, seed=23)
             assert result.meta["processes"] == 1

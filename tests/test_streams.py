@@ -1,7 +1,13 @@
+import json
+import multiprocessing
 import os
 import resource
+import subprocess
 import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +72,133 @@ class TestReplicationMap:
         finally:
             streams._SET_THREADS(before)
         assert _blas_threads() == before
+
+
+def _pid(indices) -> int:
+    time.sleep(0.005)  # long enough for every worker to take a task
+    return os.getpid()
+
+
+def _raise_at_3(indices):
+    if indices[0] == 3:
+        raise ValueError("chunk 3 failed")
+    return os.getpid()
+
+
+def _exit_at_3(indices):
+    if indices[0] == 3:
+        os._exit(1)
+    return os.getpid()
+
+
+def _pool_pids() -> set[int]:
+    """The worker pids of the pool this process keeps."""
+    return set(streams._pool[1]._processes)
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _pids_in_child(conn) -> None:
+    conn.send((os.getpid(), replication_map(_pid, 8, 1, 2)))
+    conn.close()
+
+
+@pytest.mark.skipif(_cores() < 2, reason="one core: no pool")
+class TestKeptPool:
+    """One pool per process, reused by every call at its process count."""
+
+    def test_calls_reuse_the_workers(self):
+        first = replication_map(_pid, 8, 1, 2)
+        workers, pool = _pool_pids(), streams._pool[1]
+        second = replication_map(_pid, 8, 1, 2)
+        assert streams._pool[1] is pool and _pool_pids() == workers
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert set(first) <= workers and set(second) <= workers
+
+    def test_raising_task_keeps_the_pool(self):
+        replication_map(_pid, 8, 1, 2)
+        workers = _pool_pids()
+        with pytest.raises(ValueError, match="chunk 3 failed"):
+            replication_map(_raise_at_3, 8, 1, 2)
+        chunks = replication_map(_draws, 50, 3, 2)
+        for (i1, d1), (i2, d2) in zip(chunks, replication_map(_draws, 50, 3), strict=True):
+            np.testing.assert_array_equal(i1, i2)
+            np.testing.assert_array_equal(d1, d2)
+        assert _pool_pids() == workers
+
+    def test_broken_pool_is_replaced(self):
+        replication_map(_pid, 8, 1, 2)
+        workers = _pool_pids()
+        with pytest.raises(BrokenProcessPool):
+            replication_map(_exit_at_3, 8, 1, 2)
+        assert streams._pool is None and all(map(_gone, workers))
+        assert not set(replication_map(_pid, 8, 1, 2)) & workers
+        assert not _pool_pids() & workers
+
+    def test_new_process_count_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(streams, "_cores", lambda: 3)
+        assert set(replication_map(_pid, 9, 1, 3)) <= _pool_pids()
+        three = _pool_pids()
+        assert len(three) == 3 and streams._pool[0] == (os.getpid(), 3)
+        assert set(replication_map(_pid, 8, 1, 2)) <= _pool_pids()
+        assert len(_pool_pids()) == 2 and not _pool_pids() & three
+        assert all(map(_gone, three))
+
+    def test_shutting_down_another_pool_keeps_this_one(self):
+        replication_map(_pid, 8, 1, 2)
+        kept = streams._pool
+        streams._shutdown_pool(object())
+        assert streams._pool is kept
+
+    def test_forked_child_starts_its_own(self):
+        replication_map(_pid, 8, 1, 2)
+        workers, pool = _pool_pids(), streams._pool[1]
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_pids_in_child, args=(send,))
+        child.start()
+        assert receive.poll(60)
+        child_pid, pids = receive.recv()
+        child.join(60)
+        assert child.exitcode == 0
+        assert child_pid == child.pid and not set(pids) & (workers | {child_pid, os.getpid()})
+        assert all(map(_gone, pids))
+        assert set(replication_map(_pid, 8, 1, 2)) <= workers
+        assert streams._pool[1] is pool
+
+
+@pytest.mark.skipif(_cores() < 2, reason="one core: no pool")
+def test_process_exit_shuts_the_kept_pool_down():
+    # two studies share the pool; at exit its workers are joined, with nothing on stderr
+    code = (
+        "import json, sys, sncoint\n"
+        "from sncoint import streams\n"
+        "print(json.dumps('concurrent.futures' in sys.modules))\n"
+        "config, stats = sncoint.DgpConfig(T=50), sncoint.standard_statistics(['SN'])\n"
+        "pids = []\n"
+        "for seed in (1, 2):\n"
+        "    result = sncoint.size_adjusted_power(config, stats, [1.0], reps=50, seed=seed, workers=2)\n"
+        "    pids.append(sorted(streams._pool[1]._processes))\n"
+        "print(json.dumps([result.meta['processes'], pids]))\n"
+    )
+    src = str(Path(streams.__file__).resolve().parents[1])
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )  # fmt: skip
+    assert time.monotonic() - start < 30
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    loaded, (processes, (first, second)) = map(json.loads, done.stdout.splitlines())
+    assert loaded is False and processes == 2
+    assert first == second and len(first) == 2
+    assert all(map(_gone, first))
 
 
 def _blas_threads(indices=None) -> int:

@@ -5,6 +5,8 @@ Runs the tier-1 suite (pytest on ``tests/``) in this process under
 hold bytecode in each module's code objects, so coverage.py is not
 needed. Pool workers fork from the traced process and are traced too;
 a line that only they execute is listed with ``(pool workers only)``.
+Workers write their lines as they exit, so the kept process pool is shut
+down before they are read.
 Lines run only by a test's subprocess (``python -m sncoint ...``) count
 as untested.
 
@@ -89,6 +91,9 @@ def main(argv: list[str]) -> int:
         status = pytest.main(argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
     finally:
         recorder.stop()
+    from sncoint import streams
+
+    streams._shutdown_pool()  # its workers write their lines as they exit
     in_process = recorder.hits
     in_workers = set()
     for name in os.listdir(out_dir):
