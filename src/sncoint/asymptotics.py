@@ -50,14 +50,13 @@ def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: i
     """The null beta_1 = ... = beta_s = 0 of an (m, s, det) simulation.
 
     Raises TypeError unless n_grid, reps and seed are integers, and ValueError
-    unless 1 <= s <= m, reps >= 1, and n_grid is at least the 2m + p + 3
-    observations the regression needs.
+    unless reps >= 1, seed >= 0, 1 <= s <= m, and n_grid is at least the
+    2m + p + 3 observations the regression needs.
     """
-    _check_integers(n_grid=n_grid, reps=reps, seed=seed)
+    _check_integers(1, n_grid=n_grid, reps=reps)
+    _check_integers(0, seed=seed)
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
-    if reps < 1:
-        raise ValueError(f"need reps >= 1, got {reps}")
     _check_nobs(n_grid, m, det, "need n_grid >= {need} for m={m} and det={det}, got {T}")
     return RestrictionSpec(R=np.eye(s, m), value=np.zeros(s))
 
@@ -65,8 +64,7 @@ def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: i
 def _check_table(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> None:
     """Raise ValueError unless the arguments make a critical-value table."""
     _limit_restriction(m, s, det, n_grid, reps, seed)
-    if n_grid < 1_000 or reps < 1_000:
-        raise ValueError(f"need n_grid >= 1000 and reps >= 1000, got n_grid={n_grid}, reps={reps}")
+    _check_integers(1_000, n_grid=n_grid, reps=reps)
 
 
 def _chunk_size(n_grid: int, m: int) -> int:

@@ -100,23 +100,16 @@ class BootstrapConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _check_integers(n_boot=self.n_boot, seed=self.seed, burn_in=self.burn_in, workers=self.workers)
+        _check_integers(1, n_boot=self.n_boot, workers=self.workers)
+        _check_integers(0, seed=self.seed, burn_in=self.burn_in)
         _check_alpha(self.alpha)
-        if self.n_boot < 1:
-            raise ValueError("need at least one bootstrap replication")
         rank = (self.n_boot + 1) * (1.0 - self.alpha)
         if abs(rank - round(rank)) > 1e-9:
             raise ValueError(
                 f"(n_boot + 1) * (1 - alpha) = {rank:.6g} must be an integer; "
                 f"adjust n_boot (e.g. 199, 399, 999, 1499 for alpha = 0.05)"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
         _check_order_rule(self.order_rule)
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 def critical_rank(n: int, alpha: float) -> int:
@@ -193,12 +186,13 @@ def _var_residuals(w: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 
 def _check_order_rule(rule: str | int) -> str | int:
-    """The rule 'aic' or 'bic', or a fixed order as a Python int."""
-    if isinstance(rule, str) and rule in ("aic", "bic"):
+    """The rule 'aic' or 'bic', or a fixed order of at least 1 as a Python int."""
+    if isinstance(rule, str):
+        if rule not in ("aic", "bic"):
+            raise ValueError(f"order must be 'aic', 'bic' or an integer, got {rule!r}")
         return rule
-    if isinstance(rule, (int, np.integer)) and not isinstance(rule, bool) and rule >= 1:
-        return int(rule)
-    raise ValueError(f"fixed order must be at least 1 and an integer, or the rule 'aic' or 'bic'; got {rule!r}")
+    _check_integers(1, order=rule)
+    return int(rule)
 
 
 def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:

@@ -28,7 +28,7 @@ from .battery import AnalysisReport, run_analysis, standard_battery, standard_st
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
 from .kernels import _KINDS, KernelSpec, estimate_lrv
-from .montecarlo import DgpConfig, size_adjusted_power, size_experiment
+from .montecarlo import DgpConfig, _check_study, size_adjusted_power, size_experiment
 from .tables import _PROBS, _level, load_table, save_table
 from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_alpha
 
@@ -118,11 +118,11 @@ def _sha256(path: str) -> str:
 
 
 def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError or KeyError a usage error:
-    for the library's own argument checks, which run before any work."""
+    """``build(*args, **kwargs)``, its KeyError, TypeError or ValueError a usage
+    error: for the library's own argument checks, which run before any work."""
     try:
         return build(*args, **kwargs)
-    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes it
+    except (KeyError, TypeError, ValueError) as exc:  # str() of a KeyError quotes it
         raise UsageError(exc.args[0]) from None
 
 
@@ -135,23 +135,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_kernel(name, bandwidth) -> KernelSpec:
-    """Kernel specification from a kernel name and an 'andrews' or
-    numeric bandwidth, as given on the command line or in a config."""
-    if name not in _KINDS:
-        raise UsageError(f"kernel must be one of {', '.join(_KINDS)}, got {name!r}")
+    """Kernel specification from a kernel name and a bandwidth, as given on
+    the command line or in a config: numeric text becomes a float, and
+    :class:`~sncoint.kernels.KernelSpec` refuses what it does not accept."""
     try:
-        return KernelSpec(name, bandwidth if bandwidth == "andrews" else float(bandwidth))
+        bandwidth = float(bandwidth)
     except (TypeError, ValueError):
-        raise UsageError(f"bandwidth must be 'andrews' or a positive number, got {bandwidth!r}") from None
+        pass  # 'andrews', or a value KernelSpec refuses
+    return _checked(KernelSpec, name, bandwidth)
 
 
 def _order_from_args(text: str):
-    if text in ("aic", "bic"):
-        return text
+    """A fixed order from integer text, else the text: a rule name, or a value the library refuses."""
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"order must be 'aic', 'bic' or an integer, got {text!r}") from None
+        return text
 
 
 def _sample_from_args(args) -> CointegrationSample:
@@ -282,34 +281,24 @@ def _grid_from_config(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-def _config_int(cfg: dict, key: str, default: int | None, minimum: int) -> int:
-    """Integer setting ``key`` of a ``simulate`` config, at least
-    ``minimum``; a ``default`` of None makes the setting required."""
-    if key not in cfg and default is None:
-        raise UsageError(f"config needs {key!r}")
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise UsageError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     kind = cfg.get("kind", "size")
     if kind not in ("size", "power"):
         raise UsageError(f"unknown experiment kind {kind!r}")
-    reps = _config_int(cfg, "reps", 1000, 1)
-    seed = _config_int(cfg, "seed", args.seed, 0)
-    workers = _config_int(cfg, "workers", args.workers, 1)
+    # Every setting is checked here, before the study runs and writes.
+    if "T" not in cfg:
+        raise UsageError("config needs 'T'")
+    reps, seed, workers = cfg.get("reps", 1000), cfg.get("seed", args.seed), cfg.get("workers", args.workers)
+    _checked(_check_study, reps, seed, workers)
     alpha = cfg.get("alpha", 0.05)
     kernel = _parse_kernel(cfg.get("kernel", _DEFAULT_KERNEL.kind),
                            cfg.get("bandwidth", _DEFAULT_KERNEL.bandwidth))
-    # Every setting is checked here, before the study runs and writes.
     try:
         _check_alpha(alpha)
         design = {key: cfg[key] for key in ("rho1", "rho2", "rho3", "phi", "a1", "b1", "beta") if key in cfg}
-        dgp = DgpConfig(T=_config_int(cfg, "T", None, 1), **design)
+        dgp = DgpConfig(T=cfg["T"], **design)
         if kind == "size":
             boot = BootstrapConfig(
                 n_boot=cfg.get("B", 199),

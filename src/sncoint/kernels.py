@@ -21,6 +21,7 @@ one-series estimate would reject is NaN.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,6 +65,12 @@ def _as_time_matrix(w: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_kind(kind: str) -> None:
+    """Raise ValueError unless ``kind`` names one of the kernels."""
+    if kind not in _KINDS:
+        raise ValueError(f"kernel must be one of {', '.join(_KINDS)}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel kind plus bandwidth: a fixed positive number or 'andrews'."""
@@ -72,13 +79,10 @@ class KernelSpec:
     bandwidth: float | str = "andrews"
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "andrews":
-                raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not 0 < self.bandwidth < math.inf:  # NaN and inf too
-            raise ValueError("fixed bandwidth must be positive")
+        _check_kind(self.kind)
+        bw = self.bandwidth
+        if bw != "andrews" and not (isinstance(bw, numbers.Real) and 0 < bw < math.inf):  # NaN and inf too
+            raise ValueError(f"bandwidth must be 'andrews' or a positive number, got {bw!r}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,12 @@ def kernel_weight(kind: str, x: float | np.ndarray) -> float | np.ndarray:
     with value 1 at x = 0.
     """
     arr = np.asarray(x, dtype=float)
+    _check_kind(kind)
     if np.any(arr < 0):
         raise ValueError("kernel argument must be nonnegative")
     if kind == BARTLETT:
         out = np.clip(1.0 - arr, 0.0, 1.0)
-    elif kind == QUADRATIC_SPECTRAL:
+    else:
         z = 6.0 * np.pi * arr / 5.0
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
@@ -131,8 +136,6 @@ def kernel_weight(kind: str, x: float | np.ndarray) -> float | np.ndarray:
                 1.0,
                 25.0 / (12.0 * np.pi**2 * arr**2) * (np.sin(z) / np.where(z == 0, 1.0, z) - np.cos(z)),
             )
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
     return out if isinstance(x, np.ndarray) else float(out)
 
 
@@ -143,8 +146,7 @@ def _plug_in(w: np.ndarray, kind: str) -> np.ndarray:
     T = w.shape[1]
     if T < 4:
         raise ValueError("need at least 4 observations for the plug-in rule")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    _check_kind(kind)
     lag, cur = w[:, :-1], w[:, 1:]
     denom = np.einsum("ctk,ctk->ck", lag, lag)
     rho = np.einsum("ctk,ctk->ck", cur, lag) / np.where(denom > 0.0, denom, np.nan)

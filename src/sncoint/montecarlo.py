@@ -79,10 +79,9 @@ class DgpConfig:
     burn_in: int = 100
 
     def __post_init__(self) -> None:
-        _check_integers(T=self.T, burn_in=self.burn_in)
+        _check_integers(10, T=self.T)
+        _check_integers(1, burn_in=self.burn_in)
         object.__setattr__(self, "beta", tuple(self.beta))
-        if self.T < 10:
-            raise ValueError("sample size too small")
         if len(self.beta) != 2:
             raise ValueError("beta needs one coefficient per regressor (two)")
         if abs(self.rho1) >= 1.0:
@@ -91,8 +90,6 @@ class DgpConfig:
             raise ValueError("need a1, b1 >= 0 and a1 + b1 < 1")
         if not -0.5 < self.rho3 < 1.0:
             raise ValueError("rho3 must lie in (-0.5, 1) for a positive definite mix")
-        if self.burn_in < 1:
-            raise ValueError("burn_in must be positive")
         for name, value in vars(self).items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -236,13 +233,15 @@ def _chunk_size(reps: int, T: int, rows: int) -> int:
     return -(-reps // max(-(-reps // cap), min(_MIN_TASKS, reps // 25)))
 
 
+def _check_study(reps: int, seed: int, workers: int) -> None:
+    """Raise unless ``reps`` and ``workers`` are integers of at least 1 and ``seed`` one of at least 0."""
+    _check_integers(1, reps=reps, workers=workers)
+    _check_integers(0, seed=seed)
+
+
 def _run_chunks(task, reps: int, workers: int, T: int, rows: int) -> tuple[np.ndarray, dict]:
     """``task`` over the replications in chunks of :func:`_chunk_size`, one
     ``replication_map`` call for the study; the stacked results and the run's metadata."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     size = _chunk_size(reps, T, rows)
     tasks, processes = pool_layout(reps, size, workers)
@@ -274,7 +273,7 @@ def size_experiment(
     naming the test and the replication. The restriction fixes the
     coefficients at their true values, so rates estimate empirical size.
     """
-    _check_integers(reps=reps, seed=seed, workers=workers)
+    _check_study(reps, seed, workers)
     restriction = null_restriction(config)
     task = partial(_size_chunk, config, list(tests.items()), restriction, seed)
     outcomes, meta = _run_chunks(task, reps, workers, config.T, 1)
@@ -325,7 +324,7 @@ def size_adjusted_power(
     replication. Both phases of a replication run in the same task, so the
     study makes one ``replication_map`` call.
     """
-    _check_integers(reps=reps, seed=seed, workers=workers)
+    _check_study(reps, seed, workers)
     _check_alpha(alpha)
     beta_grid = np.asarray(beta_grid, dtype=float)
     restriction = null_restriction(config)

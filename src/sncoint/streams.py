@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import operator
 import os
 import threading
 import warnings
@@ -49,6 +48,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .timeseries import _check_integers
 
 # The OpenBLAS numpy's wheel ships, and its thread-count setter by its name in numpy 2, then 1.x.
 _DLLS = [ctypes.CDLL(lib) for lib in glob.glob(os.path.join(np.__path__[0] + ".libs", "*openblas*"))]
@@ -112,9 +113,8 @@ def _seed_words(seed: int, keys, n_words: int) -> np.ndarray:
     numpy, the seed words are padded with zeros to the pool size when the key
     is not empty, and entropy words beyond the pool are mixed in after it.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _check_integers(0, seed=seed)
+    seed = int(seed)
     keys = np.asarray(keys)
     if keys.ndim != 2:
         raise ValueError(f"need keys (c, n_key), got shape {keys.shape}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-from .timeseries import Deterministics
+from .timeseries import Deterministics, _check_alpha
 
 __all__ = ["CriticalValueTable", "default_table", "save_table", "load_table"]
 
@@ -58,7 +58,9 @@ class CriticalValueTable:
 
 
 def _level(probs, alpha: float) -> float:
-    """The probability 1 - alpha among ``probs``; KeyError if it is not there."""
+    """The probability 1 - alpha among ``probs``; ValueError unless alpha is
+    in (0, 1), KeyError if the probability is not there."""
+    _check_alpha(alpha)
     target = 1.0 - alpha
     for prob in probs:
         if abs(prob - target) < 1e-9:

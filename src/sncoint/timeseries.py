@@ -104,12 +104,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
-def _check_integers(**settings) -> None:
+def _check_integers(minimum: int, **settings) -> None:
     """Raise TypeError naming the first setting that is not a Python or
-    numpy integer; a bool is not one."""
+    numpy integer (a bool is not one), and ValueError naming the first below
+    ``minimum``: the one rule for every count and seed."""
     for name, value in settings.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
@@ -117,8 +120,7 @@ def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
 
     ``Deterministics.NONE`` yields a T x 0 matrix.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    _check_integers(1, T=T)
     p = det.n_columns
     t = np.arange(1, T + 1, dtype=float)
     return np.column_stack([t**j for j in range(p)]) if p else np.empty((T, 0))

@@ -72,13 +72,13 @@ class TestLatticeIdentity:
 
 
 class TestArgumentChecks:
-    # one rule for every limit-law entry point: 1 <= s <= m, reps >= 1,
+    # one rule for every limit-law entry point: reps >= 1, 1 <= s <= m,
     # and n_grid at least the regression's 2m + p + 3 observations
     @pytest.mark.parametrize(
         "m, s, det, n_grid, reps, message",
         [(1, 2, Deterministics.NONE, 100, 10, "need 1 <= s <= m, got m=1, s=2"),
          (2, 0, Deterministics.NONE, 100, 10, "need 1 <= s <= m, got m=2, s=0"),
-         (1, 1, Deterministics.NONE, 100, 0, "need reps >= 1, got 0"),
+         (1, 1, Deterministics.NONE, 100, 0, "reps must be at least 1, got 0"),
          (1, 1, Deterministics.NONE, 4, 10, "need n_grid >= 5 for m=1 and det=none, got 4"),
          (2, 1, Deterministics.TREND, 8, 10, "need n_grid >= 9 for m=2 and det=intercept+trend, got 8")],
         ids=["s-above-m", "s-zero", "no-reps", "short-none", "short-trend"],
@@ -89,12 +89,12 @@ class TestArgumentChecks:
 
     @pytest.mark.parametrize("m, s, n_grid, reps", [(1, 2, 100, 10), (1, 1, 100, 0), (2, 2, 6, 10)])
     def test_simulate_limit_components(self, m, s, n_grid, reps):
-        with pytest.raises(ValueError, match="^need "):
+        with pytest.raises(ValueError, match="^(need |reps must be at least 1, got 0$)"):
             simulate_limit_components(m, s, n_grid=n_grid, reps=reps, seed=0)
 
     @pytest.mark.parametrize(
         "n_grid, reps, message",
-        [(100, 0, "need reps >= 1, got 0"), (1, 10, "need n_grid >= 5 for m=1 and det=none, got 1")],
+        [(100, 0, "reps must be at least 1, got 0"), (1, 10, "need n_grid >= 5 for m=1 and det=none, got 1")],
     )
     def test_local_power(self, n_grid, reps, message):
         with pytest.raises(ValueError, match=re.escape(message)):

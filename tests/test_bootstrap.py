@@ -187,9 +187,15 @@ class TestSelectOrder:
     @pytest.mark.parametrize("rule", [2.0, True, 0, "AIC"])
     def test_bad_rules_rejected_with_one_message(self, rule):
         w = np.random.default_rng(5).standard_normal((200, 2))
-        with pytest.raises(ValueError, match="fixed order must be at least 1") as by_config:
+        error, message = {
+            2.0: (TypeError, "order must be an integer, got 2.0"),
+            True: (TypeError, "order must be an integer, got True"),
+            0: (ValueError, "order must be at least 1, got 0"),
+            "AIC": (ValueError, "order must be 'aic', 'bic' or an integer, got 'AIC'"),
+        }[rule]
+        with pytest.raises(error, match=f"^{message}$") as by_config:
             BootstrapConfig(order_rule=rule)
-        with pytest.raises(ValueError) as by_fit:
+        with pytest.raises(error) as by_fit:
             yule_walker(w, rule)
         assert str(by_fit.value) == str(by_config.value)
 

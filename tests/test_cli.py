@@ -503,16 +503,23 @@ class TestCommandLine:
         [({"kind": "size", "reps": 30}, "config needs 'T'"),
          ({"kind": "size", "T": 75, "tests": ["SN-asymptotc"]}, "bad config: unknown test tag 'SN-asymptotc'"),
          ({"kind": "power", "T": 75, "statistics": ["Wald-XX"]}, "bad config: unknown statistic tag 'Wald-XX'"),
-         ({"kind": "size", "T": 75, "workers": 1.5}, "'workers' must be an integer >= 1, got 1.5"),
-         ({"kind": "size", "T": 75, "workers": "2"}, "'workers' must be an integer >= 1, got '2'"),
-         ({"kind": "size", "T": 5}, "bad config: sample size too small"),
+         ({"kind": "size", "T": 75, "workers": 1.5}, "workers must be an integer, got 1.5"),
+         ({"kind": "size", "T": 75, "workers": "2"}, "workers must be an integer, got '2'"),
+         ({"kind": "size", "T": 75, "workers": 0}, "workers must be at least 1, got 0"),
+         ({"kind": "size", "T": 75, "reps": 0}, "reps must be at least 1, got 0"),
+         ({"kind": "size", "T": 75, "seed": -1}, "seed must be at least 0, got -1"),
+         ({"kind": "size", "T": 75.0}, "bad config: T must be an integer, got 75.0"),
+         ({"kind": "size", "T": 5}, "bad config: T must be at least 10, got 5"),
+         ({"kind": "size", "T": 75, "order": "AIC"}, "bad config: order must be 'aic', 'bic' or an integer, got 'AIC'"),
+         ({"kind": "size", "T": 75, "order": 0}, "bad config: order must be at least 1, got 0"),
          ({"kind": "size", "T": 75, "rho1": float("nan")}, "bad config: rho1 must be finite, got nan"),
          ({"kind": "size", "T": 75, "beta": [1.0]}, "bad config: beta needs one coefficient per regressor (two)"),
          ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2"),
          ({"kind": "size", "T": 75, "alpha": 0.2, "tests": ["SN-asymptotic"]},
           "bad config: no tabulated quantile at probability 0.8")],
-        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "short-T", "nan-rho1", "beta",
-             "alpha", "alpha-untabulated"],
+        ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "no-workers", "no-reps",
+             "negative-seed", "float-T", "short-T", "order-name", "order-0", "nan-rho1", "beta", "alpha",
+             "alpha-untabulated"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -525,15 +532,17 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "argv, message",
         [(["critvals", "--m", "1", "--s", "2"], "need 1 <= s <= m, got m=1, s=2"),
-         (["critvals", "--m", "1", "--s", "1", "--n-grid", "500"], "need n_grid >= 1000 and reps >= 1000, got n_grid=500, reps=10000"),
-         (["critvals", "--m", "1", "--s", "1", "--reps", "10"], "need n_grid >= 1000 and reps >= 1000, got n_grid=10000, reps=10"),
-         (["boottest", "--B", "0"], "need at least one bootstrap replication"),
+         (["critvals", "--m", "1", "--s", "1", "--n-grid", "500"], "n_grid must be at least 1000, got 500"),
+         (["critvals", "--m", "1", "--s", "1", "--reps", "10"], "reps must be at least 1000, got 10"),
+         (["critvals", "--m", "1", "--s", "1", "--n-grid", "1000", "--reps", "1000", "--seed", "-1"],
+          "seed must be at least 0, got -1"),
+         (["boottest", "--B", "0"], "n_boot must be at least 1, got 0"),
          (["boottest", "--B", "100"], "(n_boot + 1) * (1 - alpha) = 95.95 must be an integer; adjust n_boot"),
-         (["boottest", "--order", "0"], "fixed order must be at least 1"),
+         (["boottest", "--order", "0"], "order must be at least 1, got 0"),
          (["boottest", "--workers", "0"], "workers must be at least 1, got 0"),
-         (["boottest", "--seed", "-1"], "seed must be nonnegative, got -1"),
+         (["boottest", "--seed", "-1"], "seed must be at least 0, got -1"),
          (["test", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
-         (["test", "--alpha", "2"], "no tabulated quantile at probability -1.0"),
+         (["test", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
          (["boottest", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
          (["test", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
          (["boottest", "--table", "TABLE"], "table is for m=2, s=1, det=none; sample needs m=1, s=1, det=none"),
@@ -544,10 +553,10 @@ class TestCommandLine:
           "PATH: malformed critical value file: could not convert string to float: 'abc'"),
          (["boottest", "--table", "TEXT:# sncoint critical values v1\ns=1 det=none n_grid=1000 reps=1000\n0.9 1.0\n"],
           "PATH: header has no m= field")],
-        ids=["s-above-m", "short-grid", "few-reps", "no-draws", "B-misfits-alpha", "order-0", "workers-0", "negative-seed",
-             "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated", "table-mismatch",
-             "boot-table-mismatch", "R1-width", "boot-R1-width", "table-header", "table-quantile-line",
-             "table-no-m"],
+        ids=["s-above-m", "short-grid", "few-reps", "negative-critvals-seed", "no-draws", "B-misfits-alpha", "order-0",
+             "workers-0", "negative-seed", "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated",
+             "table-mismatch", "boot-table-mismatch", "R1-width", "boot-R1-width", "table-header",
+             "table-quantile-line", "table-no-m"],
     )  # fmt: skip
     def test_library_checks_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_work(*args, **kwargs):
@@ -576,14 +585,14 @@ class TestCommandLine:
     )
     def test_nan_bandwidth_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--data", synthetic_csv(tmp_path), "--bandwidth", "nan"]) == 1
-        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got 'nan'\n"
+        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got nan\n"
 
     @pytest.mark.parametrize(
         "argv", [["test", "--y", "rate", "--x", "price"], ["lrv", "--columns", "rate,price"]], ids=["test", "lrv"]
     )
     def test_infinite_bandwidth_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--data", synthetic_csv(tmp_path), "--bandwidth", "inf"]) == 1
-        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got 'inf'\n"
+        assert capsys.readouterr().err == "error: bandwidth must be 'andrews' or a positive number, got inf\n"
 
     @pytest.mark.parametrize("command", ["test", "boottest"])
     def test_output_needs_a_format(self, tmp_path, capsys, command):

@@ -35,7 +35,7 @@ from sncoint import (
     traditional_wald,
     yule_walker,
 )
-from sncoint import cli
+from sncoint import asymptotics, cli, montecarlo
 from sncoint.asymptotics import simulate_limit_components
 from sncoint.cli import main
 from sncoint.estimators import _static_batch
@@ -54,6 +54,9 @@ SAMPLE = make_sample()
 ONE = RestrictionSpec(R=np.eye(1), value=np.ones(1))
 DGP = DgpConfig(T=50)
 W = substream(5, 0).standard_normal(50)
+
+
+KIND = "kernel must be one of bartlett, qs, got 'parzen'"
 
 
 def write_data(tmp_path, T=120):
@@ -152,41 +155,101 @@ def test_yule_walker_coerces_as_the_kernels_do():
     np.testing.assert_array_equal(yule_walker(W, 1).coefs, yule_walker(W[:, None], 1).coefs)
 
 
+POWER = standard_statistics(["SN"])
+BELOW = ValueError  # an integer below its minimum
+
+
 @pytest.mark.parametrize(
-    "call, message",
-    [pytest.param(lambda: BootstrapConfig(n_boot=19.0), "n_boot must be an integer, got 19.0", id="boot-n_boot"),
-     pytest.param(lambda: BootstrapConfig(seed=1.5), "seed must be an integer, got 1.5", id="boot-seed"),
-     pytest.param(lambda: BootstrapConfig(seed=True), "seed must be an integer, got True", id="boot-seed-bool"),
-     pytest.param(lambda: BootstrapConfig(burn_in=10.5), "burn_in must be an integer, got 10.5", id="boot-burn_in"),
-     pytest.param(lambda: BootstrapConfig(workers=1.0), "workers must be an integer, got 1.0", id="boot-workers"),
-     pytest.param(lambda: DgpConfig(T=60.0), "T must be an integer, got 60.0", id="dgp-T"),
-     pytest.param(lambda: DgpConfig(T=True), "T must be an integer, got True", id="dgp-T-bool"),
-     pytest.param(lambda: DgpConfig(T=60, burn_in=10.5), "burn_in must be an integer, got 10.5", id="dgp-burn_in"),
-     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8.0),
+    "call, error, message",
+    [pytest.param(lambda: BootstrapConfig(n_boot=19.0), TypeError, "n_boot must be an integer, got 19.0",
+                  id="boot-n_boot"),
+     pytest.param(lambda: BootstrapConfig(seed=1.5), TypeError, "seed must be an integer, got 1.5", id="boot-seed"),
+     pytest.param(lambda: BootstrapConfig(seed=True), TypeError, "seed must be an integer, got True",
+                  id="boot-seed-bool"),
+     pytest.param(lambda: BootstrapConfig(burn_in=10.5), TypeError, "burn_in must be an integer, got 10.5",
+                  id="boot-burn_in"),
+     pytest.param(lambda: BootstrapConfig(workers=1.0), TypeError, "workers must be an integer, got 1.0",
+                  id="boot-workers"),
+     pytest.param(lambda: BootstrapConfig(order_rule=2.0), TypeError, "order must be an integer, got 2.0",
+                  id="boot-order"),
+     pytest.param(lambda: DgpConfig(T=60.0), TypeError, "T must be an integer, got 60.0", id="dgp-T"),
+     pytest.param(lambda: DgpConfig(T=True), TypeError, "T must be an integer, got True", id="dgp-T-bool"),
+     pytest.param(lambda: DgpConfig(T=60, burn_in=10.5), TypeError, "burn_in must be an integer, got 10.5",
+                  id="dgp-burn_in"),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8.0), TypeError,
                   "reps must be an integer, got 8.0", id="size-reps"),
-     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, seed=1.5),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="size-seed"),
-     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, seed=True),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, seed=True), TypeError,
                   "seed must be an integer, got True", id="size-seed-bool"),
-     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, workers=1.0),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, workers=1.0), TypeError,
                   "workers must be an integer, got 1.0", id="size-workers"),
-     pytest.param(lambda: size_adjusted_power(DGP, standard_statistics(["SN"]), [1.0], reps=8.0),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=8.0), TypeError,
                   "reps must be an integer, got 8.0", id="power-reps"),
-     pytest.param(lambda: size_adjusted_power(DGP, standard_statistics(["SN"]), [1.0], reps=8, seed=1.5),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=8, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="power-seed"),
-     pytest.param(lambda: size_adjusted_power(DGP, standard_statistics(["SN"]), [1.0], reps=8, workers=1.0),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=8, workers=1.0), TypeError,
                   "workers must be an integer, got 1.0", id="power-workers"),
-     pytest.param(lambda: simulate_critical_values(1, 1, Deterministics.NONE, 1000, 1000, seed=1.5),
+     pytest.param(lambda: simulate_critical_values(1, 1, Deterministics.NONE, 1000, 1000, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="critical-values-seed"),
-     pytest.param(lambda: simulate_limit_statistics(1, 1, Deterministics.NONE, 50, 10, seed=1.5),
+     pytest.param(lambda: simulate_limit_statistics(1, 1, Deterministics.NONE, 50, 10, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="limit-statistics-seed"),
-     pytest.param(lambda: simulate_limit_components(1, 1, 50, 10, seed=1.5),
+     pytest.param(lambda: simulate_limit_components(1, 1, 50, 10, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="limit-components-seed"),
-     pytest.param(lambda: local_power([0.0], reps=10, seed=1.5, n_grid=50),
-                  "seed must be an integer, got 1.5", id="local-power-seed")],
+     pytest.param(lambda: local_power([0.0], reps=10, seed=1.5, n_grid=50), TypeError,
+                  "seed must be an integer, got 1.5", id="local-power-seed"),
+     pytest.param(lambda: substream(2.0, 0), TypeError, "seed must be an integer, got 2.0", id="substream-seed"),
+     pytest.param(lambda: BootstrapConfig(n_boot=0), BELOW, "n_boot must be at least 1, got 0", id="boot-no-draws"),
+     pytest.param(lambda: BootstrapConfig(seed=-1), BELOW, "seed must be at least 0, got -1",
+                  id="boot-negative-seed"),
+     pytest.param(lambda: BootstrapConfig(workers=0), BELOW, "workers must be at least 1, got 0",
+                  id="boot-no-workers"),
+     pytest.param(lambda: BootstrapConfig(order_rule=np.int64(0)), BELOW, "order must be at least 1, got 0",
+                  id="boot-order-0"),
+     pytest.param(lambda: yule_walker(W, -2), BELOW, "order must be at least 1, got -2", id="yule-walker-order"),
+     pytest.param(lambda: DgpConfig(T=9), BELOW, "T must be at least 10, got 9", id="dgp-short-T"),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=0), BELOW,
+                  "reps must be at least 1, got 0", id="size-no-reps"),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, seed=-1), BELOW,
+                  "seed must be at least 0, got -1", id="size-negative-seed"),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=400, seed=-1, workers=2), BELOW,
+                  "seed must be at least 0, got -1", id="size-negative-seed-two-workers"),
+     pytest.param(lambda: size_experiment(DGP, standard_battery(["Wald-IM"]), reps=8, workers=0), BELOW,
+                  "workers must be at least 1, got 0", id="size-no-workers"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=0), BELOW,
+                  "reps must be at least 1, got 0", id="power-no-reps"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=8, seed=-3, workers=2), BELOW,
+                  "seed must be at least 0, got -3", id="power-negative-seed"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0], reps=8, workers=-1), BELOW,
+                  "workers must be at least 1, got -1", id="power-no-workers"),
+     pytest.param(lambda: simulate_critical_values(1, 1, Deterministics.NONE, 1000, 1000, seed=-1), BELOW,
+                  "seed must be at least 0, got -1", id="critical-values-negative-seed"),
+     pytest.param(lambda: simulate_critical_values(1, 1, Deterministics.NONE, 999, 1000), BELOW,
+                  "n_grid must be at least 1000, got 999", id="critical-values-short-grid"),
+     pytest.param(lambda: simulate_critical_values(1, 1, Deterministics.NONE, 1000, 999), BELOW,
+                  "reps must be at least 1000, got 999", id="critical-values-few-reps"),
+     pytest.param(lambda: simulate_limit_statistics(1, 1, Deterministics.NONE, 50, 0, seed=0), BELOW,
+                  "reps must be at least 1, got 0", id="limit-statistics-no-reps"),
+     pytest.param(lambda: simulate_limit_statistics(1, 1, Deterministics.NONE, 50, 10, seed=-1), BELOW,
+                  "seed must be at least 0, got -1", id="limit-statistics-negative-seed"),
+     pytest.param(lambda: simulate_limit_components(1, 1, 0, 10, seed=0), BELOW,
+                  "n_grid must be at least 1, got 0", id="limit-components-no-grid"),
+     pytest.param(lambda: simulate_limit_components(1, 1, 50, 10, seed=-1), BELOW,
+                  "seed must be at least 0, got -1", id="limit-components-negative-seed"),
+     pytest.param(lambda: local_power([0.0], reps=0, n_grid=50), BELOW,
+                  "reps must be at least 1, got 0", id="local-power-no-reps"),
+     pytest.param(lambda: local_power([0.0], reps=10, seed=-1, n_grid=50), BELOW,
+                  "seed must be at least 0, got -1", id="local-power-negative-seed"),
+     pytest.param(lambda: substream(-1, 0), BELOW, "seed must be at least 0, got -1", id="substream-negative-seed")],
 )  # fmt: skip
-def test_integer_settings_name_themselves(call, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
+def test_integer_settings_name_themselves(monkeypatch, call, error, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("replication_map reached")
+
+    # refused before any replication runs or any pool starts
+    monkeypatch.setattr(montecarlo, "replication_map", no_work)
+    monkeypatch.setattr(asymptotics, "replication_map", no_work)
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
@@ -203,13 +266,15 @@ def test_numpy_integers_are_integers():
                   "restriction holds a non-finite value", id="restriction-nan"),
      pytest.param(lambda: RestrictionSpec(R=np.ones((3, 2)), value=np.ones(3)), ValueError,
                   "more restrictions than coefficients", id="restriction-rows"),
-     pytest.param(lambda: KernelSpec("parzen"), ValueError, "unknown kernel kind 'parzen'", id="kernel-kind"),
-     pytest.param(lambda: KernelSpec(BARTLETT, "newey-west"), ValueError, "unknown bandwidth rule 'newey-west'",
-                  id="kernel-rule"),
-     pytest.param(lambda: kernel_weight("parzen", 0.5), ValueError, "unknown kernel kind 'parzen'",
-                  id="weight-kind"),
-     pytest.param(lambda: andrews_bandwidth(np.arange(50.0), "parzen"), ValueError, "unknown kernel kind 'parzen'",
-                  id="bandwidth-kind"),
+     pytest.param(lambda: KernelSpec("parzen"), ValueError, KIND, id="kernel-kind"),
+     pytest.param(lambda: KernelSpec(BARTLETT, "newey-west"), ValueError,
+                  "bandwidth must be 'andrews' or a positive number, got 'newey-west'", id="kernel-rule"),
+     pytest.param(lambda: KernelSpec(BARTLETT, 0.0), ValueError,
+                  "bandwidth must be 'andrews' or a positive number, got 0.0", id="kernel-zero-bandwidth"),
+     pytest.param(lambda: KernelSpec(BARTLETT, None), ValueError,
+                  "bandwidth must be 'andrews' or a positive number, got None", id="kernel-no-bandwidth"),
+     pytest.param(lambda: kernel_weight("parzen", 0.5), ValueError, KIND, id="weight-kind"),
+     pytest.param(lambda: andrews_bandwidth(np.arange(50.0), "parzen"), ValueError, KIND, id="bandwidth-kind"),
      pytest.param(lambda: andrews_bandwidth(np.arange(3.0), BARTLETT), ValueError,
                   "need at least 4 observations for the plug-in rule", id="bandwidth-short"),
      pytest.param(lambda: andrews_bandwidth(np.column_stack([W, np.zeros(50)]), BARTLETT),
@@ -220,15 +285,16 @@ def test_numpy_integers_are_integers():
                   id="conditional-not-square"),
      pytest.param(lambda: bootstrap_statistic(SAMPLE, ONE, "wald-lrv"), ValueError,
                   "'wald-lrv' needs a kernel specification", id="wald-lrv-no-kernel"),
-     pytest.param(lambda: BootstrapConfig(burn_in=-1), ValueError, "burn_in must be nonnegative",
+     pytest.param(lambda: BootstrapConfig(burn_in=-1), ValueError, "burn_in must be at least 0, got -1",
                   id="boot-negative-burn_in"),
      pytest.param(lambda: yule_walker(np.column_stack([W, np.zeros(50)]), 1),
                   np.linalg.LinAlgError, "moment equations singular: collinear inputs", id="yule-walker-zero-column"),
-     pytest.param(lambda: build_deterministics(Deterministics.INTERCEPT, 0), ValueError, "T must be at least 1",
-                  id="deterministics-empty"),
+     pytest.param(lambda: build_deterministics(Deterministics.INTERCEPT, 0), ValueError,
+                  "T must be at least 1, got 0", id="deterministics-empty"),
      pytest.param(lambda: CointegrationSample(y=np.ones((20, 2)), x=np.ones((20, 1))), ValueError,
                   "y must be a vector and x a T x m matrix", id="sample-2d-y"),
-     pytest.param(lambda: DgpConfig(T=50, burn_in=0), ValueError, "burn_in must be positive", id="dgp-burn_in"),
+     pytest.param(lambda: DgpConfig(T=50, burn_in=0), ValueError, "burn_in must be at least 1, got 0",
+                  id="dgp-burn_in"),
      pytest.param(lambda: ar1_persistence([1.0, 2.0]), ValueError, "need at least 3 observations",
                   id="ar1-two-values"),
      pytest.param(lambda: substreams(0, [1, 2]), ValueError, r"need keys \(c, n_key\), got shape \(2,\)",

@@ -170,11 +170,11 @@ class TestLrvMatrix:
             KernelSpec(BARTLETT, -1.0)
 
     def test_nan_bandwidth(self):
-        with pytest.raises(ValueError, match="^fixed bandwidth must be positive$"):
+        with pytest.raises(ValueError, match="^bandwidth must be 'andrews' or a positive number, got nan$"):
             KernelSpec(BARTLETT, float("nan"))
 
     def test_infinite_bandwidth(self):
-        with pytest.raises(ValueError, match="^fixed bandwidth must be positive$"):
+        with pytest.raises(ValueError, match="^bandwidth must be 'andrews' or a positive number, got inf$"):
             KernelSpec(QUADRATIC_SPECTRAL, float("inf"))
 
 

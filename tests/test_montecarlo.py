@@ -281,7 +281,7 @@ class TestSizeAdjustedPower:
         np.testing.assert_array_equal(result.beta_grid, [1.0])
 
     def test_no_replications_rejected(self):
-        with pytest.raises(ValueError, match="at least one replication"):
+        with pytest.raises(ValueError, match="^reps must be at least 1, got 0$"):
             size_adjusted_power(DgpConfig(T=75), standard_statistics(["SN"]), [1.0], reps=0)
 
     def test_degenerate_row_raises_before_the_quantile(self, monkeypatch):
