@@ -8,7 +8,8 @@ from .asymptotics import (
     simulate_critical_values,
     simulate_limit_statistics,
 )
-from .battery import AnalysisReport, ar1_persistence, run_analysis, standard_battery, standard_statistics
+from .battery import (AnalysisReport, ar1_persistence, run_analysis, standard_battery, standard_statistics,
+                      study_from_config)  # fmt: skip
 from .bootstrap import (
     BootstrapConfig,
     NullModel,

@@ -35,7 +35,7 @@ from .estimators import RestrictionSpec, batch_rows, im_ols_batch
 from .selfnorm import _chi2_critical, _normalizer, _wald_unit
 from .streams import replication_map, substream
 from .tables import _PROBS, CriticalValueTable, default_table
-from .timeseries import Deterministics, _check_integers, _check_nobs
+from .timeseries import Deterministics, _check_grid, _check_integers, _check_nobs
 
 __all__ = [
     "LocalPowerCurve",
@@ -49,12 +49,12 @@ __all__ = [
 def _limit_restriction(m: int, s: int, det: Deterministics, n_grid: int, reps: int, seed: int) -> RestrictionSpec:
     """The null beta_1 = ... = beta_s = 0 of an (m, s, det) simulation.
 
-    Raises TypeError unless n_grid, reps and seed are integers, and ValueError
-    unless reps >= 1, seed >= 0, 1 <= s <= m, and n_grid is at least the
-    2m + p + 3 observations the regression needs.
+    Raises TypeError unless m, s, n_grid, reps and seed are integers, and
+    ValueError unless reps >= 1, seed >= 0, 1 <= s <= m, and n_grid is at
+    least the 2m + p + 3 observations the regression needs.
     """
     _check_integers(1, n_grid=n_grid, reps=reps)
-    _check_integers(0, seed=seed)
+    _check_integers(0, seed=seed, m=m, s=s)  # m and s: the type here, the range next
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
     _check_nobs(n_grid, m, det, "need n_grid >= {need} for m={m} and det={det}, got {T}")
@@ -186,9 +186,7 @@ def local_power(c_grid, reps: int = 20_000, seed: int = 0, n_grid: int = 10_000)
     curves are smooth in c.
     """
     _limit_restriction(1, 1, Deterministics.NONE, n_grid, reps, seed)
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or not np.isfinite(c_grid).all():
-        raise ValueError(f"c_grid must be a 1-D array of finite values, got {c_grid.tolist()}")
+    c_grid = _check_grid("c_grid", c_grid)
     sn_crit = default_table(1, 1, Deterministics.NONE).critical_value(0.05)
     hit = partial(_local_hits, c_grid, n_grid, sn_crit, _chi2_critical(1, 0.05))
     hits_trad, hits_sn = np.sum(_on_walks(hit, 1, Deterministics.NONE, n_grid, reps, seed), axis=0)

@@ -1,5 +1,5 @@
-"""The analysis workflow for one dataset, and ready-made test batteries
-for the Monte Carlo drivers.
+"""The analysis workflow for one dataset, ready-made test batteries for
+the Monte Carlo drivers, and the study a ``simulate`` config describes.
 
 Battery adapters close over their tuning choices with ``functools.partial``
 of module-level functions, so batteries can cross process boundaries
@@ -21,7 +21,8 @@ from . import __version__
 from .asymptotics import simulate_critical_values
 from .bootstrap import BootstrapConfig, bootstrap_test
 from .estimators import FittedSample, RestrictionSpec, ols
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _parse_kernel
+from .montecarlo import DgpConfig, _check_study, size_adjusted_power, size_experiment
 from .selfnorm import (
     _METHOD_TAGS,
     TestOutcome,
@@ -32,12 +33,17 @@ from .selfnorm import (
     traditional_wald,
 )
 from .tables import _PROBS, CriticalValueTable, _level, default_table
-from .timeseries import CointegrationSample, Deterministics, _check_alpha
+from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_grid, _check_integers
 
-__all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics"]
+__all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics",
+           "study_from_config"]  # fmt: skip
 
 _EST_TAGS = {"Wald-IM": "IM", "Wald-FM": "FM", "Wald-D": "D"}
 _BOOT_TAGS = {tag: statistic for statistic, tag in _METHOD_TAGS.items()}
+_BATTERY_BOOT = BootstrapConfig(n_boot=199)  # a battery's bootstrap tests, at its level, unless given one
+_DESIGN_KEYS = ("T", "rho1", "rho2", "rho3", "phi", "a1", "b1", "beta")
+_CONFIG_KEYS = {"kind", "reps", "seed", "workers", "alpha", "kernel", "bandwidth", *_DESIGN_KEYS}
+_STUDY_KEYS = {"size": _CONFIG_KEYS | {"tests", "B", "order"}, "power": _CONFIG_KEYS | {"statistics", "beta_grid"}}
 
 
 def ar1_persistence(residuals: np.ndarray) -> float:
@@ -130,10 +136,11 @@ def run_analysis(
     whatever ``boot.alpha`` says. The critical-value table is loaded from
     the packaged quantiles, or simulated on demand for combinations outside
     them. ``alpha``, the table and its level are checked before anything
-    is fitted. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
+    is fitted, and so is ``seed``. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
     (``sample``'s, or ``sample`` itself, a row of a stack included), so it is fitted once.
     """
     _check_alpha(alpha)
+    _check_integers(0, seed=seed)
     kernel = kernel or KernelSpec()
     fitted = FittedSample.one(sample, "run_analysis")
     m, s, det = fitted.x.shape[2], restriction.n_restrictions, fitted.det
@@ -226,7 +233,7 @@ def standard_battery(
         elif name in _EST_TAGS:
             battery[name] = partial(_wald_test, _EST_TAGS[name], kernel, alpha)
         elif name in _BOOT_TAGS:
-            cfg = _at_level(boot or BootstrapConfig(n_boot=199, alpha=alpha), alpha)
+            cfg = _at_level(boot or _BATTERY_BOOT, alpha)
             battery[name] = partial(_bootstrap_test, _BOOT_TAGS[name], kernel, cfg)
         else:
             raise ValueError(f"unknown test tag {name!r}")
@@ -248,3 +255,46 @@ def standard_statistics(names: Iterable[str], kernel: KernelSpec | None = None) 
         else:
             raise ValueError(f"unknown statistic tag {name!r}")
     return stats
+
+
+def study_from_config(config: Mapping, seed: int = 0, workers: int = 1) -> partial:
+    """The study a ``simulate`` config describes, :func:`~sncoint.montecarlo.size_experiment`
+    (``kind`` "size", the default) or :func:`~sncoint.montecarlo.size_adjusted_power`
+    ("power") with the config's settings bound: calling it runs the study.
+
+    ``seed`` and ``workers`` apply where the config has none. Every key is checked
+    here, before any draw; a key the kind does not read is refused. Defaults:
+    ``reps`` 1,000, the tests ``["SN-asymptotic"]`` or the statistics ``["SN"]``,
+    the grid 1.01 to 1.2 in 20 steps, and the library's own for the rest.
+    """
+    kind = config.get("kind", "size")
+    if kind not in ("size", "power"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    for key in config:
+        if key not in _STUDY_KEYS[kind]:
+            raise ValueError(f"bad config: a {kind} study has no key {key!r}")
+    if "T" not in config:
+        raise ValueError("config needs 'T'")
+    reps, seed, workers = config.get("reps", 1000), config.get("seed", seed), config.get("workers", workers)
+    _check_study(reps, seed, workers)
+    kernel = _parse_kernel(config.get("kernel", KernelSpec.kind), config.get("bandwidth", KernelSpec.bandwidth))
+    level = {"alpha": config["alpha"]} if "alpha" in config else {}  # else each callee's default
+    run = {"reps": reps, "seed": seed, "workers": workers}
+    try:
+        if level:
+            _check_alpha(level["alpha"])
+        dgp = DgpConfig(**{key: config[key] for key in _DESIGN_KEYS if key in config})
+        if kind == "size":
+            boot = {name: config[key] for key, name in (("B", "n_boot"), ("order", "order_rule")) if key in config}
+            boot = replace(_BATTERY_BOOT, **boot, **level)
+            tests = standard_battery(config.get("tests", ["SN-asymptotic"]), kernel=kernel, boot=boot, **level)
+            return partial(size_experiment, dgp, tests, **run)
+        grid = config.get("beta_grid", {"start": 1.01, "stop": 1.2, "num": 20})
+        if isinstance(grid, dict):
+            if set(grid) != {"start", "stop", "num"}:
+                raise ValueError(f"a beta_grid map has the keys 'start', 'stop' and 'num', got {list(grid)}")
+            grid = np.linspace(grid["start"], grid["stop"], grid["num"])
+        stats = standard_statistics(config.get("statistics", ["SN"]), kernel=kernel)
+        return partial(size_adjusted_power, dgp, stats, _check_grid("beta_grid", grid), **run, **level)
+    except (KeyError, TypeError, ValueError) as exc:  # str() of a KeyError quotes it
+        raise ValueError(f"bad config: {exc.args[0]}") from None

@@ -24,18 +24,16 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import _check_table, simulate_critical_values
-from .battery import AnalysisReport, run_analysis, standard_battery, standard_statistics
+from .battery import AnalysisReport, run_analysis, study_from_config
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
-from .kernels import _KINDS, KernelSpec, estimate_lrv
-from .montecarlo import DgpConfig, _check_study, size_adjusted_power, size_experiment
+from .kernels import _KINDS, KernelSpec, _parse_kernel, estimate_lrv
 from .tables import _PROBS, _level, load_table, save_table
-from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_alpha
+from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_integers
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
 
 _FORMATS = ("csv", "json")
-_DEFAULT_KERNEL = KernelSpec()  # the library's default, for --kernel, --bandwidth and configs
 
 
 class UsageError(Exception):
@@ -134,17 +132,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_kernel(name, bandwidth) -> KernelSpec:
-    """Kernel specification from a kernel name and a bandwidth, as given on
-    the command line or in a config: numeric text becomes a float, and
-    :class:`~sncoint.kernels.KernelSpec` refuses what it does not accept."""
-    try:
-        bandwidth = float(bandwidth)
-    except (TypeError, ValueError):
-        pass  # 'andrews', or a value KernelSpec refuses
-    return _checked(KernelSpec, name, bandwidth)
-
-
 def _order_from_args(text: str):
     """A fixed order from integer text, else the text: a rule name, or a value the library refuses."""
     try:
@@ -226,6 +213,7 @@ def _cmd_test(args) -> int:
     sample = _sample_from_args(args)
     restriction = _restriction_from_args(args, sample.n_regressors)
     provenance = {"input": args.data, "input_sha256": _sha256(args.data)}
+    _checked(_check_integers, 0, seed=args.seed)  # run_analysis checks it too, but as a numeric failure
     boot = None
     if args.command == "boottest":
         boot = _checked(
@@ -246,7 +234,7 @@ def _cmd_test(args) -> int:
         sample,
         restriction,
         alpha=args.alpha,
-        kernel=_parse_kernel(args.kernel, args.bandwidth),
+        kernel=_checked(_parse_kernel, args.kernel, args.bandwidth),
         boot=boot,
         table=table,
         seed=args.seed,
@@ -275,59 +263,24 @@ def _cmd_critvals(args) -> int:
     return 0
 
 
-def _grid_from_config(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        return np.linspace(spec["start"], spec["stop"], spec["num"])
-    return np.asarray(spec, dtype=float)
-
-
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    kind = cfg.get("kind", "size")
-    if kind not in ("size", "power"):
-        raise UsageError(f"unknown experiment kind {kind!r}")
-    # Every setting is checked here, before the study runs and writes.
-    if "T" not in cfg:
-        raise UsageError("config needs 'T'")
-    reps, seed, workers = cfg.get("reps", 1000), cfg.get("seed", args.seed), cfg.get("workers", args.workers)
-    _checked(_check_study, reps, seed, workers)
-    alpha = cfg.get("alpha", 0.05)
-    kernel = _parse_kernel(cfg.get("kernel", _DEFAULT_KERNEL.kind),
-                           cfg.get("bandwidth", _DEFAULT_KERNEL.bandwidth))
-    try:
-        _check_alpha(alpha)
-        design = {key: cfg[key] for key in ("rho1", "rho2", "rho3", "phi", "a1", "b1", "beta") if key in cfg}
-        dgp = DgpConfig(T=cfg["T"], **design)
-        if kind == "size":
-            boot = BootstrapConfig(
-                n_boot=cfg.get("B", 199),
-                alpha=alpha,
-                order_rule=_order_from_args(str(cfg.get("order", "aic"))),
-            )
-            tests = standard_battery(cfg.get("tests", ["SN-asymptotic"]), alpha=alpha, kernel=kernel, boot=boot)
-        else:
-            grid = _grid_from_config(cfg.get("beta_grid", {"start": 1.01, "stop": 1.2, "num": 20}))
-            stats = standard_statistics(cfg.get("statistics", ["SN"]), kernel=kernel)
-    except (KeyError, TypeError, ValueError) as exc:  # str() of a KeyError quotes it, as in _checked
-        raise UsageError(f"bad config: {exc.args[0] if isinstance(exc, KeyError) else exc}") from None
-
-    if kind == "size":
-        result = size_experiment(dgp, tests, reps=reps, seed=seed, workers=workers)
+    result = _checked(study_from_config, cfg, args.seed, args.workers)()  # a failure of the run is numeric
+    if result.kind == "size":
         rows = [("test", "rejection_rate")] + [(name, f"{rate!r}") for name, rate in result.rates.items()]
     else:
-        result = size_adjusted_power(dgp, stats, grid, reps=reps, seed=seed, alpha=alpha, workers=workers)
-        header = ("beta",) + tuple(result.rates)
-        rows = [header]
+        rows = [("beta",) + tuple(result.rates)]
         for g, b in enumerate(result.beta_grid):
             rows.append((f"{float(b)!r}",) + tuple(f"{float(result.rates[name][g])!r}" for name in result.rates))
 
-    out_path = args.output or f"{kind}_results.csv"
+    out_path = args.output or f"{result.kind}_results.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
     # the study's meta, but the JSON file's config in place of the DgpConfig
     meta = {key: value for key, value in result.meta.items() if key != "config"}
-    manifest = {"kind": kind, "config": cfg, "seed": seed, "reps": reps, "workers": workers} | meta
+    manifest = {"kind": result.kind, "config": cfg, "seed": result.seed, "reps": result.reps}
+    manifest |= {"workers": meta["workers"]} | meta
     manifest |= {"version": __version__, "results_csv": out_path}
     manifest_path = out_path.rsplit(".", 1)[0] + "_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -340,7 +293,7 @@ def _cmd_lrv(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise UsageError("--columns must name at least one column")
-    est = estimate_lrv(_read_columns(args.data, columns), _parse_kernel(args.kernel, args.bandwidth))
+    est = estimate_lrv(_read_columns(args.data, columns), _checked(_parse_kernel, args.kernel, args.bandwidth))
     payload = {
         "kernel": est.kind,
         "bandwidth": est.bandwidth,
@@ -363,8 +316,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--R1", default=None, help="restriction matrix, e.g. '1,0;0,1'")
         p.add_argument("--r0", default=None, help="restriction value, e.g. '1;1'")
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--kernel", default=_DEFAULT_KERNEL.kind, choices=_KINDS)
-        p.add_argument("--bandwidth", default=_DEFAULT_KERNEL.bandwidth)
+        p.add_argument("--kernel", default=KernelSpec.kind, choices=_KINDS)
+        p.add_argument("--bandwidth", default=KernelSpec.bandwidth)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--table", default=None, help="critical value table file")
         p.add_argument("--out", default=None, choices=_FORMATS)
@@ -404,8 +357,8 @@ def _build_parser() -> _Parser:
     p_lrv = sub.add_parser("lrv", help="standalone long-run variance estimation")
     p_lrv.add_argument("--data", required=True)
     p_lrv.add_argument("--columns", required=True, help="comma-separated column names")
-    p_lrv.add_argument("--kernel", default=_DEFAULT_KERNEL.kind, choices=_KINDS)
-    p_lrv.add_argument("--bandwidth", default=_DEFAULT_KERNEL.bandwidth)
+    p_lrv.add_argument("--kernel", default=KernelSpec.kind, choices=_KINDS)
+    p_lrv.add_argument("--bandwidth", default=KernelSpec.bandwidth)
     p_lrv.add_argument("--out", default="json", choices=_FORMATS)
     p_lrv.add_argument("--output", default=None)
     p_lrv.set_defaults(func=_cmd_lrv)

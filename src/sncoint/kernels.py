@@ -81,8 +81,19 @@ class KernelSpec:
     def __post_init__(self) -> None:
         _check_kind(self.kind)
         bw = self.bandwidth
-        if bw != "andrews" and not (isinstance(bw, numbers.Real) and 0 < bw < math.inf):  # NaN and inf too
+        if bw != "andrews" and (isinstance(bw, bool) or not (isinstance(bw, numbers.Real) and 0 < bw < math.inf)):
             raise ValueError(f"bandwidth must be 'andrews' or a positive number, got {bw!r}")
+
+
+def _parse_kernel(kind: str, bandwidth) -> KernelSpec:
+    """A :class:`KernelSpec` from a kernel name and a bandwidth as a command line
+    or a config gives them, numeric text (``"4"``) read as a float."""
+    if isinstance(bandwidth, str):
+        try:
+            bandwidth = float(bandwidth)
+        except ValueError:
+            pass  # 'andrews', or text KernelSpec refuses
+    return KernelSpec(kind, bandwidth)
 
 
 @dataclass(frozen=True)

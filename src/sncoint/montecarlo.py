@@ -41,7 +41,7 @@ import numpy as np
 
 from .estimators import FittedSample, RestrictionSpec
 from .streams import BLAS_PINNED, MEMORY_RETAINED, _seed_words, pool_layout, replication_map, substreams
-from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_integers
+from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_grid, _check_integers
 
 __all__ = [
     "DgpConfig",
@@ -322,11 +322,12 @@ def size_adjusted_power(
     statistics, and the array their c values. A NaN value raises
     :class:`ValueError` naming the statistic, the phase and the
     replication. Both phases of a replication run in the same task, so the
-    study makes one ``replication_map`` call.
+    study makes one ``replication_map`` call. A grid that is not 1-D and
+    finite is refused before any draw.
     """
     _check_study(reps, seed, workers)
     _check_alpha(alpha)
-    beta_grid = np.asarray(beta_grid, dtype=float)
+    beta_grid = _check_grid("beta_grid", beta_grid)
     restriction = null_restriction(config)
     task = partial(_power_chunk, config, list(statistics.items()), restriction, beta_grid, seed)
     draws, meta = _run_chunks(task, reps, workers, config.T, max(1, len(beta_grid)))

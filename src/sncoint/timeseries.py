@@ -115,6 +115,14 @@ def _check_integers(minimum: int, **settings) -> None:
             raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def _check_grid(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` unless it is 1-D and finite."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ValueError(f"{name} must be a 1-D array of finite values, got {grid.tolist()}")
+    return grid
+
+
 def build_deterministics(det: Deterministics, T: int) -> np.ndarray:
     """Return the T x p matrix with column j holding t^j for t = 1..T.
 

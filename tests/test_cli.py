@@ -516,10 +516,21 @@ class TestCommandLine:
          ({"kind": "size", "T": 75, "beta": [1.0]}, "bad config: beta needs one coefficient per regressor (two)"),
          ({"kind": "power", "T": 75, "alpha": 2}, "bad config: alpha must be in (0, 1), got 2"),
          ({"kind": "size", "T": 75, "alpha": 0.2, "tests": ["SN-asymptotic"]},
-          "bad config: no tabulated quantile at probability 0.8")],
+          "bad config: no tabulated quantile at probability 0.8"),
+         ({"kind": "size", "T": 50, "reps": 4, "rho_1": 0.9}, "bad config: a size study has no key 'rho_1'"),
+         ({"kind": "size", "T": 75, "statistics": ["SN"]}, "bad config: a size study has no key 'statistics'"),
+         ({"kind": "power", "T": 75, "B": 199}, "bad config: a power study has no key 'B'"),
+         ({"T": 75, "burn_in": 50}, "bad config: a size study has no key 'burn_in'"),
+         ({"kind": "power", "T": 75, "beta_grid": [1.0, float("nan")]},
+          "bad config: beta_grid must be a 1-D array of finite values, got [1.0, nan]"),
+         ({"kind": "power", "T": 75, "beta_grid": [[1.0, 1.1]]},
+          "bad config: beta_grid must be a 1-D array of finite values, got [[1.0, 1.1]]"),
+         ({"kind": "power", "T": 75, "beta_grid": {"start": 1, "stop": 2}},
+          "bad config: a beta_grid map has the keys 'start', 'stop' and 'num', got ['start', 'stop']")],
         ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "no-workers", "no-reps",
              "negative-seed", "float-T", "short-T", "order-name", "order-0", "nan-rho1", "beta", "alpha",
-             "alpha-untabulated"],
+             "alpha-untabulated", "unknown-key", "power-key-in-size", "size-key-in-power", "burn_in", "nan-grid",
+             "2d-grid", "grid-without-num"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -541,6 +552,7 @@ class TestCommandLine:
          (["boottest", "--order", "0"], "order must be at least 1, got 0"),
          (["boottest", "--workers", "0"], "workers must be at least 1, got 0"),
          (["boottest", "--seed", "-1"], "seed must be at least 0, got -1"),
+         (["test", "--seed", "-1"], "seed must be at least 0, got -1"),
          (["test", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
          (["test", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
          (["boottest", "--alpha", "0.2"], "no tabulated quantile at probability 0.8"),
@@ -554,7 +566,7 @@ class TestCommandLine:
          (["boottest", "--table", "TEXT:# sncoint critical values v1\ns=1 det=none n_grid=1000 reps=1000\n0.9 1.0\n"],
           "PATH: header has no m= field")],
         ids=["s-above-m", "short-grid", "few-reps", "negative-critvals-seed", "no-draws", "B-misfits-alpha", "order-0",
-             "workers-0", "negative-seed", "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated",
+             "workers-0", "negative-seed", "test-negative-seed", "alpha-untabulated", "alpha-above-one", "boot-alpha-untabulated",
              "table-mismatch", "boot-table-mismatch", "R1-width", "boot-R1-width", "table-header",
              "table-quantile-line", "table-no-m"],
     )  # fmt: skip

@@ -32,6 +32,7 @@ from sncoint import (
     size_experiment,
     standard_battery,
     standard_statistics,
+    study_from_config,
     traditional_wald,
     yule_walker,
 )
@@ -196,6 +197,10 @@ BELOW = ValueError  # an integer below its minimum
                   "seed must be an integer, got 1.5", id="limit-statistics-seed"),
      pytest.param(lambda: simulate_limit_components(1, 1, 50, 10, seed=1.5), TypeError,
                   "seed must be an integer, got 1.5", id="limit-components-seed"),
+     pytest.param(lambda: simulate_limit_statistics(1.0, 1, Deterministics.NONE, 50, 10, seed=0), TypeError,
+                  "m must be an integer, got 1.0", id="limit-statistics-m"),
+     pytest.param(lambda: simulate_critical_values(1, True, Deterministics.NONE, 1000, 1000), TypeError,
+                  "s must be an integer, got True", id="critical-values-s"),
      pytest.param(lambda: local_power([0.0], reps=10, seed=1.5, n_grid=50), TypeError,
                   "seed must be an integer, got 1.5", id="local-power-seed"),
      pytest.param(lambda: substream(2.0, 0), TypeError, "seed must be an integer, got 2.0", id="substream-seed"),
@@ -273,6 +278,14 @@ def test_numpy_integers_are_integers():
                   "bandwidth must be 'andrews' or a positive number, got 0.0", id="kernel-zero-bandwidth"),
      pytest.param(lambda: KernelSpec(BARTLETT, None), ValueError,
                   "bandwidth must be 'andrews' or a positive number, got None", id="kernel-no-bandwidth"),
+     pytest.param(lambda: KernelSpec(BARTLETT, True), ValueError,
+                  "bandwidth must be 'andrews' or a positive number, got True", id="kernel-bool-bandwidth"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [1.0, np.nan], reps=8), ValueError,
+                  r"beta_grid must be a 1-D array of finite values, got \[1.0, nan\]", id="power-nan-grid"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [[1.0, 1.1]], reps=8), ValueError,
+                  r"beta_grid must be a 1-D array of finite values, got \[\[1.0, 1.1\]\]", id="power-2d-grid"),
+     pytest.param(lambda: study_from_config({"kind": "size", "T": 50, "rho_1": 0.9}), ValueError,
+                  "bad config: a size study has no key 'rho_1'", id="study-unknown-key"),
      pytest.param(lambda: kernel_weight("parzen", 0.5), ValueError, KIND, id="weight-kind"),
      pytest.param(lambda: andrews_bandwidth(np.arange(50.0), "parzen"), ValueError, KIND, id="bandwidth-kind"),
      pytest.param(lambda: andrews_bandwidth(np.arange(3.0), BARTLETT), ValueError,

@@ -24,6 +24,7 @@ from sncoint import (
     size_experiment,
     standard_battery,
     standard_statistics,
+    study_from_config,
     traditional_wald,
 )
 from sncoint.estimators import _qr_solve, d_ols, fm_ols, im_ols, im_ols_batch, ols
@@ -519,3 +520,37 @@ class TestStandardBattery:
         for name, test in battery.items():
             (decision,) = test(fitted, restriction, [12345])
             assert decision in (True, False), name
+
+
+@pytest.mark.parametrize(
+    "config, direct",
+    [({"kind": "size", "T": 60, "rho1": 0.5, "reps": 12, "seed": 4, "tests": ["SN-asymptotic", "Wald-FM"]},
+      lambda: size_experiment(DgpConfig(T=60, rho1=0.5), standard_battery(["SN-asymptotic", "Wald-FM"]), 12, seed=4)),
+     # B = 9 fits the level 0.1 but not the default 0.05
+     ({"T": 60, "reps": 12, "alpha": 0.1, "B": 9, "order": 1, "tests": ["SN-bootstrap"], "kernel": "qs"},
+      lambda: size_experiment(DgpConfig(T=60), standard_battery(["SN-bootstrap"], 0.1, KernelSpec("qs"),
+                                                                BootstrapConfig(9, 0.1, order_rule=1)), 12)),
+     ({"kind": "power", "T": 60, "reps": 12, "alpha": 0.1, "statistics": ["SN", "Wald-IM"], "beta_grid": [1.0, 1.2]},
+      lambda: size_adjusted_power(DgpConfig(T=60), standard_statistics(["SN", "Wald-IM"]), [1.0, 1.2], 12, alpha=0.1))],
+    ids=["size", "size-bootstrap", "power"],
+)  # fmt: skip
+def test_study_from_config_is_the_direct_study(config, direct):
+    from_config, by_hand = study_from_config(config)(), direct()
+    assert from_config.rates.keys() == by_hand.rates.keys()
+    for name, rates in from_config.rates.items():
+        np.testing.assert_array_equal(rates, by_hand.rates[name])
+    np.testing.assert_array_equal(from_config.beta_grid, by_hand.beta_grid)
+    assert (from_config.kind, from_config.reps, from_config.seed) == (by_hand.kind, by_hand.reps, by_hand.seed)
+    del from_config.meta["runtime_s"], by_hand.meta["runtime_s"]
+    assert from_config.meta == by_hand.meta
+
+
+def test_study_from_config_defaults():
+    size = study_from_config({"T": 50}, seed=3, workers=2)
+    assert size.func is size_experiment and size.args[0] == DgpConfig(T=50)
+    assert size.keywords == {"reps": 1000, "seed": 3, "workers": 2}
+    assert list(size.args[1]) == ["SN-asymptotic"]
+    power = study_from_config({"kind": "power", "T": 50, "seed": 5})
+    assert power.func is size_adjusted_power and list(power.args[1]) == ["SN"]
+    np.testing.assert_array_equal(power.args[2], np.linspace(1.01, 1.2, 20))
+    assert power.keywords == {"reps": 1000, "seed": 5, "workers": 1}
