@@ -21,7 +21,7 @@ from . import __version__
 from .asymptotics import simulate_critical_values
 from .bootstrap import BootstrapConfig, bootstrap_test
 from .estimators import FittedSample, RestrictionSpec, ols
-from .kernels import KernelSpec, _parse_kernel
+from .kernels import KernelSpec
 from .montecarlo import DgpConfig, _check_study, size_adjusted_power, size_experiment
 from .selfnorm import (
     _METHOD_TAGS,
@@ -33,7 +33,8 @@ from .selfnorm import (
     traditional_wald,
 )
 from .tables import _PROBS, CriticalValueTable, _level, default_table
-from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_grid, _check_integers
+from .timeseries import (CointegrationSample, Deterministics, _check_alpha, _check_grid, _check_integers,
+                         _number_from_text)  # fmt: skip
 
 __all__ = ["ar1_persistence", "AnalysisReport", "run_analysis", "standard_battery", "standard_statistics",
            "study_from_config"]  # fmt: skip
@@ -257,16 +258,18 @@ def standard_statistics(names: Iterable[str], kernel: KernelSpec | None = None) 
     return stats
 
 
-def study_from_config(config: Mapping, seed: int = 0, workers: int = 1) -> partial:
+def study_from_config(config: Mapping) -> partial:
     """The study a ``simulate`` config describes, :func:`~sncoint.montecarlo.size_experiment`
     (``kind`` "size", the default) or :func:`~sncoint.montecarlo.size_adjusted_power`
     ("power") with the config's settings bound: calling it runs the study.
 
-    ``seed`` and ``workers`` apply where the config has none. Every key is checked
-    here, before any draw; a key the kind does not read is refused. Defaults:
-    ``reps`` 1,000, the tests ``["SN-asymptotic"]`` or the statistics ``["SN"]``,
+    Every key is checked here, before any draw; a key the kind does not read is refused,
+    and a bandwidth or an order in numeric text is read as a number, as on the command line.
+    Defaults: ``reps`` 1,000, the tests ``["SN-asymptotic"]`` or the statistics ``["SN"]``,
     the grid 1.01 to 1.2 in 20 steps, and the library's own for the rest.
     """
+    if not isinstance(config, Mapping):
+        raise ValueError(f"bad config: a config is a JSON object, got {type(config).__name__}")
     kind = config.get("kind", "size")
     if kind not in ("size", "power"):
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -275,9 +278,10 @@ def study_from_config(config: Mapping, seed: int = 0, workers: int = 1) -> parti
             raise ValueError(f"bad config: a {kind} study has no key {key!r}")
     if "T" not in config:
         raise ValueError("config needs 'T'")
-    reps, seed, workers = config.get("reps", 1000), config.get("seed", seed), config.get("workers", workers)
+    reps, seed, workers = config.get("reps", 1000), config.get("seed", 0), config.get("workers", 1)
     _check_study(reps, seed, workers)
-    kernel = _parse_kernel(config.get("kernel", KernelSpec.kind), config.get("bandwidth", KernelSpec.bandwidth))
+    bandwidth = _number_from_text(config.get("bandwidth", KernelSpec.bandwidth))
+    kernel = KernelSpec(config.get("kernel", KernelSpec.kind), bandwidth)
     level = {"alpha": config["alpha"]} if "alpha" in config else {}  # else each callee's default
     run = {"reps": reps, "seed": seed, "workers": workers}
     try:
@@ -285,7 +289,8 @@ def study_from_config(config: Mapping, seed: int = 0, workers: int = 1) -> parti
             _check_alpha(level["alpha"])
         dgp = DgpConfig(**{key: config[key] for key in _DESIGN_KEYS if key in config})
         if kind == "size":
-            boot = {name: config[key] for key, name in (("B", "n_boot"), ("order", "order_rule")) if key in config}
+            boot = {"n_boot": config["B"]} if "B" in config else {}
+            boot |= {"order_rule": _number_from_text(config["order"], int)} if "order" in config else {}
             boot = replace(_BATTERY_BOOT, **boot, **level)
             tests = standard_battery(config.get("tests", ["SN-asymptotic"]), kernel=kernel, boot=boot, **level)
             return partial(size_experiment, dgp, tests, **run)

@@ -27,9 +27,9 @@ from .asymptotics import _check_table, simulate_critical_values
 from .battery import AnalysisReport, run_analysis, study_from_config
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
-from .kernels import _KINDS, KernelSpec, _parse_kernel, estimate_lrv
+from .kernels import _KINDS, KernelSpec, estimate_lrv
 from .tables import _PROBS, _level, load_table, save_table
-from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_integers
+from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_integers, _number_from_text
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
 
@@ -132,14 +132,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _order_from_args(text: str):
-    """A fixed order from integer text, else the text: a rule name, or a value the library refuses."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _sample_from_args(args) -> CointegrationSample:
     det = Deterministics.from_alias(args.det)
     return ingest_csv(args.data, args.y, args.x, det)
@@ -221,7 +213,7 @@ def _cmd_test(args) -> int:
             n_boot=args.B,
             alpha=args.alpha,
             seed=args.seed,
-            order_rule=_order_from_args(args.order),
+            order_rule=_number_from_text(args.order, int),
             workers=args.workers,
         )
         provenance["B"] = args.B
@@ -234,7 +226,7 @@ def _cmd_test(args) -> int:
         sample,
         restriction,
         alpha=args.alpha,
-        kernel=_checked(_parse_kernel, args.kernel, args.bandwidth),
+        kernel=_checked(KernelSpec, args.kernel, _number_from_text(args.bandwidth)),
         boot=boot,
         table=table,
         seed=args.seed,
@@ -265,8 +257,9 @@ def _cmd_critvals(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    result = _checked(study_from_config, cfg, args.seed, args.workers)()  # a failure of the run is numeric
+        cfg = _checked(json.load, fh)  # a file that is not JSON is a usage error
+    run = {"seed": args.seed, "workers": args.workers} | cfg if isinstance(cfg, dict) else cfg  # the config's keys win
+    result = _checked(study_from_config, run)()  # a failure of the run is numeric
     if result.kind == "size":
         rows = [("test", "rejection_rate")] + [(name, f"{rate!r}") for name, rate in result.rates.items()]
     else:
@@ -293,7 +286,8 @@ def _cmd_lrv(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise UsageError("--columns must name at least one column")
-    est = estimate_lrv(_read_columns(args.data, columns), _checked(_parse_kernel, args.kernel, args.bandwidth))
+    kernel = _checked(KernelSpec, args.kernel, _number_from_text(args.bandwidth))
+    est = estimate_lrv(_read_columns(args.data, columns), kernel)
     payload = {
         "kernel": est.kind,
         "bandwidth": est.bandwidth,

@@ -85,17 +85,6 @@ class KernelSpec:
             raise ValueError(f"bandwidth must be 'andrews' or a positive number, got {bw!r}")
 
 
-def _parse_kernel(kind: str, bandwidth) -> KernelSpec:
-    """A :class:`KernelSpec` from a kernel name and a bandwidth as a command line
-    or a config gives them, numeric text (``"4"``) read as a float."""
-    if isinstance(bandwidth, str):
-        try:
-            bandwidth = float(bandwidth)
-        except ValueError:
-            pass  # 'andrews', or text KernelSpec refuses
-    return KernelSpec(kind, bandwidth)
-
-
 @dataclass(frozen=True)
 class LrvEstimate:
     """Partitioned long-run covariance of [u_t, v_t']'.

@@ -115,6 +115,15 @@ def _check_integers(minimum: int, **settings) -> None:
             raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def _number_from_text(value, number=float):
+    """``value``, numeric text (``"4"``) read as a ``number``: the one text rule of a setting
+    given on the command line or in a config (a bandwidth, a sieve order)."""
+    try:
+        return number(value) if isinstance(value, str) else value
+    except ValueError:
+        return value  # a name ('andrews', 'aic'), or text the setting's own check refuses
+
+
 def _check_grid(name: str, values) -> np.ndarray:
     """``values`` as a float array; ValueError naming ``name`` unless it is 1-D and finite."""
     grid = np.asarray(values, dtype=float)

@@ -526,15 +526,18 @@ class TestCommandLine:
          ({"kind": "power", "T": 75, "beta_grid": [[1.0, 1.1]]},
           "bad config: beta_grid must be a 1-D array of finite values, got [[1.0, 1.1]]"),
          ({"kind": "power", "T": 75, "beta_grid": {"start": 1, "stop": 2}},
-          "bad config: a beta_grid map has the keys 'start', 'stop' and 'num', got ['start', 'stop']")],
+          "bad config: a beta_grid map has the keys 'start', 'stop' and 'num', got ['start', 'stop']"),
+         ([1, 2], "bad config: a config is a JSON object, got list"),
+         ('{"kind": "size", "T": 50,', "Expecting property name enclosed in double quotes: line 1 column 26 (char 25)")],
         ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "no-workers", "no-reps",
              "negative-seed", "float-T", "short-T", "order-name", "order-0", "nan-rho1", "beta", "alpha",
              "alpha-untabulated", "unknown-key", "power-key-in-size", "size-key-in-power", "burn_in", "nan-grid",
-             "2d-grid", "grid-without-num"],
+             "2d-grid", "grid-without-num", "not-an-object",
+             "not-json"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         code = main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "rates.csv")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -546,11 +546,18 @@ def test_study_from_config_is_the_direct_study(config, direct):
 
 
 def test_study_from_config_defaults():
-    size = study_from_config({"T": 50}, seed=3, workers=2)
+    size = study_from_config({"T": 50})
     assert size.func is size_experiment and size.args[0] == DgpConfig(T=50)
-    assert size.keywords == {"reps": 1000, "seed": 3, "workers": 2}
+    assert size.keywords == {"reps": 1000, "seed": 0, "workers": 1}
     assert list(size.args[1]) == ["SN-asymptotic"]
-    power = study_from_config({"kind": "power", "T": 50, "seed": 5})
+    power = study_from_config({"kind": "power", "T": 50, "seed": 5, "workers": 2})
     assert power.func is size_adjusted_power and list(power.args[1]) == ["SN"]
     np.testing.assert_array_equal(power.args[2], np.linspace(1.01, 1.2, 20))
-    assert power.keywords == {"reps": 1000, "seed": 5, "workers": 1}
+    assert power.keywords == {"reps": 1000, "seed": 5, "workers": 2}
+
+
+def test_study_from_config_reads_numeric_text():
+    # a bandwidth and an order in a config follow the command line's text rule
+    study = study_from_config({"T": 50, "tests": ["SN-bootstrap"], "bandwidth": "4", "order": "3"})
+    _, kernel, boot = study.args[1]["SN-bootstrap"].args
+    assert kernel == KernelSpec("bartlett", 4.0) and boot.order_rule == 3
