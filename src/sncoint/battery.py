@@ -146,6 +146,7 @@ def run_analysis(
     fitted = FittedSample.one(sample, "run_analysis")
     m, s, det = fitted.x.shape[2], restriction.n_restrictions, fitted.det
     if table is None:
+        _level(_PROBS, alpha)  # the levels of every packaged or simulated table, checked before simulating one
         table = _resolve_table(m, s, det, seed)
     table.require(m, s, det)
     table.critical_value(alpha)

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -275,7 +276,7 @@ def _cmd_simulate(args) -> int:
     manifest = {"kind": result.kind, "config": cfg, "seed": result.seed, "reps": result.reps}
     manifest |= {"workers": meta["workers"]} | meta
     manifest |= {"version": __version__, "results_csv": out_path}
-    manifest_path = out_path.rsplit(".", 1)[0] + "_manifest.json"
+    manifest_path = os.path.splitext(out_path)[0] + "_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     print(f"wrote {out_path} and {manifest_path}")

@@ -322,15 +322,15 @@ def size_adjusted_power(
     statistics, and the array their c values. A NaN value raises
     :class:`ValueError` naming the statistic, the phase and the
     replication. Both phases of a replication run in the same task, so the
-    study makes one ``replication_map`` call. A grid that is not 1-D and
-    finite is refused before any draw.
+    study makes one ``replication_map`` call. A grid that is empty, or not
+    1-D and finite, is refused before any draw.
     """
     _check_study(reps, seed, workers)
     _check_alpha(alpha)
     beta_grid = _check_grid("beta_grid", beta_grid)
     restriction = null_restriction(config)
     task = partial(_power_chunk, config, list(statistics.items()), restriction, beta_grid, seed)
-    draws, meta = _run_chunks(task, reps, workers, config.T, max(1, len(beta_grid)))
+    draws, meta = _run_chunks(task, reps, workers, config.T, len(beta_grid))
     adjusted = {name: float(np.quantile(draws[:, 0, j], 1.0 - alpha)) for j, name in enumerate(statistics)}
     return ExperimentResult(
         kind="power",

@@ -15,15 +15,16 @@ threaded kernels can round differently and crowd the cores);
 ``BLAS_PINNED`` says whether that OpenBLAS was found, and drivers record
 it with their results. An in-process run leaves the caller's BLAS as it is.
 
-While a replication loop runs, glibc's allocator keeps freed memory in the
-process: its mmap and trim thresholds are raised, so chunk after chunk
-reuses pages already resident instead of mapping and faulting in fresh
+Every replication loop fixes glibc's allocator thresholds at the ceiling
+its dynamic rule reaches on 64-bit hosts: a block under 32 MiB comes from
+the heap, and up to 64 MiB of free heap stays in the process, so chunk
+after chunk reuses resident pages instead of mapping and faulting in fresh
 ones for every fit (about a quarter of a T = 1,000 bootstrap test's CPU
-time otherwise). Pool workers keep it for their whole life; an in-process
-loop keeps it from the outermost :func:`replication_map` call's entry to
-its exit, then restores the thresholds and hands the free memory back.
-``MEMORY_RETAINED`` says whether glibc's ``mallopt`` and ``malloc_trim``
-were found; elsewhere nothing is changed. No number depends on it.
+time otherwise). An in-process loop sets them before its chunks, a pool
+worker as it starts; nothing restores them, since glibc's first
+``mallopt`` call ends its dynamic rule for good. ``MEMORY_RETAINED`` says
+whether glibc's ``mallopt`` was found; elsewhere nothing is changed. No
+number depends on it.
 
 A process keeps one pool for its life, keyed by its pid and process count:
 the first :func:`replication_map` call that needs one starts it, later
@@ -32,7 +33,7 @@ replaces it, and a forked child starts its own, leaving its parent's
 alone. A broken pool (a worker died) is dropped and its error raised; the
 pool is shut down when the process exits. Workers fork when the pool
 starts, so they see module state as it was then: a monkeypatch made later
-does not reach them. An idle worker keeps its heap, retained for life.
+does not reach them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import glob
 import os
 import threading
 import warnings
-from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -57,22 +57,17 @@ _SET_THREADS = next((getattr(dll, name) for dll in _DLLS for name in ("scipy_ope
                      "openblas_set_num_threads64_") if hasattr(dll, name)), None)  # fmt: skip
 BLAS_PINNED = _SET_THREADS is not None
 
-# glibc's allocator tuning; musl and macOS have neither symbol.
+# glibc's allocator tuning; musl and macOS have no mallopt.
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
-_MALLOPT, _MALLOC_TRIM = (getattr(_LIBC, name, None) for name in ("mallopt", "malloc_trim"))
-MEMORY_RETAINED = _MALLOPT is not None and _MALLOC_TRIM is not None
+_MALLOPT = getattr(_LIBC, "mallopt", None)
+MEMORY_RETAINED = _MALLOPT is not None
 if MEMORY_RETAINED:
     _MALLOPT.argtypes, _MALLOPT.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_RETAIN = {_M_MMAP_THRESHOLD: 1 << 30, _M_TRIM_THRESHOLD: 2**31 - 1}
-# glibc has no getter, and any mallopt call ends its dynamic thresholds for
-# good, so restoring must pick values: the ceiling the dynamic rule reaches on
-# 64-bit hosts. After a bootstrap test, its 128 KiB start values left each
-# T = 1,000 analysis faulting in about 120 fresh pages; the ceiling, about 3.
-_RESTORE = {_M_MMAP_THRESHOLD: 32 << 20, _M_TRIM_THRESHOLD: 64 << 20}
-_depth = 0  # nesting of in-process loops; a pool worker is at 1 for life
-_depth_lock = threading.Lock()
+# The ceiling glibc's dynamic rule reaches on 64-bit hosts (it has no getter, and any mallopt call ends
+# that rule for good). At its 128 KiB start values, each T = 1,000 analysis after a bootstrap test
+# faulted in about 120 fresh pages; at the ceiling, about 3.
+_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 << 20, _M_TRIM_THRESHOLD: 64 << 20}
 _pool = None  # ((pid, processes), executor): the process pool this process keeps
 _pool_lock = threading.Lock()
 
@@ -190,41 +185,19 @@ def _call_chunk(fn, n: int, size: int, chunk: int):
     return fn(np.arange(chunk * size, min(n, (chunk + 1) * size)))
 
 
-def _set_thresholds(values: dict[int, int]) -> None:
-    """Set glibc's allocator thresholds; warn where glibc refuses one."""
-    for param, value in values.items():
-        if _MALLOPT(param, value) != 1:
-            warnings.warn(f"glibc's mallopt refused parameter {param} = {value}", RuntimeWarning)
-
-
-@contextmanager
-def _retained():
-    """Keep freed memory in the process from the outermost entry to its
-    exit, which restores the thresholds and trims the heap."""
-    global _depth
-    with _depth_lock:
-        if _depth == 0 and MEMORY_RETAINED:
-            _set_thresholds(_RETAIN)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _depth_lock:
-            _depth -= 1
-            if _depth == 0 and MEMORY_RETAINED:
-                _set_thresholds(_RESTORE)
-                _MALLOC_TRIM(0)
+def _set_thresholds() -> None:
+    """Fix glibc's allocator thresholds at ``_THRESHOLDS`` where mallopt was found; warn where it refuses one."""
+    if MEMORY_RETAINED:
+        for param, value in _THRESHOLDS.items():
+            if _MALLOPT(param, value) != 1:
+                warnings.warn(f"glibc's mallopt refused parameter {param} = {value}", RuntimeWarning)
 
 
 def _init_worker() -> None:
-    """Pool worker initializer: numpy's OpenBLAS on one thread and freed
-    memory retained for the worker's life, where each is available."""
-    global _depth
-    _depth = 1
+    """Pool worker initializer: numpy's OpenBLAS on one thread where it was found, and the loops' thresholds."""
     if BLAS_PINNED:
         _SET_THREADS(1)
-    if MEMORY_RETAINED:
-        _set_thresholds(_RETAIN)
+    _set_thresholds()
 
 
 def _cores() -> int:
@@ -263,20 +236,19 @@ def replication_map(fn: Callable[[np.ndarray], object], n: int, size: int, worke
 
     The pool is kept for the life of the process, keyed by its pid and
     process count, and shut down at exit (see the module docstring): its
-    workers see module state as it was when the pool started, and keep
-    their heaps while idle. A call with another process count replaces it;
-    a worker's death raises ``BrokenProcessPool`` and drops it.
+    workers see module state as it was when the pool started. A call with
+    another process count replaces it; a worker's death raises
+    ``BrokenProcessPool`` and drops it.
 
-    Freed memory stays in the process while the chunks run (see the module
-    docstring): in each pool worker for its life; in process until the
-    outermost call returns or raises, when the heap is trimmed, so a
-    nested call leaves its caller's loop as it was.
+    Freed memory below glibc's fixed thresholds stays in the process, in
+    process and in each pool worker alike (see the module docstring), so
+    chunks reuse resident pages; nothing is restored or trimmed after.
     """
     global _pool
     task, (chunks, workers) = partial(_call_chunk, fn, n, size), pool_layout(n, size, workers)
     if workers == 1:
-        with _retained():
-            return [task(chunk) for chunk in range(chunks)]
+        _set_thresholds()
+        return [task(chunk) for chunk in range(chunks)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for a pool
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing.util import Finalize

@@ -65,7 +65,7 @@ def _level(probs, alpha: float) -> float:
     for prob in probs:
         if abs(prob - target) < 1e-9:
             return prob
-    raise KeyError(f"no tabulated quantile at probability {target}")
+    raise KeyError(f"no tabulated quantile at probability {target:.10g}")  # 0.93, not 0.9299999999999999
 
 
 # Simulated quantiles, indexed (m, s) within each deterministic panel and

@@ -125,10 +125,12 @@ def _number_from_text(value, number=float):
 
 
 def _check_grid(name: str, values) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``name`` unless it is 1-D and finite."""
+    """``values`` as a float array; ValueError naming ``name`` unless it is 1-D, finite and not empty."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or not np.isfinite(grid).all():
         raise ValueError(f"{name} must be a 1-D array of finite values, got {grid.tolist()}")
+    if not grid.size:
+        raise ValueError(f"{name} must hold at least one value")
     return grid
 
 

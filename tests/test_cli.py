@@ -444,6 +444,16 @@ class TestCommandLine:
         assert (manifest["chunk_size"], manifest["tasks"]) == (25, 8)
         assert manifest["processes"] == min(2, sncoint.streams._cores())
 
+    def test_simulate_writes_the_manifest_beside_the_output(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"kind": "size", "T": 50, "reps": 8, "tests": ["Wald-IM"]}))
+        (tmp_path / "out.d").mkdir()
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["simulate", "--config", str(cfg_path), "--output", str(tmp_path / "out.d" / "rates")]) == 0
+        assert sorted(path.name for path in (tmp_path / "out.d").iterdir()) == ["rates", "rates_manifest.json"]
+        assert list((tmp_path / "cwd").iterdir()) == []
+
     def test_simulate_power_command(self, tmp_path):
         config = {
             "kind": "power",
@@ -527,12 +537,14 @@ class TestCommandLine:
           "bad config: beta_grid must be a 1-D array of finite values, got [[1.0, 1.1]]"),
          ({"kind": "power", "T": 75, "beta_grid": {"start": 1, "stop": 2}},
           "bad config: a beta_grid map has the keys 'start', 'stop' and 'num', got ['start', 'stop']"),
+         ({"kind": "power", "T": 75, "beta_grid": {"start": 1, "stop": 2, "num": 0}},
+          "bad config: beta_grid must hold at least one value"),
          ([1, 2], "bad config: a config is a JSON object, got list"),
          ('{"kind": "size", "T": 50,', "Expecting property name enclosed in double quotes: line 1 column 26 (char 25)")],
         ids=["no-T", "test-name", "statistic-name", "float-workers", "string-workers", "no-workers", "no-reps",
              "negative-seed", "float-T", "short-T", "order-name", "order-0", "nan-rho1", "beta", "alpha",
              "alpha-untabulated", "unknown-key", "power-key-in-size", "size-key-in-power", "burn_in", "nan-grid",
-             "2d-grid", "grid-without-num", "not-an-object",
+             "2d-grid", "grid-without-num", "empty-grid", "not-an-object",
              "not-json"],
     )  # fmt: skip
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, config, message):

@@ -22,9 +22,11 @@ from sncoint import (
     bootstrap_statistic,
     build_deterministics,
     conditional_lrv,
+    estimate_lrv,
     kernel_weight,
     local_power,
     lrv_matrix,
+    one_sided_lrv,
     run_analysis,
     simulate_critical_values,
     simulate_limit_statistics,
@@ -36,7 +38,7 @@ from sncoint import (
     traditional_wald,
     yule_walker,
 )
-from sncoint import asymptotics, cli, montecarlo
+from sncoint import asymptotics, battery, cli, montecarlo
 from sncoint.asymptotics import simulate_limit_components
 from sncoint.cli import main
 from sncoint.estimators import _static_batch
@@ -101,6 +103,16 @@ class TestAlpha:
         with pytest.raises(error, match=message):
             run_analysis(make_sample(), ONE, alpha=alpha)
         assert fits == []
+
+    def test_run_analysis_checks_the_level_before_simulating_a_table(self, monkeypatch):
+        simulated = []
+        monkeypatch.setattr(battery, "simulate_critical_values", lambda *args, **kwargs: simulated.append(args))
+        rng = substream(3, 1)
+        x = np.cumsum(rng.standard_normal((80, 5)), axis=0)
+        sample = CointegrationSample(y=x.sum(axis=1) + rng.standard_normal(80), x=x)  # no packaged table for m = 5
+        with pytest.raises(KeyError, match="^'no tabulated quantile at probability 0.93'$"):
+            run_analysis(sample, RestrictionSpec(R=np.eye(5)[:1], value=np.ones(1)), alpha=0.07)
+        assert simulated == []
 
     def test_run_analysis_checks_the_table_before_fitting(self, count_calls):
         fits = count_calls(_static_batch)
@@ -284,6 +296,10 @@ def test_numpy_integers_are_integers():
                   r"beta_grid must be a 1-D array of finite values, got \[1.0, nan\]", id="power-nan-grid"),
      pytest.param(lambda: size_adjusted_power(DGP, POWER, [[1.0, 1.1]], reps=8), ValueError,
                   r"beta_grid must be a 1-D array of finite values, got \[\[1.0, 1.1\]\]", id="power-2d-grid"),
+     pytest.param(lambda: size_adjusted_power(DGP, POWER, [], reps=8), ValueError,
+                  "beta_grid must hold at least one value", id="power-empty-grid"),
+     pytest.param(lambda: local_power([], reps=10, n_grid=50), ValueError, "c_grid must hold at least one value",
+                  id="local-power-empty-grid"),
      pytest.param(lambda: study_from_config({"kind": "size", "T": 50, "rho_1": 0.9}), ValueError,
                   "bad config: a size study has no key 'rho_1'", id="study-unknown-key"),
      pytest.param(lambda: kernel_weight("parzen", 0.5), ValueError, KIND, id="weight-kind"),
@@ -292,6 +308,12 @@ def test_numpy_integers_are_integers():
                   "need at least 4 observations for the plug-in rule", id="bandwidth-short"),
      pytest.param(lambda: andrews_bandwidth(np.column_stack([W, np.zeros(50)]), BARTLETT),
                   ValueError, "a column is degenerate: its lagged values are all zero", id="bandwidth-zero-column"),
+     pytest.param(lambda: lrv_matrix(np.column_stack([W, np.zeros(50)]), KernelSpec()), ValueError,
+                  "a column is degenerate: its lagged values are all zero", id="lrv-zero-column"),
+     pytest.param(lambda: one_sided_lrv(np.column_stack([W, np.zeros(50)]), KernelSpec()), ValueError,
+                  "a column is degenerate: its lagged values are all zero", id="one-sided-lrv-zero-column"),
+     pytest.param(lambda: estimate_lrv(np.column_stack([W, np.zeros(50)]), KernelSpec()), ValueError,
+                  "a column is degenerate: its lagged values are all zero", id="estimate-lrv-zero-column"),
      pytest.param(lambda: lrv_matrix(np.ones((1, 2)), KernelSpec(BARTLETT, 2.0)), ValueError,
                   "need at least 2 observations", id="lrv-one-row"),
      pytest.param(lambda: conditional_lrv(np.ones((2, 3))), ValueError, "omega must be square",

@@ -4,9 +4,9 @@ import os
 import resource
 import subprocess
 import sys
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -212,65 +212,51 @@ def test_pool_layout_counts_the_cores_this_process_may_use(monkeypatch):
     assert pool_layout(100, 10, 4) == (10, 1)
 
 
-ARRAY_BYTES = 48_000_000
-PAGES = ARRAY_BYTES // resource.getpagesize()
+SMALL_BYTES = 16_000_000  # under the 32 MiB mmap threshold: kept in the heap once freed
+LARGE_BYTES = 48_000_000  # above it: mapped, and handed back when freed
 
 
-def _fresh_array(indices=None) -> int:
-    """Minor page faults of allocating, touching and freeing one 48 MB array
-    (a bytearray, which is zeroed on allocation; numpy would ask for huge pages)."""
+def _pages(n_bytes: int) -> int:
+    return n_bytes // resource.getpagesize()
+
+
+def _faults(n_bytes: int, indices=None) -> int:
+    """Minor page faults of allocating, touching and freeing one block of
+    ``n_bytes`` (a bytearray, which is zeroed on allocation; numpy would ask
+    for huge pages)."""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    len(bytearray(ARRAY_BYTES))
+    len(bytearray(n_bytes))
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def _after_inner_loop(indices) -> int:
-    replication_map(len, 1, 1)
-    return _fresh_array()
-
-
-def _second_array(indices) -> int:
-    _fresh_array()
-    return _fresh_array()
-
-
-def _loops() -> None:
-    for _ in range(500):
-        replication_map(len, 2, 1)
-
-
-def _raise_after_array(indices):
-    _fresh_array()
-    raise ValueError("chunk failed")
+def _second_block(indices) -> int:
+    _faults(SMALL_BYTES)
+    return _faults(SMALL_BYTES)
 
 
 class TestMemoryRetention:
-    """Freed memory stays in the process while a replication loop runs,
-    seen in the loop's minor page faults, and is handed back after."""
+    """Every replication loop fixes glibc's thresholds at 32 MiB (mmap) and
+    64 MiB (trim), seen in minor page faults: a freed block under the mmap
+    threshold is reused, in the loop and after it, and one above it is not."""
 
     pytestmark = pytest.mark.skipif(not MEMORY_RETAINED, reason="glibc's mallopt not found")
 
-    def assert_handed_back(self):
-        assert streams._depth == 0
-        assert _fresh_array() > 0.9 * PAGES
+    def test_in_process_chunks_reuse_a_block(self):
+        assert sum(replication_map(partial(_faults, SMALL_BYTES), 4, 1)) < 1.5 * _pages(SMALL_BYTES)
 
-    def test_in_process_chunks_reuse_pages(self):
-        assert sum(replication_map(_fresh_array, 4, 1)) < 1.5 * PAGES
-        self.assert_handed_back()
+    def test_reused_after_the_loop(self):
+        replication_map(partial(_faults, SMALL_BYTES), 2, 1)
+        assert _faults(SMALL_BYTES) < 0.5 * _pages(SMALL_BYTES)
 
-    def test_handed_back_when_a_chunk_raises(self):
-        with pytest.raises(ValueError, match="chunk failed"):
-            replication_map(_raise_after_array, 2, 1)
-        self.assert_handed_back()
-
-    def test_nested_loop_keeps_the_outer_retention(self):
-        assert sum(replication_map(_after_inner_loop, 4, 1)) < 1.5 * PAGES
-        self.assert_handed_back()
+    def test_block_above_the_bound_is_handed_back(self):
+        inside = replication_map(partial(_faults, LARGE_BYTES), 2, 1)
+        assert min(inside) > 0.9 * _pages(LARGE_BYTES)
+        assert _faults(LARGE_BYTES) > 0.9 * _pages(LARGE_BYTES)
 
     @pytest.mark.skipif(_cores() < 2, reason="one core: no pool")
-    def test_pool_workers_retain(self):
+    def test_pool_workers_reuse_a_block(self):
         assert pool_layout(2, 1, 2) == (2, 2)
-        assert max(replication_map(_second_array, 2, 1, 2)) < 0.5 * PAGES
+        assert max(replication_map(_second_block, 2, 1, 2)) < 0.5 * _pages(SMALL_BYTES)
 
 
 class TestMemoryRetentionSwitch:
@@ -278,7 +264,7 @@ class TestMemoryRetentionSwitch:
         calls = []
         monkeypatch.setattr(streams, "MEMORY_RETAINED", retained)
         monkeypatch.setattr(streams, "_MALLOPT", lambda *args: calls.append(args) or verdict)
-        monkeypatch.setattr(streams, "_MALLOC_TRIM", lambda *args: calls.append(args) or 1)
+        monkeypatch.setattr(streams, "_SET_THREADS", lambda n: None)  # _init_worker here keeps this process's BLAS
         return calls
 
     def test_without_glibc_nothing_is_set(self, monkeypatch):
@@ -287,32 +273,17 @@ class TestMemoryRetentionSwitch:
         for (i1, d1), (i2, d2) in zip(replication_map(_draws, 20, 3), expected, strict=True):
             np.testing.assert_array_equal(i1, i2)
             np.testing.assert_array_equal(d1, d2)
+        streams._init_worker()
         assert calls == []
 
-    def test_set_once_for_the_outermost_loop(self, monkeypatch):
+    def test_each_loop_and_worker_sets_the_one_table(self, monkeypatch):
         calls = self.fake_allocator(monkeypatch, True, 1)
-        replication_map(_after_inner_loop, 3, 1)
-        assert calls == [*streams._RETAIN.items(), *streams._RESTORE.items(), (0,)]
-
-    def test_threads_share_one_depth_count(self, monkeypatch):
-        calls = self.fake_allocator(monkeypatch, True, 1)
-        threads = [threading.Thread(target=_loops) for _ in range(8)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert streams._depth == 0
-        # Each retain is followed by one restore and trim before the next.
-        retain, restore = [*streams._RETAIN.items()], [*streams._RESTORE.items(), (0,)]
-        assert calls and len(calls) % 5 == 0
-        for k in range(0, len(calls), 5):
-            assert calls[k : k + 2] == retain and calls[k + 2 : k + 5] == restore
+        replication_map(len, 3, 2)
+        assert calls == [*streams._THRESHOLDS.items()]
+        replication_map(len, 3, 2)
+        streams._init_worker()
+        assert calls == [*streams._THRESHOLDS.items()] * 3
+        assert streams._THRESHOLDS == {streams._M_MMAP_THRESHOLD: 32 << 20, streams._M_TRIM_THRESHOLD: 64 << 20}
 
     def test_refused_setting_warns(self, monkeypatch):
         self.fake_allocator(monkeypatch, True, 0)
