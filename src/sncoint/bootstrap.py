@@ -17,8 +17,10 @@ one stacked :class:`~sncoint.estimators.FittedSample`. A degenerate
 draw (zero or non-finite column, rank deficiency, kappa <= 0, perfect
 fit, singular restricted block) is regenerated once from its retry
 substream and discarded if still degenerate. Every draw keeps its own
-substream keyed by (seed, replication index, attempt), all of a chunk's
-from one :func:`~sncoint.streams.substreams` call, and the chunking
+substream keyed by (seed, replication index, attempt); a chunk's
+resample indices are each draw's ``Generator.integers``, bit for bit,
+computed from the streams' raw PCG64 words by numpy's own bounded-integer
+rule in one :func:`~sncoint.streams.substream_integers` call. The chunking
 depends only on the sample shape, so results match at any worker count.
 A draw's last bits do depend on the chunk size: the VAR product spans its rows.
 """
@@ -41,7 +43,7 @@ from .estimators import (
 )
 from .kernels import KernelSpec, _as_time_matrix, autocovariances
 from .selfnorm import _METHOD_TAGS, TestOutcome, bootstrap_statistic
-from .streams import replication_map, substreams
+from .streams import replication_map, substream_integers
 from .timeseries import CointegrationSample, Deterministics, _check_alpha, _check_integers, build_deterministics
 
 __all__ = [
@@ -275,7 +277,9 @@ def generate_bootstrap_batch(
 
     Draw i takes ``burn_in + order + T`` innovations i.i.d. with replacement
     from the sieve's centered residual pool, from its own substream (seed,
-    i, attempt); one ``substreams`` call gives the batch's streams. The
+    i, attempt): its ``integers(0, len(pool), n_steps)``, which one
+    :func:`~sncoint.streams.substream_integers` call gives for the whole
+    batch from the streams' raw PCG64 words, bit for bit. The
     recursion starts from zeros and advances all draws L =
     _BLOCK steps per product with the sieve's ``block_map``. BLAS can round
     a row of that product differently by the batch's row count and the
@@ -290,10 +294,10 @@ def generate_bootstrap_batch(
     pool = sieve.resid_pool
     n_steps = config.burn_in + q + T
     keys = np.column_stack([indices, np.full_like(indices, attempt)])
-    picks = [rng.integers(0, pool.shape[0], size=n_steps) for rng in substreams(config.seed, keys)]
+    picks = substream_integers(config.seed, keys, pool.shape[0], n_steps)
     # w[:, q + t] holds step t; the q leading zeros are the initial values.
     w = np.zeros((c := len(picks), q + n_steps, k))
-    w[:, q:] = pool[np.stack(picks)]
+    w[:, q:] = pool[picks]
     for t in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - t)
         block = w[:, t : t + q + n].reshape(c, -1) @ sieve.block_map[: (q + n) * k, : n * k]

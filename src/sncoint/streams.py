@@ -7,13 +7,19 @@ key, bit for bit. The ``SeedSequence`` hash is fixed by numpy's
 stream-compatibility policy and its mixing is elementwise, so
 :func:`substreams` runs it once, vectorized, over a whole chunk of keys and
 seeds each row's ``PCG64`` from the words; :func:`substream` is its one-row
-case. Replication ``i`` always sees the same stream regardless of how many
-workers execute the loop, which :func:`replication_map`, the one driver,
-runs in fixed chunks. Its pool workers run numpy's bundled OpenBLAS on
-one thread (a worker otherwise keeps the parent's thread count, and
-threaded kernels can round differently and crowd the cores);
-``BLAS_PINNED`` says whether that OpenBLAS was found, and drivers record
-it with their results. An in-process run leaves the caller's BLAS as it is.
+case. :func:`substream_integers` gives a chunk's bounded integers (the
+bootstrap's resample indices) from each row's raw ``PCG64`` words by
+numpy's own bounded-integer rule, vectorized over the chunk, bit for bit
+with ``Generator.integers``. numpy's stream-compatibility policy fixes
+the bit generator but not that rule, so tier-1 checks it against the
+installed numpy's ``integers``. Replication ``i`` always sees the same
+stream regardless of how many workers execute the loop, which
+:func:`replication_map`, the one driver, runs in fixed chunks. Its pool
+workers run numpy's bundled OpenBLAS on one thread (a worker otherwise
+keeps the parent's thread count, and threaded kernels can round
+differently and crowd the cores); ``BLAS_PINNED`` says whether that
+OpenBLAS was found, and drivers record it with their results. An
+in-process run leaves the caller's BLAS as it is.
 
 Every replication loop fixes glibc's allocator thresholds at the ceiling
 its dynamic rule reaches on 64-bit hosts: a block under 32 MiB comes from
@@ -153,17 +159,53 @@ class _Words(ISeedSequence):
         return self.words
 
 
+def _pcg64_seeds(seed: int, keys) -> list[_Words]:
+    """Each row's PCG64 seed words, from one vectorized :func:`_seed_words`
+    call: ``np.random.PCG64`` of row r's is the bit generator of numpy's
+    ``default_rng`` of the ``SeedSequence`` with entropy ``seed`` and
+    ``spawn_key=tuple(keys[r])``, bit for bit, however often it is built."""
+    words = _seed_words(seed, keys, 8).astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [_Words(row) for row in words]
+
+
 def substreams(seed: int, keys) -> list[np.random.Generator]:
     """The generators of the streams (seed, key) for each row of ``keys``
-    (c, n_key), from one vectorized :func:`_seed_words` call: row r's is
-    numpy's ``default_rng`` of the ``SeedSequence`` with entropy ``seed`` and
+    (c, n_key), from one :func:`_pcg64_seeds` call: row r's is numpy's
+    ``default_rng`` of the ``SeedSequence`` with entropy ``seed`` and
     ``spawn_key=tuple(keys[r])``, bit for bit.
 
     A negative seed or key entry, or a key entry of 2**32 or more, raises
     :class:`ValueError`.
     """
-    words = _seed_words(seed, keys, 8).astype("<u4", order="C").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in words]
+    return [np.random.Generator(np.random.PCG64(words)) for words in _pcg64_seeds(seed, keys)]
+
+
+def substream_integers(seed: int, keys, high: int, size: int) -> np.ndarray:
+    """(c, size) int64: row r is ``substreams(seed, keys)[r].integers(0, high,
+    size)``, bit for bit, for ``high`` in [1, 2**32) and ``size`` >= 0.
+
+    numpy draws such an integer by Lemire's rule: a 32-bit half h of a raw
+    PCG64 word, low half first, gives ``(h * high) >> 32``, unless the low
+    product word falls below ``2**32 % high``, where it draws the next half
+    instead. So each row takes ``ceil(size / 2)`` raw words from its own
+    PCG64 and the rule runs once, vectorized, over the whole batch; the rare
+    row with a redraw takes numpy's own ``integers`` call.
+    """
+    _check_integers(1, high=high)
+    _check_integers(0, size=size)
+    if high >= _WORD:
+        raise ValueError(f"high must be below 2**32, got {high}")
+    high, size = int(high), int(size)
+    seeds = _pcg64_seeds(seed, keys)
+    raw = np.empty((len(seeds), -(-size // 2)), dtype=np.uint64)
+    for row, words in zip(raw, seeds):
+        row[:] = np.random.PCG64(words).random_raw(raw.shape[1])
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :size]  # low half first, as numpy reads them
+    product = halves.astype(np.uint64) * np.uint64(high)
+    out = (product >> np.uint64(32)).astype(np.int64)
+    for r in np.flatnonzero((product.astype(np.uint32) < _WORD % high).any(axis=1)):
+        out[r] = np.random.Generator(np.random.PCG64(seeds[r])).integers(0, high, size)
+    return out
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -90,6 +90,13 @@ class TestYuleWalker:
         with pytest.raises(ValueError, match="too short"):  # before the growth cap, which divides by log T
             yule_walker(np.ones((1, 1)), 1)
 
+    def test_unstable_fit_raises(self, monkeypatch):
+        from sncoint import bootstrap
+
+        monkeypatch.setattr(bootstrap, "companion_spectral_radius", lambda coefs: 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"fitted VAR unstable \(spectral radius 1\.000000\)"):
+            yule_walker(simulate_var1(substream(105, 0), 200, 0.5), 1)
+
 
 def loop_yule_walker(w, rule):
     """Loop transcription of the sieve fit: assemble and solve the

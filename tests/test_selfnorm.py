@@ -298,6 +298,13 @@ class TestTestOutcome:
         with pytest.raises(ValueError, match="NaN"):
             TestOutcome(statistic=float("nan"), critical_value=1.0, reject=False, method="SN-asymptotic")
 
+    @pytest.mark.parametrize("statistic, reject", [(2.0, False), (1.0, True), (0.5, True)])
+    def test_inconsistent_reject_flag_refused(self, statistic, reject):
+        from sncoint import TestOutcome
+
+        with pytest.raises(ValueError, match="reject flag inconsistent"):
+            TestOutcome(statistic=statistic, critical_value=1.0, reject=reject, method="SN-asymptotic")
+
     def test_diagnostics_default_empty(self):
         from sncoint import TestOutcome
 

@@ -22,6 +22,7 @@ from sncoint.streams import (
     pool_layout,
     replication_map,
     substream,
+    substream_integers,
     substreams,
 )
 
@@ -369,3 +370,64 @@ class TestSubstreams:
             substreams(1, [[1.5]])
         with pytest.raises(TypeError):
             substream(1.5, 2)
+
+
+# For each bound, keys (i, 0) and (i, 1) whose first 3,999 halves of seed 7
+# hold one that numpy's bounded-integer rule rejects, so only the redraw
+# fallback gets their rows right. At 2**31 + 1 about half of all halves are
+# rejected, so every row redraws; at 1 and 2 (2**32 % high == 0) none can.
+REDRAW_SEED, REDRAW_SIZE = 7, 3999
+REDRAWS = {98: (2014, 34987), 997: (1793, 391), 2**31 + 1: (4, 4), 2**32 - 1: (437172, 5376308)}
+HIGHS = [1, 2, 98, 997, 2**31 + 1, 2**32 - 1]
+
+
+def _rejects(seed, key, high, size):
+    """Whether numpy's rule rejects one of the first ``size`` 32-bit halves
+    of the stream's raw words (low half first): half * high mod 2**32 below
+    2**32 % high. Built from numpy's own SeedSequence, not from ``streams``."""
+    raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).random_raw(-(-size // 2))
+    halves = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()[:size]
+    return bool(((halves * np.uint64(high)) % np.uint64(2**32) < 2**32 % high).any())
+
+
+class TestSubstreamIntegers:
+    @pytest.mark.parametrize("high", HIGHS)
+    @pytest.mark.parametrize("size", [REDRAW_SIZE, REDRAW_SIZE + 1], ids=["odd", "even"])
+    @pytest.mark.parametrize("attempt", [0, 1])
+    def test_equal_generator_integers(self, high, size, attempt):
+        indices = [*range(4), *REDRAWS.get(high, ())[attempt : attempt + 1]]
+        keys = np.column_stack([indices, np.full(len(indices), attempt)])
+        out = substream_integers(REDRAW_SEED, keys, high, size)
+        assert out.dtype == np.int64 and out.shape == (len(keys), size)
+        for row, rng in zip(out, substreams(REDRAW_SEED, keys)):
+            np.testing.assert_array_equal(row, rng.integers(0, high, size))
+
+    @pytest.mark.parametrize("high", REDRAWS)
+    def test_redraw_keys_hit_a_rejected_half(self, high):
+        for attempt, index in enumerate(REDRAWS[high]):
+            assert _rejects(REDRAW_SEED, (index, attempt), high, REDRAW_SIZE)
+
+    def test_short_draws_and_one_row_calls(self):
+        keys = np.column_stack([np.arange(6), np.zeros(6, dtype=int)])
+        for size in (0, 1, 2, 3, 202):
+            out = substream_integers(5, keys, 96, size)
+            assert out.shape == (6, size)
+            for (i, attempt), row in zip(keys, out):
+                np.testing.assert_array_equal(row, substream(5, int(i), int(attempt)).integers(0, 96, size))
+
+    def test_zero_rows(self):
+        out = substream_integers(3, np.empty((0, 2), dtype=int), 98, 5)
+        assert out.shape == (0, 5) and out.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "high, size, error, message",
+        [(0, 5, ValueError, "high must be at least 1, got 0"),
+         (2**32, 5, ValueError, "high must be below 2\\*\\*32, got 4294967296"),
+         (98, -1, ValueError, "size must be at least 0, got -1"),
+         (98.0, 5, TypeError, "high must be an integer, got 98.0"),
+         (98, True, TypeError, "size must be an integer, got True")],
+        ids=["high-0", "high-2**32", "negative-size", "float-high", "bool-size"],
+    )  # fmt: skip
+    def test_refuses_bad_bounds(self, high, size, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            substream_integers(1, [[0, 0]], high, size)
