@@ -81,11 +81,11 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
+        """The report of :meth:`to_dict`; a stored reject flag that disagrees with its outcome raises ValueError."""
         outcomes = tuple(
             TestOutcome(
                 statistic=o["statistic"],
                 critical_value=o["critical_value"],
-                reject=o["reject"],
                 method=o["method"],
                 p_value=o.get("p_value"),
                 warnings=tuple(o.get("warnings", ())),
@@ -93,6 +93,8 @@ class AnalysisReport:
             )
             for o in data["outcomes"]
         )
+        if any(outcome.reject != o["reject"] for outcome, o in zip(outcomes, data["outcomes"])):
+            raise ValueError("reject flag inconsistent with statistic and critical value")
         return cls(
             estimates={k: np.asarray(v) for k, v in data["estimates"].items()},
             outcomes=outcomes,
@@ -119,6 +121,16 @@ def _resolve_table(m: int, s: int, det: Deterministics, seed: int) -> CriticalVa
         return simulate_critical_values(m, s, det, n_grid=n_grid, reps=reps, seed=seed)
 
 
+def _check_analysis(sample, restriction: RestrictionSpec, alpha: float, table, seed: int) -> None:
+    """The rules :func:`run_analysis` checks before any work: seed, restriction width, table fit and level."""
+    _check_integers(0, seed=seed)
+    m, det = sample.x.shape[-1], sample.det
+    restriction.padded(det.n_columns, m)
+    if table is not None:
+        table.require(m, restriction.n_restrictions, det)
+    _level(_PROBS if table is None else table.quantiles, alpha)
+
+
 def run_analysis(
     sample: CointegrationSample | FittedSample,
     restriction: RestrictionSpec,
@@ -136,20 +148,15 @@ def run_analysis(
     test when a bootstrap configuration is supplied, run at ``alpha``
     whatever ``boot.alpha`` says. The critical-value table is loaded from
     the packaged quantiles, or simulated on demand for combinations outside
-    them. ``alpha``, the table and its level are checked before anything
-    is fitted, and so is ``seed``. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
+    them. :func:`_check_analysis` checks the inputs before anything is
+    fitted or simulated. Every estimate and test reads one :class:`~sncoint.estimators.FittedSample`
     (``sample``'s, or ``sample`` itself, a row of a stack included), so it is fitted once.
     """
-    _check_alpha(alpha)
-    _check_integers(0, seed=seed)
     kernel = kernel or KernelSpec()
     fitted = FittedSample.one(sample, "run_analysis")
+    _check_analysis(fitted, restriction, alpha, table, seed)
     m, s, det = fitted.x.shape[2], restriction.n_restrictions, fitted.det
-    if table is None:
-        _level(_PROBS, alpha)  # the levels of every packaged or simulated table, checked before simulating one
-        table = _resolve_table(m, s, det, seed)
-    table.require(m, s, det)
-    table.critical_value(alpha)
+    table = _resolve_table(m, s, det, seed) if table is None else table
 
     static, fit, fm = fitted.static, fitted.im, fitted.fm(kernel)
     outcomes = [
@@ -157,7 +164,7 @@ def run_analysis(
         traditional_wald("FM", fitted, restriction, kernel, alpha),
     ]
     if boot is not None:
-        outcomes.append(bootstrap_test(fitted, restriction, _at_level(boot, alpha)))
+        outcomes.append(bootstrap_test(fitted, restriction, replace(boot, alpha=alpha)))
 
     return AnalysisReport(
         estimates={
@@ -177,11 +184,6 @@ def run_analysis(
             **(provenance or {}),
         },
     )
-
-
-def _at_level(config: BootstrapConfig, alpha: float) -> BootstrapConfig:
-    """``config`` at the level ``alpha`` of the tests it runs beside."""
-    return config if abs(config.alpha - alpha) <= 1e-12 else replace(config, alpha=alpha)
 
 
 def _sn_asymptotic_test(alpha, fitted, restriction, seeds) -> np.ndarray:
@@ -235,7 +237,7 @@ def standard_battery(
         elif name in _EST_TAGS:
             battery[name] = partial(_wald_test, _EST_TAGS[name], kernel, alpha)
         elif name in _BOOT_TAGS:
-            cfg = _at_level(boot or _BATTERY_BOOT, alpha)
+            cfg = replace(boot or _BATTERY_BOOT, alpha=alpha)
             battery[name] = partial(_bootstrap_test, _BOOT_TAGS[name], kernel, cfg)
         else:
             raise ValueError(f"unknown test tag {name!r}")

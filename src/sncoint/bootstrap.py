@@ -68,18 +68,22 @@ _BLOCK = 8
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class VarSieveModel:
-    """Yule-Walker VAR(q) fit: coefficient stack and centered residual pool."""
+    """Yule-Walker VAR(q) fit: coefficient stack and centered residual pool; order and sigma follow from them."""
 
-    order: int
     coefs: np.ndarray  # (q, k, k)
     resid_pool: np.ndarray  # (n_resid, k), column means zero
-    sigma: np.ndarray  # (k, k) residual covariance
+    sigma: np.ndarray = field(init=False)  # (k, k) residual covariance of the pool
     block_map: np.ndarray = field(init=False, repr=False, compare=False)  # _block_map(coefs), once per fit
     spectral_radius: float = field(init=False, repr=False, compare=False)  # of the companion matrix, once per fit
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", self.resid_pool.T @ self.resid_pool / self.resid_pool.shape[0])
         object.__setattr__(self, "block_map", _block_map(self.coefs))
         object.__setattr__(self, "spectral_radius", companion_spectral_radius(self.coefs))
+
+    @property
+    def order(self) -> int:
+        return self.coefs.shape[0]
 
     @property
     def n_series(self) -> int:
@@ -236,8 +240,7 @@ def yule_walker(w: np.ndarray, order: str | int) -> VarSieveModel:
             if sign > 0 and ic < best_ic:
                 coefs, best_ic = fit, ic
     resid = _var_residuals(w, coefs)
-    pool = resid - resid.mean(axis=0)
-    model = VarSieveModel(order=len(coefs), coefs=coefs, resid_pool=pool, sigma=pool.T @ pool / pool.shape[0])
+    model = VarSieveModel(coefs=coefs, resid_pool=resid - resid.mean(axis=0))
     if model.spectral_radius >= 1.0:
         raise np.linalg.LinAlgError(f"fitted VAR unstable (spectral radius {model.spectral_radius:.6f})")
     return model
@@ -381,7 +384,6 @@ def bootstrap_test(
     return TestOutcome(
         statistic=observed,
         critical_value=critical,
-        reject=observed > critical,
         method=_METHOD_TAGS[statistic],
         p_value=p_value,
         warnings=notes,

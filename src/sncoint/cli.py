@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import _check_table, simulate_critical_values
-from .battery import AnalysisReport, run_analysis, study_from_config
+from .battery import AnalysisReport, _check_analysis, run_analysis, study_from_config
 from .bootstrap import BootstrapConfig
 from .estimators import RestrictionSpec
 from .kernels import _KINDS, KernelSpec, estimate_lrv
-from .tables import _PROBS, _level, load_table, save_table
-from .timeseries import _ALIASES, CointegrationSample, Deterministics, _check_integers, _number_from_text
+from .tables import load_table, save_table
+from .timeseries import _ALIASES, CointegrationSample, Deterministics, _number_from_text
 
 __all__ = ["ingest_csv", "parse_matrix", "main"]
 
@@ -43,13 +43,14 @@ class UsageError(Exception):
 
 def _read_columns(path: str, columns: list[str]) -> np.ndarray:
     """The named columns of a UTF-8, comma-separated file with a header
-    row, as a (rows, columns) array in row order.
+    row, as a (rows, columns) array in row order. A leading byte-order
+    mark, as in Excel's "CSV UTF-8", is skipped.
 
     Missing columns, an empty file, blank cells, non-numeric cells and
     non-finite values ("nan", "inf") raise :class:`UsageError` naming the
     offending row and column.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for name in columns:
@@ -149,9 +150,7 @@ def _restriction_from_args(args, m: int) -> RestrictionSpec:
         if args.r0 is None:
             raise UsageError("--r0 is required when --R1 is given")
         value = parse_matrix(args.r0).ravel()
-    restriction = _checked(RestrictionSpec, R=R, value=value)
-    _checked(restriction.padded, 0, m)  # one column per regressor
-    return restriction
+    return _checked(RestrictionSpec, R=R, value=value)
 
 
 def _scalars(value, path: str = ""):
@@ -206,7 +205,6 @@ def _cmd_test(args) -> int:
     sample = _sample_from_args(args)
     restriction = _restriction_from_args(args, sample.n_regressors)
     provenance = {"input": args.data, "input_sha256": _sha256(args.data)}
-    _checked(_check_integers, 0, seed=args.seed)  # run_analysis checks it too, but as a numeric failure
     boot = None
     if args.command == "boottest":
         boot = _checked(
@@ -219,10 +217,7 @@ def _cmd_test(args) -> int:
         )
         provenance["B"] = args.B
     table = _checked(load_table, args.table) if args.table else None
-    if table is not None:
-        _checked(table.require, sample.n_regressors, restriction.n_restrictions, sample.det)
-    # a table simulated on demand has the packaged levels too
-    _checked(_level, _PROBS if table is None else table.quantiles, args.alpha)
+    _checked(_check_analysis, sample, restriction, args.alpha, table, args.seed)
     report = run_analysis(
         sample,
         restriction,
@@ -324,9 +319,9 @@ def _build_parser() -> _Parser:
 
     p_boot = sub.add_parser("boottest", help="sieve-bootstrap self-normalized test")
     add_data_flags(p_boot)
-    p_boot.add_argument("--B", type=int, default=1499, help="bootstrap replications")
-    p_boot.add_argument("--order", default="aic", help="'aic', 'bic', or a fixed order")
-    p_boot.add_argument("--workers", type=int, default=1)
+    p_boot.add_argument("--B", type=int, default=BootstrapConfig.n_boot, help="bootstrap replications")
+    p_boot.add_argument("--order", default=BootstrapConfig.order_rule, help="'aic', 'bic', or a fixed order")
+    p_boot.add_argument("--workers", type=int, default=BootstrapConfig.workers)
     p_boot.set_defaults(func=_cmd_test)
 
     p_crit = sub.add_parser("critvals", help="simulate critical values")
@@ -365,6 +360,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output and not os.path.isdir(directory := os.path.dirname(args.output) or "."):  # before any work
+            raise UsageError(f"--output {args.output}: directory {directory!r} does not exist")
         return args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a missing input, an unwritable output
         print(f"error: {exc}", file=sys.stderr)

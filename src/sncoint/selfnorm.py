@@ -46,13 +46,14 @@ __all__ = [
 class TestOutcome:
     """Decision record: statistic, critical value, optional p-value.
 
-    ``diagnostics`` holds the tuning choices a test actually used, e.g.
-    the sieve order, discarded draws, or the asymptotic table's reps.
+    ``reject`` is derived: statistic > critical value. ``diagnostics`` holds
+    the tuning choices a test actually used, e.g. the sieve order,
+    discarded draws, or the asymptotic table's reps.
     """
 
     statistic: float
     critical_value: float
-    reject: bool
+    reject: bool = field(init=False)
     method: str
     p_value: float | None = None
     warnings: tuple[str, ...] = ()
@@ -61,8 +62,7 @@ class TestOutcome:
     def __post_init__(self) -> None:
         if math.isnan(self.statistic):
             raise ValueError(f"{self.method}: statistic is NaN")
-        if self.reject != (self.statistic > self.critical_value):
-            raise ValueError("reject flag inconsistent with statistic and critical value")
+        object.__setattr__(self, "reject", bool(self.statistic > self.critical_value))
 
 
 def _normalizer(resid: np.ndarray) -> np.ndarray:
@@ -116,8 +116,8 @@ def wald_statistic(fit: ImOlsFit, restriction: RestrictionSpec, kappa: float) ->
     return float(unit) / kappa
 
 
-_STATISTICS = ("sn", "tau1", "wald-lrv")
 _METHOD_TAGS = {"sn": "SN-bootstrap", "tau1": "tau1-bootstrap", "wald-lrv": "Wald-IM-bootstrap"}
+_STATISTICS = tuple(_METHOD_TAGS)
 
 
 def _scale(fit: ImOlsFit, statistic: str, kernel: KernelSpec | None, conditional) -> np.ndarray:
@@ -181,7 +181,6 @@ def self_normalized_test(
     return TestOutcome(
         statistic=statistic,
         critical_value=critical,
-        reject=statistic > critical,
         method="SN-asymptotic",
         diagnostics={key: int(table.meta[key]) for key in ("n_grid", "reps") if key in table.meta},
     )
@@ -251,7 +250,6 @@ def traditional_wald(
     return TestOutcome(
         statistic=statistic,
         critical_value=critical,
-        reject=statistic > critical,
         method=f"Wald-{estimator.upper()}",
         p_value=float(special.chdtrc(s, statistic)),
         diagnostics={"bandwidth": fitted.lrv(kernel).bandwidth},

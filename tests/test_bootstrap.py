@@ -214,6 +214,21 @@ class TestSelectOrder:
         assert len(passes) == 1
 
 
+class TestVarSieveModel:
+    def test_order_and_sigma_are_derived(self):
+        rng = substream(117, 0)
+        coefs = 0.2 * rng.standard_normal((2, 3, 3))
+        pool = rng.standard_normal((50, 3))
+        model = VarSieveModel(coefs=coefs, resid_pool=pool)
+        assert model.order == 2
+        assert model.sigma.tobytes() == (pool.T @ pool / len(pool)).tobytes()
+
+    @pytest.mark.parametrize("given", ["order", "sigma"])
+    def test_derived_values_are_not_arguments(self, given):
+        with pytest.raises(TypeError, match=given):
+            VarSieveModel(coefs=np.zeros((1, 2, 2)), resid_pool=np.eye(2), **{given: 1})
+
+
 class TestNullModel:
     @pytest.mark.parametrize("order", [2, "aic"])
     @pytest.mark.parametrize("det", [Deterministics.NONE, Deterministics.TREND])
@@ -261,7 +276,7 @@ class TestNullModel:
 class TestGenerateBootstrapSample:
     def test_degenerate_model_replays_residual(self):
         r = np.array([[0.5, -0.25, 1.0]])
-        model = VarSieveModel(order=1, coefs=np.zeros((1, 3, 3)), resid_pool=r, sigma=np.zeros((3, 3)))
+        model = VarSieveModel(coefs=np.zeros((1, 3, 3)), resid_pool=r)
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=0)
         null = NullModel(model, 20, np.array([1.0, 1.0]), Deterministics.NONE, np.array([]))
         star = generate_bootstrap_sample(null, cfg, 0)
@@ -362,7 +377,7 @@ class TestBlockedRecursion:
         rng = substream(130, q, k, n_steps)
         coefs = rng.standard_normal((q, k, k))
         coefs *= 0.9 / companion_spectral_radius(coefs)
-        model = VarSieveModel(order=q, coefs=coefs, resid_pool=rng.standard_normal((40, k)), sigma=np.eye(k))
+        model = VarSieveModel(coefs=coefs, resid_pool=rng.standard_normal((40, k)))
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=9, burn_in=0)
         T = n_steps - q
         expected = _per_step_w(model, cfg, np.arange(5), n_steps)[:, -T:]
@@ -373,9 +388,7 @@ class TestBlockedRecursion:
         # spectral radius 0.98: a rotation scaled so every eigenvalue has modulus 0.98
         rng = substream(131, 0)
         rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        model = VarSieveModel(
-            order=1, coefs=0.98 * rotation[None], resid_pool=rng.standard_normal((60, 3)), sigma=np.eye(3)
-        )
+        model = VarSieveModel(coefs=0.98 * rotation[None], resid_pool=rng.standard_normal((60, 3)))
         assert companion_spectral_radius(model.coefs) == pytest.approx(0.98)
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=10, burn_in=100)
         T = 400
@@ -505,12 +518,7 @@ class TestBootstrapTest:
         null = NullModel.fit(sample, restriction, 1)
         model = null.sieve
         perm = substream(116, 1).permutation(model.resid_pool.shape[0])
-        permuted = VarSieveModel(
-            order=model.order,
-            coefs=model.coefs,
-            resid_pool=model.resid_pool[perm],
-            sigma=model.sigma,
-        )
+        permuted = VarSieveModel(coefs=model.coefs, resid_pool=model.resid_pool[perm])
         cfg = BootstrapConfig(n_boot=299, alpha=0.05, seed=21)
         draws = {}
         for name, mod in (("base", null), ("perm", replace(null, sieve=permuted))):
@@ -573,7 +581,7 @@ class TestBatchedKernel:
         # zero coefficients and one pooled residual: every draw is the same
         # perfect fit, the retry reproduces it, and every draw is discarded
         r = np.array([[0.5, -0.25, 1.0]])
-        model = VarSieveModel(order=1, coefs=np.zeros((1, 3, 3)), resid_pool=r, sigma=np.zeros((3, 3)))
+        model = VarSieveModel(coefs=np.zeros((1, 3, 3)), resid_pool=r)
         cfg = BootstrapConfig(n_boot=19, alpha=0.05, seed=0)
         restriction = RestrictionSpec(R=np.eye(2), value=np.ones(2))
         args = (NullModel(model, 20, np.ones(2), Deterministics.NONE, np.array([])), cfg, restriction, "sn", None)
@@ -587,7 +595,7 @@ class TestBatchedKernel:
         # of all-zero errors is a perfect fit, so some draws are retried
         # and a few of those discarded
         pool = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
-        model = VarSieveModel(order=1, coefs=np.zeros((1, 2, 2)), resid_pool=pool, sigma=np.eye(2))
+        model = VarSieveModel(coefs=np.zeros((1, 2, 2)), resid_pool=pool)
         cfg = BootstrapConfig(n_boot=199, alpha=0.05, seed=4, burn_in=0)
         restriction = RestrictionSpec(R=np.eye(1), value=np.ones(1))
         args = (NullModel(model, 5, np.ones(1), Deterministics.NONE, np.array([])), cfg, restriction, "sn", None)

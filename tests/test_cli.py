@@ -377,6 +377,47 @@ class TestCommandLine:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: [Errno")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["critvals", "--m", "1", "--s", "1", "--n-grid", "1000", "--reps", "1000"],
+         ["simulate", "--config", "CONFIG"],
+         ["test", "--y", "rate", "--x", "price", "--out", "json", "--data", "DATA"],
+         ["boottest", "--y", "rate", "--x", "price", "--B", "19", "--out", "json", "--data", "DATA"],
+         ["lrv", "--columns", "rate,price", "--data", "DATA"]],
+        ids=["critvals", "simulate", "test", "boottest", "lrv"],
+    )  # fmt: skip
+    def test_missing_output_directory_is_refused_first(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("simulate_critical_values", "study_from_config", "run_analysis", "estimate_lrv"):
+            monkeypatch.setattr(cli, name, no_work)
+        files = {"CONFIG": write_csv(tmp_path / "exp.json", '{"kind": "size", "T": 50}'), "DATA": synthetic_csv(tmp_path)}
+        before = sorted(tmp_path.iterdir())
+        output = str(tmp_path / "nodir" / "out.txt")
+        assert main([files.get(arg, arg) for arg in argv] + ["--output", output]) == 1
+        directory = str(tmp_path / "nodir")
+        assert capsys.readouterr().err == f"error: --output {output}: directory {directory!r} does not exist\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_data_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain = synthetic_csv(tmp_path)
+        marked = tmp_path / "marked.csv"
+        marked.write_text(Path(plain).read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfrate,")
+        reports = []
+        for path in (plain, str(marked)):
+            assert main(["test", "--data", path, "--y", "rate", "--x", "price", "--out", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["provenance"]["input"], report["provenance"]["input_sha256"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        printed = []
+        for path in (plain, str(marked)):
+            assert main(["lrv", "--data", path, "--columns", "rate,price"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_boottest_command(self, tmp_path, capsys):
         path = synthetic_csv(tmp_path)
         code = main(

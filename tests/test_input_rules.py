@@ -5,6 +5,7 @@ that no other test reaches."""
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestAlpha:
         table = simulate_critical_values(1, 1, Deterministics.NONE, n_grid=1000, reps=1000, seed=1)
         with pytest.raises(KeyError, match="table is for m=1, s=1, det=none; sample needs m=1, s=1, det=intercept"):
             run_analysis(make_sample(), ONE, table=table)
+        assert fits == []
+
+    @pytest.mark.parametrize("R", [np.eye(3), np.ones((1, 3))], ids=["eye-3", "ones-1x3"])
+    def test_run_analysis_checks_the_restriction_width_first(self, monkeypatch, count_calls, R):
+        def no_table(*args, **kwargs):
+            raise AssertionError("table simulated")
+
+        monkeypatch.setattr(battery, "simulate_critical_values", no_table)
+        fits = count_calls(_static_batch)
+        rng = substream(3, 2)
+        x = np.cumsum(rng.standard_normal((80, 2)), axis=0)
+        sample = CointegrationSample(y=x.sum(axis=1) + rng.standard_normal(80), x=x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "simulating a table" warning either
+            with pytest.raises(ValueError, match="^restriction is on 3 coefficients but the model has 2$"):
+                run_analysis(sample, RestrictionSpec(R=R, value=np.ones(R.shape[0])))
         assert fits == []
 
 

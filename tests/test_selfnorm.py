@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -296,19 +299,35 @@ class TestTestOutcome:
         from sncoint import TestOutcome
 
         with pytest.raises(ValueError, match="NaN"):
-            TestOutcome(statistic=float("nan"), critical_value=1.0, reject=False, method="SN-asymptotic")
+            TestOutcome(statistic=float("nan"), critical_value=1.0, method="SN-asymptotic")
 
     @pytest.mark.parametrize("statistic, reject", [(2.0, False), (1.0, True), (0.5, True)])
     def test_inconsistent_reject_flag_refused(self, statistic, reject):
+        # a stored report whose flag disagrees with its statistic and critical value
+        from sncoint import AnalysisReport, TestOutcome
+
+        outcome = TestOutcome(statistic=statistic, critical_value=1.0, method="SN-asymptotic")
+        data = AnalysisReport(estimates={}, outcomes=(outcome,), rho1=0.0).to_dict()
+        assert data["outcomes"][0]["reject"] is not reject
+        data["outcomes"][0]["reject"] = reject
+        with pytest.raises(ValueError, match="^reject flag inconsistent with statistic and critical value$"):
+            AnalysisReport.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("statistic, reject", [(2.0, True), (1.0, False), (0.5, False)])
+    def test_reject_is_derived(self, statistic, reject):
         from sncoint import TestOutcome
 
-        with pytest.raises(ValueError, match="reject flag inconsistent"):
+        out = TestOutcome(statistic=statistic, critical_value=1.0, method="SN-asymptotic")
+        assert out.reject is reject
+        keys = list(dataclasses.asdict(out))
+        assert keys == ["statistic", "critical_value", "reject", "method", "p_value", "warnings", "diagnostics"]
+        with pytest.raises(TypeError, match="reject"):
             TestOutcome(statistic=statistic, critical_value=1.0, reject=reject, method="SN-asymptotic")
 
     def test_diagnostics_default_empty(self):
         from sncoint import TestOutcome
 
-        out = TestOutcome(statistic=2.0, critical_value=1.0, reject=True, method="SN-asymptotic")
+        out = TestOutcome(statistic=2.0, critical_value=1.0, method="SN-asymptotic")
         assert dict(out.diagnostics) == {}
 
 
