@@ -125,7 +125,7 @@ def _check_analysis(sample, restriction: RestrictionSpec, alpha: float, table, s
     """The rules :func:`run_analysis` checks before any work: seed, restriction width, table fit and level."""
     _check_integers(0, seed=seed)
     m, det = sample.x.shape[-1], sample.det
-    restriction.padded(det.n_columns, m)
+    restriction.padded(0, m)  # only its width check: R must have m columns
     if table is not None:
         table.require(m, restriction.n_restrictions, det)
     _level(_PROBS if table is None else table.quantiles, alpha)

@@ -72,18 +72,20 @@ class VarSieveModel:
 
     coefs: np.ndarray  # (q, k, k)
     resid_pool: np.ndarray  # (n_resid, k), column means zero
-    sigma: np.ndarray = field(init=False)  # (k, k) residual covariance of the pool
     block_map: np.ndarray = field(init=False, repr=False, compare=False)  # _block_map(coefs), once per fit
     spectral_radius: float = field(init=False, repr=False, compare=False)  # of the companion matrix, once per fit
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", self.resid_pool.T @ self.resid_pool / self.resid_pool.shape[0])
         object.__setattr__(self, "block_map", _block_map(self.coefs))
         object.__setattr__(self, "spectral_radius", companion_spectral_radius(self.coefs))
 
     @property
     def order(self) -> int:
         return self.coefs.shape[0]
+
+    @property
+    def sigma(self) -> np.ndarray:  # (k, k) residual covariance of the pool
+        return self.resid_pool.T @ self.resid_pool / self.resid_pool.shape[0]
 
     @property
     def n_series(self) -> int:

@@ -42,9 +42,8 @@ class UsageError(Exception):
 
 
 def _read_columns(path: str, columns: list[str]) -> np.ndarray:
-    """The named columns of a UTF-8, comma-separated file with a header
-    row, as a (rows, columns) array in row order. A leading byte-order
-    mark, as in Excel's "CSV UTF-8", is skipped.
+    """The named columns of a UTF-8, comma-separated file with a header row (a leading
+    byte-order mark, as Excel's "CSV UTF-8" writes, is skipped), as a (rows, columns) array in row order.
 
     Missing columns, an empty file, blank cells, non-numeric cells and
     non-finite values ("nan", "inf") raise :class:`UsageError` naming the

@@ -46,14 +46,13 @@ __all__ = [
 class TestOutcome:
     """Decision record: statistic, critical value, optional p-value.
 
-    ``reject`` is derived: statistic > critical value. ``diagnostics`` holds
-    the tuning choices a test actually used, e.g. the sieve order,
-    discarded draws, or the asymptotic table's reps.
+    ``diagnostics`` holds the tuning choices a test actually used, e.g.
+    the sieve order, discarded draws, or the asymptotic table's reps.
     """
 
     statistic: float
     critical_value: float
-    reject: bool = field(init=False)
+    reject: bool = field(init=False)  # derived: statistic > critical_value
     method: str
     p_value: float | None = None
     warnings: tuple[str, ...] = ()

@@ -8,15 +8,19 @@ and writes, per workload and end-to-end metric, the median, the
 quartiles and the run count, both scaled to the reference machine speed
 (``metrics``) and raw (``raw_metrics``), plus every run's values. The
 file also records the git SHA and whether the tree had changes, the
-Python, numpy and scipy versions, the core count, ``BLAS_PINNED`` and
+bench worker's environment (Python, numpy, scipy and BLAS versions, the
+core count and the ``*_NUM_THREADS`` pins), ``BLAS_PINNED`` and
 ``MEMORY_RETAINED``, ``wc -l`` of ``src/sncoint/*.py``, the
 ``tools/fingerprint.py`` digest, and the tier-1 wall time per test file
 (summed from ``pytest --junitxml``).
 
-    python3 tools/bench_record.py BENCH_<n>.json [--seeds 901 902 903 904 905]
+    python3 tools/bench_record.py BENCH_<n>.json
+
+The seeds are fixed (901-905), so every trajectory file can be paired
+seed by seed with every other.
 
 Stops with an error if a run is not ``correct``, has failed operations,
-or tier-1 has a failure. Five seeds take about 7 minutes on 2 cores,
+or tier-1 has a failure. Five seeds take about 9 minutes on 2 cores,
 plus one tier-1 run. ``per_layer`` is null: it needs the traced run
 (``--trace 1``), which fails while ``bench/worker.py`` names trace
 targets the package no longer has.
@@ -60,12 +64,12 @@ def _summary(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
 
 
-def bench_runs(seeds) -> list[dict]:
+def bench_runs() -> list[dict]:
     """One bench record per (seed, workload), workloads interleaved within each seed."""
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         results = Path(tmp) / "results.jsonl"
-        for seed in seeds:
+        for seed in SEEDS:
             for workload in WORKLOADS:
                 args = ["--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
                 _run([sys.executable, "bench/run.py", *args, "--results", str(results)], timeout=300)
@@ -99,10 +103,9 @@ def tier1_times() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", help="the BENCH_*.json file to write")
-    parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
     args = parser.parse_args(argv)
 
-    records = bench_runs(args.seeds)
+    records = bench_runs()
     workloads = {}
     for workload in WORKLOADS:
         runs = [r for r in records if r["workload"] == workload]
@@ -113,16 +116,12 @@ def main(argv=None) -> int:
     streams = json.loads(_run([sys.executable, "-c", "import json, sncoint.streams as s; "
                                "print(json.dumps([s.BLAS_PINNED, s.MEMORY_RETAINED]))"], timeout=60))  # fmt: skip
     lines = {path.name: len(path.read_bytes().splitlines()) for path in sorted((ROOT / "src" / "sncoint").glob("*.py"))}
-    env = records[0]["environment"]
     payload = {
         "git_sha": records[0]["git_sha"],
         "tree_changed": bool(_run(["git", "status", "--porcelain", "--", "src", "bench", "tools"], timeout=60).strip()),
         "command": f"bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0",
-        "seeds": list(args.seeds),
-        "environment": {
-            "python": env["python"], "numpy": env["numpy"], "scipy": env["scipy"], "blas": env["blas"],
-            "nproc": env["nproc"], "blas_pinned": streams[0], "memory_retained": streams[1],
-        },  # fmt: skip
+        "seeds": list(SEEDS),
+        "environment": {**records[0]["environment"], "blas_pinned": streams[0], "memory_retained": streams[1]},
         "src_lines": {"total": sum(lines.values()), **lines},
         "fingerprint": _run([sys.executable, "tools/fingerprint.py"], timeout=600).strip(),
         "tier1": tier1_times(),
